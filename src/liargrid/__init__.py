@@ -52,6 +52,7 @@ from .grid import (
 from .neighborhoods import (
     Neighborhood,
     NeighborhoodFamily,
+    box_field,
     box_neighborhood,
     custom_neighborhood,
     interior_mask,
@@ -114,6 +115,7 @@ __all__ = [
     "baseline_mar_als",
     "baseline_pixel_ar",
     "bic_score",
+    "box_field",
     "box_neighborhood",
     "custom_neighborhood",
     "default_d0",

@@ -41,8 +41,8 @@ from .evaluate import (
     mar_holdout_rmse,
 )
 from .fit import fit_all, resolve_workers
-from .grid import GridSeries, linear_to_site, read_csv_frames, read_gts, write_gts
-from .neighborhoods import box_neighborhood
+from .grid import GridSeries, read_csv_frames, read_gts, write_gts
+from .neighborhoods import box_field
 from .select import default_d0, select_all
 from .separable import fit_spliar
 from .simulate import KernelField, NoiseSpec, random_stable_kernels, simulate_liar
@@ -169,13 +169,9 @@ def cmd_fit(args):
         raise ConfigurationError("--K (box radius) is required")
     out = _outdir(args)
     workers = resolve_workers(args.threads)
-    shape = series.shape
-    neighborhoods = [
-        box_neighborhood(linear_to_site(i, shape), shape, args.K)
-        for i in range(series.n_sites)
-    ]
     t0 = time.perf_counter()
-    report = fit_all(series, neighborhoods, order=args.P, n_workers=workers)
+    report = fit_all(series, box_field(series.shape, args.K), order=args.P,
+                     n_workers=workers)
     seconds = time.perf_counter() - t0
     report.save_json(os.path.join(out, "fit_report.json"))
     if not report.errors:
@@ -273,13 +269,8 @@ def _eval_one(method, series, train, n_test, args, workers):
     if method == "liar":
         if args.K is None:
             raise ConfigurationError("method liar needs --K")
-        shape = train.shape
-        nbs = [
-            box_neighborhood(linear_to_site(i, shape), shape, args.K)
-            for i in range(train.n_sites)
-        ]
-        report = fit_all(train, nbs, order=args.P, n_workers=workers,
-                         compute_se=False)
+        report = fit_all(train, box_field(train.shape, args.K), order=args.P,
+                         n_workers=workers, compute_se=False)
         if report.errors:
             raise UnderdeterminedError(
                 f"{len(report.errors)} sites failed in method liar"
@@ -358,10 +349,7 @@ def cmd_bench(args):
             )
             noise = NoiseSpec(sigma=args.sigma, seed=args.seed)
             series = simulate_liar(kernels, t, noise, burn_in=args.burn_in)
-            nbs = [
-                box_neighborhood(linear_to_site(i, shape), shape, args.K)
-                for i in range(series.n_sites)
-            ]
+            nbs = box_field(shape, args.K)
             t0 = time.perf_counter()
             fit_all(series, nbs, order=args.P, n_workers=workers,
                     compute_se=False)

@@ -12,8 +12,8 @@ import numpy as np
 
 from .errors import ConfigurationError, SizeError
 from .fit import fit_all
-from .grid import GridSeries, linear_to_site, sites_to_linear
-from .neighborhoods import box_neighborhood
+from .grid import GridSeries, sites_to_linear
+from .neighborhoods import box_field
 
 _AUTOCOV_CAP = 4_000_000  # entries in one requested block
 
@@ -206,13 +206,8 @@ def baseline_pixel_ar(series, order=1, n_workers=None):
         raise ConfigurationError(
             f"need more than {2 * order} frames for a lag-{order} pixel AR"
         )
-    shape = series.shape
-    neighborhoods = [
-        box_neighborhood(linear_to_site(i, shape), shape, 0)
-        for i in range(series.n_sites)
-    ]
-    report = fit_all(series, neighborhoods, order=order, n_workers=n_workers,
-                     compute_se=False)
+    report = fit_all(series, box_field(series.shape, 0), order=order,
+                     n_workers=n_workers, compute_se=False)
     if report.errors:
         site, msg = next(iter(report.errors.items()))
         raise ConfigurationError(f"pixel AR failed at site {site}: {msg}")

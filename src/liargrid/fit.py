@@ -1,11 +1,15 @@
 """Per-site least squares for local-interaction AR models.
 
 Each site is fit independently: the response is the site's own series,
-the regressors are the lagged values of its neighborhood.  Solves use a
-column-pivoted QR factorization, never the normal equations, so the
-residual stays orthogonal to the design at machine precision even for
-poorly scaled data.  Rank deficiency is non-fatal: the minimum-norm
-solution is returned with ``cond_flag`` set.
+the regressors are the lagged values of its neighborhood.  Every solve
+goes through one kernel: gather [Y z] (groups of sites, all lags per
+group) and take its R factor once, never the normal equations.  For any
+leading column count, back substitution on the leading block of R gives
+the coefficients, the trailing sum of squares of R's last column the
+RSS, and the row norms of the block's inverse the standard errors.  A
+fixed box is one group; :mod:`liargrid.select` passes one group per
+nested level.  Rank deficiency is non-fatal: the minimum-norm solution
+is returned with ``cond_flag`` set.
 
 ``fit_all`` distributes sites over a thread pool.  All inputs are
 immutable and every worker writes only its own slot, so the result is a
@@ -16,7 +20,7 @@ its own threads would only contend with the pool's.
 
 References
 ----------
-Golub, Van Loan (2013), "Matrix Computations", 4th ed., ch. 5.
+Golub, Van Loan (2013), "Matrix Computations", 4th ed., sec. 5.2-5.3.
 """
 
 import contextlib
@@ -150,10 +154,10 @@ class SiteFit:
     """
 
     __slots__ = ("site", "neighborhood", "order", "coeffs", "rss", "sigma2",
-                 "cond_flag", "se", "_qr")
+                 "cond_flag", "se")
 
     def __init__(self, site, neighborhood, order, coeffs, rss, sigma2,
-                 cond_flag, se=None, qr=None):
+                 cond_flag, se=None):
         self.site = site
         self.neighborhood = neighborhood
         self.order = order
@@ -162,7 +166,6 @@ class SiteFit:
         self.sigma2 = sigma2
         self.cond_flag = cond_flag
         self.se = se
-        self._qr = qr
 
     def coeffs_by_lag(self):
         return self.coeffs.reshape(self.order, self.neighborhood.size)
@@ -174,13 +177,77 @@ class SiteFit:
         )
 
 
-def assemble_design(series, site, neighborhood, order=1):
-    """Build the regression block for one site.
+def _gather(values, order, groups, target):
+    """Augmented block [Y z] of one site.
 
-    Requires T - P >= P*s usable rows; fewer raises
-    :class:`UnderdeterminedError` naming the counts.
+    ``groups`` are arrays of linear site indices; each contributes its
+    sites at lags 1..P in turn, so one group gives the lag-major
+    :class:`DesignBlock` layout.  The last column is site ``target`` at
+    frames P, ..., T-1.
     """
-    order = int(order)
+    t = values.shape[0]
+    cols = order * sum(g.size for g in groups)
+    aug = np.empty((t - order, cols + 1), order="F")  # geqrf copies it as is
+    pos = 0
+    for group in groups:
+        for p in range(1, order + 1):
+            aug[:, pos : pos + group.size] = values[order - p : t - p, group]
+            pos += group.size
+    aug[:, -1] = values[order:, target]
+    return aug
+
+
+def _factor(aug):
+    """R factor of [Y z] and the RSS of every leading column count c,
+    ``tail[c]``: the trailing sum of squares of R's last column from row c.
+
+    LAPACK's geqrf through scipy, not ``np.linalg.qr``: the latter keeps
+    a 2-worker ``fit_all`` slower than a 1-worker one.
+    """
+    r = np.triu(scipy.linalg.lapack.dgeqrf(aug)[0][: aug.shape[1]])
+    w2 = r[:, -1] ** 2
+    tail = np.zeros(w2.size + 1)
+    tail[:-1] = np.cumsum(w2[::-1])[::-1]
+    return r, tail
+
+
+def _inverse_row_norms(r):
+    """Squared row norms of the inverse of an upper-triangular R."""
+    rinv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0]))
+    return np.sum(rinv * rinv, axis=1)
+
+
+def _solve(aug, r, tail, cols, with_se):
+    """Regress aug's last column on its leading ``cols`` columns, given
+    ``_factor(aug)``.
+
+    Returns (coeffs, rss, sigma2, cond_flag, se).  When the leading R
+    diagonal is zero or spans more than 1/_RANK_TOL, the minimum-norm
+    ``lstsq`` solution and its explicit residual are returned instead,
+    with ``cond_flag`` set and ``se`` None.
+    """
+    r11 = r[:cols, :cols]
+    diag = np.abs(np.diag(r11))
+    cond_flag = not (diag.size and diag.max() > 0.0
+                     and diag.min() >= _RANK_TOL * diag.max())
+    if cond_flag:
+        y, z = aug[:, :cols], aug[:, -1]
+        coeffs = np.linalg.lstsq(y, z, rcond=_RANK_TOL)[0]
+        resid = z - y @ coeffs
+        rss = float(resid @ resid)
+    else:
+        coeffs = scipy.linalg.solve_triangular(r11, r[:cols, -1])
+        rss = float(tail[cols])
+    dof = aug.shape[0] - cols
+    sigma2 = rss / dof if dof > 0 else 0.0
+    se = None
+    if with_se and not cond_flag:
+        se = np.sqrt(sigma2 * _inverse_row_norms(r11))
+    return coeffs, rss, sigma2, cond_flag, se
+
+
+def _site_block(series, site, neighborhood, order):
+    """Validated [Y z] of one site in the :class:`DesignBlock` layout."""
     if order < 1:
         raise ConfigurationError("lag order must be at least 1")
     t = series.n_frames
@@ -196,43 +263,32 @@ def assemble_design(series, site, neighborhood, order=1):
             f"site {tuple(site)}: {rows} usable rows < {cols} unknowns "
             f"(T={t}, P={order}, |J|={s})"
         )
-    values = series.values
-    lin = neighborhood.linear
-    y = np.empty((rows, cols))
-    for p in range(1, order + 1):
-        y[:, (p - 1) * s : p * s] = values[order - p : t - p, lin]
-    z = values[order:, site_to_linear(site, series.shape)]
-    return DesignBlock(tuple(site), neighborhood, order, y, np.array(z))
+    return _gather(series.values, order, [neighborhood.linear],
+                   site_to_linear(site, series.shape))
+
+
+def assemble_design(series, site, neighborhood, order=1):
+    """Build the regression block for one site.
+
+    Requires T - P >= P*s usable rows; fewer raises
+    :class:`UnderdeterminedError` naming the counts.
+    """
+    order = int(order)
+    aug = _site_block(series, site, neighborhood, order)
+    return DesignBlock(tuple(site), neighborhood, order, aug[:, :-1], aug[:, -1])
 
 
 def fit_site(design):
     """Minimize ||z - Y m||^2 for one design block.
 
-    Full-rank designs (pivoted-QR diagonal ratio >= 1e-10) solve by back
+    Full-rank designs (R diagonal ratio >= 1e-10) solve by back
     substitution; deficient ones fall back to the minimum-norm solution
     and set ``cond_flag``.
     """
-    y, z = design.y, design.z
-    rows, cols = y.shape
-    q, r, piv = scipy.linalg.qr(y, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    qr_cache = None
-    if diag.size and diag[0] > 0.0 and diag[-1] >= _RANK_TOL * diag[0]:
-        qtz = q.T @ z
-        m_piv = scipy.linalg.solve_triangular(r, qtz)
-        coeffs = np.empty(cols)
-        coeffs[piv] = m_piv
-        cond_flag = False
-        qr_cache = (r, piv)
-    else:
-        coeffs, _, _, _ = np.linalg.lstsq(y, z, rcond=_RANK_TOL)
-        cond_flag = True
-    resid = z - y @ coeffs
-    rss = float(resid @ resid)
-    dof = rows - cols
-    sigma2 = rss / dof if dof > 0 else 0.0
-    return SiteFit(design.site, design.neighborhood, design.order, coeffs,
-                   rss, sigma2, cond_flag, qr=qr_cache)
+    aug = np.column_stack((design.y, design.z))
+    r, tail = _factor(aug)
+    return SiteFit(design.site, design.neighborhood, design.order,
+                   *_solve(aug, r, tail, design.y.shape[1], with_se=False))
 
 
 def standard_errors(fit, design):
@@ -247,17 +303,24 @@ def standard_errors(fit, design):
             stacklevel=2,
         )
         return None
-    if fit._qr is not None:
-        r, piv = fit._qr
-    else:
-        _, r, piv = scipy.linalg.qr(design.y, mode="economic", pivoting=True)
-    rinv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0]))
-    gram_diag_piv = np.sum(rinv * rinv, axis=1)
-    gram_diag = np.empty_like(gram_diag_piv)
-    gram_diag[piv] = gram_diag_piv
-    se = np.sqrt(fit.sigma2 * gram_diag)
-    fit.se = se
-    return se
+    cols = design.y.shape[1]
+    r, _ = _factor(np.column_stack((design.y, design.z)))
+    fit.se = np.sqrt(fit.sigma2 * _inverse_row_norms(r[:cols, :cols]))
+    return fit.se
+
+
+def _kernel_field(shape, order, fits, n_failed):
+    """KernelField from per-site fits keyed by linear index; every site
+    of the grid must have one."""
+    n_sites = int(np.prod(shape))
+    if len(fits) != n_sites:
+        raise ConfigurationError(
+            f"{len(fits)} of {n_sites} sites fitted ({n_failed} failed); "
+            f"cannot form a kernel field"
+        )
+    fits = [fits[i] for i in range(n_sites)]
+    return KernelField(shape, order, [f.neighborhood for f in fits],
+                       [f.coeffs_by_lag() for f in fits])
 
 
 class FitReport:
@@ -287,36 +350,19 @@ class FitReport:
 
     def kernels(self):
         """Package the fit as a KernelField (requires full site coverage)."""
-        n_sites = int(np.prod(self.shape))
-        if len(self.fits) != n_sites:
-            raise ConfigurationError(
-                f"fit covers {len(self.fits)} of {n_sites} sites "
-                f"({len(self.errors)} failed); cannot form a kernel field"
-            )
-        fits = [self.fits[i] for i in range(n_sites)]
-        return KernelField(
-            self.shape,
-            self.order,
-            [f.neighborhood for f in fits],
-            [f.coeffs_by_lag() for f in fits],
-        )
+        return _kernel_field(self.shape, self.order, self.fits, len(self.errors))
 
     def to_dict(self):
         sites = []
         for fit in self.fits.values():
-            nb = fit.neighborhood
-            entry = {
-                "center": list(fit.site),
-                "sites": nb.sites.tolist(),
-                "coeffs": fit.coeffs_by_lag().tolist(),
-                "rss": fit.rss,
-                "sigma2": fit.sigma2,
-                "se": None if fit.se is None else fit.se.tolist(),
-                "cond_flag": fit.cond_flag,
-            }
-            if nb.radii is not None:
-                rs = set(nb.radii)
-                entry["k"] = nb.radii[0] if len(rs) == 1 else list(nb.radii)
+            entry = fit.neighborhood.to_dict()
+            entry.update(
+                coeffs=fit.coeffs_by_lag().tolist(),
+                rss=fit.rss,
+                sigma2=fit.sigma2,
+                se=None if fit.se is None else fit.se.tolist(),
+                cond_flag=fit.cond_flag,
+            )
             sites.append(entry)
         return {
             "shape": list(self.shape),
@@ -376,6 +422,7 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
         Successful fits in canonical order; per-site failures collected
         in ``report.errors`` rather than raised.
     """
+    order = int(order)
     pairs = _normalize_neighborhood_map(series, neighborhoods)
     workers = resolve_workers(n_workers)
 
@@ -383,11 +430,10 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
         lin, nb = pair
         center = tuple(nb.center)
         try:
-            design = assemble_design(series, center, nb, order)
-            fit = fit_site(design)
-            if compute_se and not fit.cond_flag:
-                standard_errors(fit, design)
-            fit._qr = None  # drop the cache; reports can be large
+            aug = _site_block(series, center, nb, order)
+            r, tail = _factor(aug)
+            fit = SiteFit(center, nb, order,
+                          *_solve(aug, r, tail, aug.shape[1] - 1, compute_se))
             return lin, fit, None
         except LiarError as exc:
             return lin, None, (center, str(exc))

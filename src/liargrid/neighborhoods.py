@@ -10,7 +10,7 @@ wrapped for fitting.
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import sites_to_linear
+from .grid import linear_to_site, sites_to_linear
 
 
 class Neighborhood:
@@ -53,9 +53,6 @@ class Neighborhood:
     @property
     def size(self):
         return self.sites.shape[0]
-
-    def is_box(self):
-        return self.radii is not None
 
     def __eq__(self, other):
         if not isinstance(other, Neighborhood):
@@ -119,6 +116,14 @@ def box_neighborhood(center, shape, radii):
     grids = np.meshgrid(*axes, indexing="ij")
     sites = np.stack([g.ravel(order="F") for g in grids], axis=1)
     return Neighborhood(center, shape, sites, radii=radii)
+
+
+def box_field(shape, radii):
+    """Clipped boxes of the same radii around every site, in canonical
+    (linear) site order: the neighborhoods of a fixed-radius fit."""
+    shape = tuple(int(n) for n in shape)
+    return [box_neighborhood(linear_to_site(i, shape), shape, radii)
+            for i in range(int(np.prod(shape)))]
 
 
 def custom_neighborhood(center, shape, sites):
@@ -253,15 +258,22 @@ def interior_mask(shape, radii):
     return full.ravel(order="F")
 
 
-def neighborhood_from_dict(data, shape):
-    """Inverse of :meth:`Neighborhood.to_dict`; box radii inferred from k."""
-    center = tuple(data["center"])
-    k = data.get("k")
-    sites = np.asarray(data["sites"], dtype=np.intp)
+def neighborhood_from_sites(center, shape, sites, k=None):
+    """Neighborhood of an explicit site list: the clipped box when the
+    sites are exactly one, else a custom neighborhood.
+
+    The box radii are ``k`` (scalar or per axis, as in
+    :meth:`Neighborhood.to_dict`) when given, else the sites' per-axis
+    extent around ``center``.
+    """
+    sites = np.asarray(sites, dtype=np.intp)
     if k is None:
-        return custom_neighborhood(center, shape, sites)
-    radii = (int(k),) * len(shape) if np.isscalar(k) else tuple(int(r) for r in k)
-    nb = box_neighborhood(center, shape, radii)
-    if not np.array_equal(nb.sites, sites[np.argsort(sites_to_linear(sites, shape))]):
-        return custom_neighborhood(center, shape, sites)
-    return nb
+        radii = tuple(int(r) for r in np.max(np.abs(sites - center), axis=0))
+    else:
+        radii = k
+    box = box_neighborhood(center, shape, radii)
+    if box.size == sites.shape[0] and np.array_equal(
+        box.linear, np.sort(sites_to_linear(sites, shape))
+    ):
+        return box
+    return custom_neighborhood(center, shape, sites)

@@ -8,12 +8,13 @@ and the smallest-score level wins, ties to the smallest k.  An exact fit
 (rss numerically zero) scores -inf so the smallest exactly-fitting level
 is chosen.
 
-The level scan reuses one factorization: design columns are ordered
-level-major (level-0 sites first, then each level's new sites, all lags
-per group), so a single R-only QR of [Y z] yields every level's RSS as a
-trailing sum of squares of the transformed response.  This is exactly
-the RSS a per-level solve would produce, at the cost of one
-factorization per site.
+The scan and the chosen level's fit share one factorization: the
+design columns are ordered level-major (level-0 sites first, then each
+level's new sites, all lags per group), so the R factor of one [Y z]
+from :mod:`liargrid.fit`'s least-squares kernel yields every level's RSS
+as a trailing sum of squares and, by back substitution on its leading
+block, the winning level's coefficients.  One gather and one
+factorization per site, whether or not the fit is kept.
 """
 
 import json
@@ -23,7 +24,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
-from .fit import assemble_design, fit_site, resolve_workers, single_threaded_blas
+from .fit import (SiteFit, _factor, _gather, _kernel_field, _solve,
+                  resolve_workers, single_threaded_blas)
 from .grid import linear_to_site, site_to_linear
 from .neighborhoods import interior_mask, nested_family
 
@@ -97,7 +99,8 @@ class BicTrace:
     dropped : list
         Labels skipped as underdetermined at this series length.
     fit : SiteFit or None
-        Refit at the winning level.
+        Fit at the winning level, coefficients in lag-major neighborhood
+        order; no standard errors.
     """
 
     __slots__ = ("site", "labels", "sizes", "rss", "bic", "chosen_k",
@@ -151,36 +154,18 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
         )
 
     center = tuple(family.center)
-    values = series.values
-    top = kept[-1][1]
     level_linear = [nb.linear for _, nb in kept]
-
     # level-major column layout: each level's new sites, all lags per group
-    col_groups = [level_linear[0]]
+    groups = [level_linear[0]]
     for prev, cur in zip(level_linear, level_linear[1:]):
-        col_groups.append(np.setdiff1d(cur, prev, assume_unique=True))
-    n_cols = order * top.size
-    aug = np.empty((rows, n_cols + 1))
-    pos = 0
-    prefix_cols = []
-    for group in col_groups:
-        g = group.size
-        for p in range(1, order + 1):
-            aug[:, pos : pos + g] = values[order - p : t - p, group]
-            pos += g
-        prefix_cols.append(pos)
-    aug[:, -1] = values[order:, site_to_linear(center, series.shape)]
-
-    r = np.linalg.qr(aug, mode="r")
-    w2 = r[:, -1] ** 2
-    tail = np.zeros(w2.size + 1)
-    tail[:-1] = np.cumsum(w2[::-1])[::-1]
-    zz = tail[0]
+        groups.append(np.setdiff1d(cur, prev, assume_unique=True))
+    aug = _gather(series.values, order, groups, site_to_linear(center, series.shape))
+    r, tail = _factor(aug)
 
     sizes = np.array([nb.size for _, nb in kept])
     labels = [label for label, _ in kept]
-    rss = np.array([tail[min(c, w2.size)] for c in prefix_cols])
-    exact = rss <= _EXACT_FIT_REL * zz
+    rss = tail[order * sizes]
+    exact = rss <= _EXACT_FIT_REL * tail[0]
     bic = np.array(
         [
             float("-inf") if exact[i] else
@@ -193,9 +178,16 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
 
     fit = None
     if keep_fit:
-        design = assemble_design(series, center, kept[best][1], order)
-        fit = fit_site(design)
-        fit._qr = None
+        nb = kept[best][1]
+        solved = _solve(aug, r, tail, order * nb.size, with_se=False)
+        # lag-major neighborhood position of each level-major column
+        dest = np.concatenate([
+            (p - 1) * nb.size + np.searchsorted(nb.linear, group)
+            for group in groups[: best + 1] for p in range(1, order + 1)
+        ])
+        coeffs = np.empty_like(solved[0])
+        coeffs[dest] = solved[0]
+        fit = SiteFit(center, nb, order, coeffs, *solved[1:])
     return BicTrace(center, labels, sizes, rss, bic, chosen,
                     exact, family.saturated, dropped, fit)
 
@@ -258,22 +250,10 @@ class SelectionReport:
 
     def kernels(self):
         """KernelField from the chosen-level fits (full coverage required)."""
-        from .simulate import KernelField
-
-        n_sites = int(np.prod(self.shape))
-        if len(self.traces) != n_sites:
-            raise ConfigurationError(
-                f"selection covers {len(self.traces)} of {n_sites} sites"
-            )
-        fits = [self.traces[i].fit for i in range(n_sites)]
-        if any(f is None for f in fits):
+        fits = {lin: trace.fit for lin, trace in self.traces.items()}
+        if any(f is None for f in fits.values()):
             raise ConfigurationError("selection was run without kept fits")
-        return KernelField(
-            self.shape,
-            self.order,
-            [f.neighborhood for f in fits],
-            [f.coeffs_by_lag() for f in fits],
-        )
+        return _kernel_field(self.shape, self.order, fits, len(self.errors))
 
     def to_dict(self):
         sites = []
@@ -345,7 +325,7 @@ def select_all(series, max_radius=None, order=1, d0=None, axis_caps=None,
         Threads, as for :func:`fit_all`; OpenBLAS runs single-threaded
         for the call.
     keep_fit : bool
-        Keep the winning-level refit on each trace.
+        Keep the winning-level fit on each trace.
 
     Returns
     -------

@@ -17,8 +17,8 @@ import scipy.sparse.linalg
 from . import rng
 from .errors import ConfigurationError, NumericalError, StructureError
 from .fit import FitReport, fit_all
-from .grid import GridSeries, linear_to_site, site_to_linear
-from .neighborhoods import box_neighborhood
+from .grid import GridSeries
+from .neighborhoods import box_field
 from .simulate import KernelField
 
 _DENSE_SVD_LIMIT = 4_000_000  # entries; larger matrices use the subspace path
@@ -244,11 +244,7 @@ def fit_spliar(series, radii, order=1, rank=1, n_workers=None):
             f"rank must lie in 1..{min(b1, b2)} for radii {radii}, got {rank}"
         )
     shape = series.shape
-    n_sites = series.n_sites
-    neighborhoods = [
-        box_neighborhood(linear_to_site(i, shape), shape, radii)
-        for i in range(n_sites)
-    ]
+    neighborhoods = box_field(shape, radii)
     raw = fit_all(series, neighborhoods, order=order, n_workers=n_workers,
                   compute_se=False)
     if raw.errors:

@@ -23,8 +23,8 @@ import scipy.sparse as sp
 
 from . import rng
 from .errors import ConfigurationError, NumericalError, StabilityError
-from .grid import GridSeries, linear_to_site, site_to_linear
-from .neighborhoods import Neighborhood, box_neighborhood, custom_neighborhood
+from .grid import GridSeries, site_to_linear
+from .neighborhoods import box_field, neighborhood_from_sites
 
 _DENSE_OPERATOR_LIMIT = 1024  # sites; below this dense matvec beats CSR
 _CTX_KERNEL = 1
@@ -177,12 +177,7 @@ class KernelField:
         for item in data["sites"]:
             center = tuple(item["center"])
             lin = site_to_linear(center, shape)
-            sites = np.asarray(item["neighborhood"], dtype=np.intp)
-            radii = _infer_box_radii(center, shape, sites)
-            if radii is None:
-                nb = custom_neighborhood(center, shape, sites)
-            else:
-                nb = box_neighborhood(center, shape, radii)
+            nb = neighborhood_from_sites(center, shape, item["neighborhood"])
             entries[lin] = (nb, np.asarray(item["coeffs"], dtype=np.float64))
         missing = sum(e is None for e in entries)
         if missing:
@@ -197,17 +192,6 @@ class KernelField:
     def load_json(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _infer_box_radii(center, shape, sites):
-    """Radii tuple if ``sites`` is exactly a clipped box at center, else None."""
-    sites = np.asarray(sites, dtype=np.intp)
-    radii = tuple(int(np.max(np.abs(sites[:, j] - center[j]))) for j in range(len(shape)))
-    box = box_neighborhood(center, shape, radii)
-    if box.size != sites.shape[0]:
-        return None
-    probe = Neighborhood(center, shape, sites)
-    return radii if np.array_equal(probe.linear, box.linear) else None
 
 
 def operator_norm(kernels, rtol=1e-8, max_iter=10000):
@@ -281,11 +265,7 @@ def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
     """
     if not 0.0 < target_norm < 1.0:
         raise ConfigurationError(f"target_norm must be in (0, 1), got {target_norm}")
-    shape = tuple(int(n) for n in shape)
-    n_sites = int(np.prod(shape))
-    neighborhoods = [
-        box_neighborhood(linear_to_site(i, shape), shape, radii) for i in range(n_sites)
-    ]
+    neighborhoods = box_field(shape, radii)
     for attempt in range(6):
         s = seed + attempt
         coeffs = []

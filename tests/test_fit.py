@@ -280,16 +280,19 @@ class TestSingleThreadedBlas:
             set_threads(n)
 
     def _spy(self, monkeypatch, fail=False):
+        """Record the BLAS thread counts inside every call of the shared
+        least-squares kernel's factorization."""
         seen = []
+        factor = liargrid.fit._factor
 
-        def spy(design):
+        def spy(aug):
             seen.append(_blas_threads())
             if fail:
                 raise RuntimeError("boom")
-            return fit_site(design)
+            return factor(aug)
 
-        monkeypatch.setattr(liargrid.fit, "fit_site", spy)
-        monkeypatch.setattr(liargrid.select, "fit_site", spy)
+        monkeypatch.setattr(liargrid.fit, "_factor", spy)
+        monkeypatch.setattr(liargrid.select, "_factor", spy)
         return seen
 
     @staticmethod

@@ -10,7 +10,7 @@ from liargrid import (
     nested_family,
     site_to_linear,
 )
-from liargrid.neighborhoods import neighborhood_from_dict
+from liargrid.neighborhoods import neighborhood_from_sites
 
 
 class TestBoxNeighborhood:
@@ -121,9 +121,21 @@ class TestSerialization:
     def test_dict_round_trip(self):
         nb = box_neighborhood((1, 2), (4, 5), (1, 1))
         data = nb.to_dict()
-        back = neighborhood_from_dict(data, (4, 5))
+        back = neighborhood_from_sites(data["center"], (4, 5), data["sites"],
+                                       data.get("k"))
         assert tuple(back.center) == (1, 2)
         assert_array_equal(back.sites, nb.sites)
+        assert back.radii == (1, 1)
+
+    def test_box_inferred_from_extent_else_custom(self):
+        clipped = box_neighborhood((0, 4), (4, 5), (1, 2))
+        back = neighborhood_from_sites((0, 4), (4, 5), clipped.sites[::-1])
+        assert back.radii == (1, 2) and back == clipped
+        # a box minus one site, and a box that k does not describe
+        holed = neighborhood_from_sites((0, 4), (4, 5), clipped.sites[1:])
+        assert holed.radii is None and holed.size == clipped.size - 1
+        other = neighborhood_from_sites((0, 4), (4, 5), clipped.sites, k=1)
+        assert other.radii is None and other == clipped
 
     def test_custom_neighborhood_round_trip(self):
         nb = custom_neighborhood((1, 1), (4, 4), [(1, 1), (0, 0), (3, 3)])

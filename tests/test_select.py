@@ -13,6 +13,7 @@ from liargrid import (
     assemble_design,
     bic_score,
     default_d0,
+    fit_all,
     fit_site,
     nested_family,
     random_stable_kernels,
@@ -174,6 +175,55 @@ class TestSelectSite:
                                        fam.levels[list(fam.labels).index(
                                            trace.chosen_k)], 2))
         assert_allclose(trace.fit.rss, fit.rss, rtol=1e-9)
+
+    def test_kept_fit_is_the_chosen_box_fit(self):
+        # the chosen level's fit comes off the scan's own factorization,
+        # permuted back to lag-major neighborhood order
+        shape = (6, 6)
+        kern = random_stable_kernels(shape, 1, order=2, target_norm=0.6,
+                                     seed=66)
+        s = simulate_liar(kern, 500, NoiseSpec(sigma=1.0, seed=67))
+        # a light penalty, so that every level wins somewhere
+        report = select_all(s, max_radius=2, order=2, d0=0.2)
+        chosen = {trace.site: trace.fit.neighborhood for trace in report}
+        assert {trace.chosen_k for trace in report} == {0, 1, 2}
+        fits = fit_all(s, chosen, order=2)
+        for lin, trace in report.traces.items():
+            kept, want = trace.fit, fits.fits[lin]
+            assert kept.neighborhood == want.neighborhood
+            assert not kept.cond_flag and kept.se is None
+            err = np.linalg.norm(kept.coeffs - want.coeffs)
+            assert err <= 1e-12 * np.linalg.norm(want.coeffs)
+            assert_allclose(kept.sigma2, want.sigma2, rtol=1e-12)
+            best = trace.labels.index(trace.chosen_k)
+            assert kept.rss == trace.rss[best]
+
+
+class TestRankDeficient:
+    def test_duplicate_series_flagged_in_fit_and_selection(self):
+        # sites (0, 0) and (2, 2) carry the same series, so the full 3x3
+        # box at the center has two equal columns; with d0=0 the scan
+        # picks that largest level
+        shape = (3, 3)
+        values = np.random.default_rng(80).normal(size=(60, 9))
+        values[:, site_to_linear((2, 2), shape)] = values[:, 0]
+        s = GridSeries(shape, values)
+        center = site_to_linear((1, 1), shape)
+        nb = box_neighborhood((1, 1), shape, 1)
+        design = assemble_design(s, (1, 1), nb, 1)
+        want = np.linalg.lstsq(design.y, design.z, rcond=1e-10)[0]
+
+        fitted = fit_all(s, {(1, 1): nb})
+        selected = select_all(s, max_radius=1, d0=0.0)
+        assert not fitted.errors and not selected.errors
+        assert selected.traces[center].chosen_k == 1
+        for fit in (fitted.fits[center], selected.traces[center].fit):
+            assert fit.neighborhood == nb
+            assert fit.cond_flag
+            assert fit.se is None
+            assert_allclose(fit.coeffs, want, rtol=0, atol=1e-10)
+            resid = design.z - design.y @ fit.coeffs
+            assert_allclose(fit.rss, resid @ resid, rtol=1e-12)
 
 
 class TestSelectAll:
