@@ -8,8 +8,10 @@ leading column count, back substitution on the leading block of R gives
 the coefficients, the trailing sum of squares of R's last column the
 RSS, and the row norms of the block's inverse the standard errors.  A
 fixed box is one group; :mod:`liargrid.select` passes one group per
-nested level.  Rank deficiency is non-fatal: the minimum-norm solution
-is returned with ``cond_flag`` set.
+nested level.  ``fit_all`` and ``select_all`` gather from one site-major
+copy of the series per call, so each site's history is read as
+contiguous rows.  Rank deficiency is non-fatal: the minimum-norm
+solution is returned with ``cond_flag`` set.
 
 ``fit_all`` distributes sites over a thread pool.  All inputs are
 immutable and every worker writes only its own slot, so the result is a
@@ -177,23 +179,39 @@ class SiteFit:
         )
 
 
-def _gather(values, order, groups, target):
-    """Augmented block [Y z] of one site.
+def _site_major(series):
+    """The series as a read-only (n_sites, T) copy, one contiguous history
+    per site: :func:`_gather` then reads whole rows, where the time-major
+    values would be read a column at a time with a row stride that, on
+    power-of-two grids, makes the reads alias in cache."""
+    values = series.values
+    panel = np.empty(values.shape[::-1])
+    # 64-frame slabs stay in cache; one whole .T copy took 2.6-3.8x as
+    # long on 32x32 and 64x64 grids with T=1500
+    for t in range(0, values.shape[0], 64):
+        panel[:, t : t + 64] = values[t : t + 64].T
+    panel.setflags(write=False)
+    return panel
+
+
+def _gather(panel, order, groups, target):
+    """Augmented block [Y z] of one site from the site-major ``panel``
+    (:func:`_site_major`, or ``series.values.T`` for a single site).
 
     ``groups`` are arrays of linear site indices; each contributes its
     sites at lags 1..P in turn, so one group gives the lag-major
     :class:`DesignBlock` layout.  The last column is site ``target`` at
     frames P, ..., T-1.
     """
-    t = values.shape[0]
+    t = panel.shape[1]
     cols = order * sum(g.size for g in groups)
     aug = np.empty((t - order, cols + 1), order="F")  # geqrf copies it as is
     pos = 0
     for group in groups:
         for p in range(1, order + 1):
-            aug[:, pos : pos + group.size] = values[order - p : t - p, group]
+            aug[:, pos : pos + group.size] = panel[group, order - p : t - p].T
             pos += group.size
-    aug[:, -1] = values[order:, target]
+    aug[:, -1] = panel[target, order:]
     return aug
 
 
@@ -217,6 +235,17 @@ def _inverse_row_norms(r):
     return np.sum(rinv * rinv, axis=1)
 
 
+def _rank_deficient(r, cols):
+    """Whether the leading ``cols`` x ``cols`` block of R (``cols`` an int
+    or an array of them) fails the rank test: its diagonal is empty or
+    zero, or its smallest entry is below _RANK_TOL times its largest."""
+    cols = np.asarray(cols)
+    diag = np.abs(np.diag(r))
+    top = np.maximum.accumulate(diag)[cols - 1]
+    low = np.minimum.accumulate(diag)[cols - 1]
+    return (cols < 1) | ~((top > 0.0) & (low >= _RANK_TOL * top))
+
+
 def _solve(aug, r, tail, cols, with_se):
     """Regress aug's last column on its leading ``cols`` columns, given
     ``_factor(aug)``.
@@ -227,9 +256,7 @@ def _solve(aug, r, tail, cols, with_se):
     with ``cond_flag`` set and ``se`` None.
     """
     r11 = r[:cols, :cols]
-    diag = np.abs(np.diag(r11))
-    cond_flag = not (diag.size and diag.max() > 0.0
-                     and diag.min() >= _RANK_TOL * diag.max())
+    cond_flag = bool(_rank_deficient(r, cols))
     if cond_flag:
         y, z = aug[:, :cols], aug[:, -1]
         coeffs = np.linalg.lstsq(y, z, rcond=_RANK_TOL)[0]
@@ -246,7 +273,7 @@ def _solve(aug, r, tail, cols, with_se):
     return coeffs, rss, sigma2, cond_flag, se
 
 
-def _site_block(series, site, neighborhood, order):
+def _site_block(series, panel, site, neighborhood, order):
     """Validated [Y z] of one site in the :class:`DesignBlock` layout."""
     if order < 1:
         raise ConfigurationError("lag order must be at least 1")
@@ -263,7 +290,7 @@ def _site_block(series, site, neighborhood, order):
             f"site {tuple(site)}: {rows} usable rows < {cols} unknowns "
             f"(T={t}, P={order}, |J|={s})"
         )
-    return _gather(series.values, order, [neighborhood.linear],
+    return _gather(panel, order, [neighborhood.linear],
                    site_to_linear(site, series.shape))
 
 
@@ -274,7 +301,7 @@ def assemble_design(series, site, neighborhood, order=1):
     :class:`UnderdeterminedError` naming the counts.
     """
     order = int(order)
-    aug = _site_block(series, site, neighborhood, order)
+    aug = _site_block(series, series.values.T, site, neighborhood, order)
     return DesignBlock(tuple(site), neighborhood, order, aug[:, :-1], aug[:, -1])
 
 
@@ -295,7 +322,9 @@ def standard_errors(fit, design):
     """Plug-in standard errors sqrt(sigma2 * diag((Y'Y)^-1)).
 
     Returns None with a warning when the design was rank-deficient.
-    The result is also stored on ``fit.se``.
+    The result is also stored on ``fit.se``.  This call factors the
+    design again, at about the cost of :func:`fit_site`; ``fit_all``
+    forms standard errors from the R factor it already has.
     """
     if fit.cond_flag:
         warnings.warn(
@@ -373,7 +402,7 @@ class FitReport:
 
     def save_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
 
 def _normalize_neighborhood_map(series, neighborhoods):
@@ -425,12 +454,13 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
     order = int(order)
     pairs = _normalize_neighborhood_map(series, neighborhoods)
     workers = resolve_workers(n_workers)
+    panel = _site_major(series)
 
     def work(pair):
         lin, nb = pair
         center = tuple(nb.center)
         try:
-            aug = _site_block(series, center, nb, order)
+            aug = _site_block(series, panel, center, nb, order)
             r, tail = _factor(aug)
             fit = SiteFit(center, nb, order,
                           *_solve(aug, r, tail, aug.shape[1] - 1, compute_se))

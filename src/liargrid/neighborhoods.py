@@ -10,7 +10,7 @@ wrapped for fitting.
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import linear_to_site, sites_to_linear
+from .grid import sites_to_linear
 
 
 class Neighborhood:
@@ -50,6 +50,14 @@ class Neighborhood:
         self.sites.setflags(write=False)
         self.linear.setflags(write=False)
 
+    @classmethod
+    def _from_sorted(cls, center, shape, sites, linear, radii):
+        """Adopt already validated, sorted, read-only arrays as they are."""
+        nb = cls.__new__(cls)
+        nb.center, nb.shape, nb.sites, nb.linear, nb.radii = (
+            center, shape, sites, linear, radii)
+        return nb
+
     @property
     def size(self):
         return self.sites.shape[0]
@@ -79,6 +87,51 @@ class Neighborhood:
         return out
 
 
+def _box_radii(radii, shape):
+    """Validated per-axis radius tuple (a scalar applies to every axis)."""
+    d = len(shape)
+    if np.isscalar(radii):
+        radii = (int(radii),) * d
+    else:
+        radii = tuple(int(r) for r in radii)
+    if len(radii) != d:
+        raise ConfigurationError(f"need {d} radii for shape {shape}, got {radii}")
+    if any(r < 0 for r in radii):
+        raise ConfigurationError(f"radii must be nonnegative, got {radii}")
+    return radii
+
+
+def _boxes(centers, shape, radii):
+    """Clipped boxes of validated ``radii`` around in-bounds ``centers``
+    (an (m, d) array), one :class:`Neighborhood` each.
+
+    The offsets are enumerated column-major, so each box's in-bounds
+    sites come out sorted by linear index; every neighborhood's arrays
+    are read-only views into one shared array.
+    """
+    d = len(shape)
+    centers = np.asarray(centers, dtype=np.intp).reshape(-1, d)
+    # offsets beyond n - 1 never land on the grid
+    reach = [min(r, n - 1) for r, n in zip(radii, shape)]
+    offsets = np.indices([2 * r + 1 for r in reach], dtype=np.intp)
+    offsets = offsets.reshape(d, -1, order="F").T - np.array(reach)
+    sites = centers[:, None, :] + offsets
+    inside = ((sites >= 0) & (sites < np.array(shape))).all(axis=2)
+    counts = np.count_nonzero(inside, axis=1)
+    sites = sites[inside]
+    linear = np.ravel_multi_index(tuple(sites.T), shape, order="F")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    rising = np.diff(linear) > 0
+    rising[starts[1:] - 1] = True  # box boundaries
+    if not rising.all():
+        raise ConfigurationError("box sites out of linear order")
+    sites.setflags(write=False)
+    linear.setflags(write=False)
+    return [Neighborhood._from_sorted(tuple(c), shape, sites[a:b], linear[a:b], radii)
+            for c, a, b in zip(centers.tolist(), starts.tolist(), ends.tolist())]
+
+
 def box_neighborhood(center, shape, radii):
     """Clipped axis-aligned box around ``center``.
 
@@ -97,33 +150,18 @@ def box_neighborhood(center, shape, radii):
     """
     center = tuple(int(c) for c in center)
     shape = tuple(int(n) for n in shape)
-    d = len(shape)
-    if np.isscalar(radii):
-        radii = (int(radii),) * d
-    else:
-        radii = tuple(int(r) for r in radii)
-    if len(radii) != d:
-        raise ConfigurationError(f"need {d} radii for shape {shape}, got {radii}")
-    if any(r < 0 for r in radii):
-        raise ConfigurationError(f"radii must be nonnegative, got {radii}")
-    for c, n in zip(center, shape):
-        if not 0 <= c < n:
-            raise IndexError(f"center {center} out of bounds for shape {shape}")
-    axes = [
-        np.arange(max(0, c - r), min(n - 1, c + r) + 1, dtype=np.intp)
-        for c, r, n in zip(center, radii, shape)
-    ]
-    grids = np.meshgrid(*axes, indexing="ij")
-    sites = np.stack([g.ravel(order="F") for g in grids], axis=1)
-    return Neighborhood(center, shape, sites, radii=radii)
+    radii = _box_radii(radii, shape)
+    if len(center) != len(shape) or not all(0 <= c < n for c, n in zip(center, shape)):
+        raise IndexError(f"center {center} out of bounds for shape {shape}")
+    return _boxes([center], shape, radii)[0]
 
 
 def box_field(shape, radii):
     """Clipped boxes of the same radii around every site, in canonical
     (linear) site order: the neighborhoods of a fixed-radius fit."""
     shape = tuple(int(n) for n in shape)
-    return [box_neighborhood(linear_to_site(i, shape), shape, radii)
-            for i in range(int(np.prod(shape)))]
+    centers = np.unravel_index(np.arange(int(np.prod(shape))), shape, order="F")
+    return _boxes(np.stack(centers, axis=1), shape, _box_radii(radii, shape))
 
 
 def custom_neighborhood(center, shape, sites):

@@ -13,8 +13,10 @@ design columns are ordered level-major (level-0 sites first, then each
 level's new sites, all lags per group), so the R factor of one [Y z]
 from :mod:`liargrid.fit`'s least-squares kernel yields every level's RSS
 as a trailing sum of squares and, by back substitution on its leading
-block, the winning level's coefficients.  One gather and one
-factorization per site, whether or not the fit is kept.
+block, the winning level's coefficients.  A level whose leading block
+fails the kernel's rank test is scored by its minimum-norm lstsq fit.
+One gather and one factorization per site, whether or not the fit is
+kept.
 """
 
 import json
@@ -24,8 +26,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
-from .fit import (SiteFit, _factor, _gather, _kernel_field, _solve,
-                  resolve_workers, single_threaded_blas)
+from .fit import (SiteFit, _factor, _gather, _kernel_field, _rank_deficient,
+                  _site_major, _solve, resolve_workers, single_threaded_blas)
 from .grid import linear_to_site, site_to_linear
 from .neighborhoods import interior_mask, nested_family
 
@@ -133,6 +135,11 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
     -------
     BicTrace
     """
+    return _select_site(series, series.values.T, family, order, d0, keep_fit)
+
+
+def _select_site(series, panel, family, order, d0, keep_fit):
+    """:func:`select_site`, gathering from ``panel`` (see fit._gather)."""
     if d0 is None:
         d0 = default_d0(series.n_frames)
     order = int(order)
@@ -159,12 +166,19 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
     groups = [level_linear[0]]
     for prev, cur in zip(level_linear, level_linear[1:]):
         groups.append(np.setdiff1d(cur, prev, assume_unique=True))
-    aug = _gather(series.values, order, groups, site_to_linear(center, series.shape))
+    aug = _gather(panel, order, groups, site_to_linear(center, series.shape))
     r, tail = _factor(aug)
 
     sizes = np.array([nb.size for _, nb in kept])
     labels = [label for label, _ in kept]
-    rss = tail[order * sizes]
+    cols = order * sizes
+    rss = tail[cols]
+    # R's trailing sums would count a degenerate column's rounding noise
+    # as explained variance: score rank-deficient levels by their lstsq fit
+    lstsq = {i: _solve(aug, r, tail, int(cols[i]), with_se=False)
+             for i in np.flatnonzero(_rank_deficient(r, cols)).tolist()}
+    for i, solved in lstsq.items():
+        rss[i] = solved[1]
     exact = rss <= _EXACT_FIT_REL * tail[0]
     bic = np.array(
         [
@@ -179,7 +193,8 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
     fit = None
     if keep_fit:
         nb = kept[best][1]
-        solved = _solve(aug, r, tail, order * nb.size, with_se=False)
+        solved = (lstsq[best] if best in lstsq
+                  else _solve(aug, r, tail, int(cols[best]), with_se=False))
         # lag-major neighborhood position of each level-major column
         dest = np.concatenate([
             (p - 1) * nb.size + np.searchsorted(nb.linear, group)
@@ -289,7 +304,7 @@ class SelectionReport:
 
     def save_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
     def save_heatmap_csv(self, path):
         """CSV (site_row, site_col, chosen_k), 1-based coordinates; 2-D only."""
@@ -338,14 +353,14 @@ def select_all(series, max_radius=None, order=1, d0=None, axis_caps=None,
     workers = resolve_workers(n_workers)
     n_sites = series.n_sites
     shape = series.shape
+    panel = _site_major(series)
 
     def work(lin):
         center = linear_to_site(lin, shape)
         try:
             family = nested_family(center, shape, max_radius=max_radius,
                                    axis_caps=axis_caps, radii_list=radii_list)
-            trace = select_site(series, family, order=order, d0=d0,
-                                keep_fit=keep_fit)
+            trace = _select_site(series, panel, family, order, d0, keep_fit)
             return lin, trace, None
         except LiarError as exc:
             return lin, None, (center, str(exc))

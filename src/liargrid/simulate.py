@@ -23,10 +23,11 @@ import scipy.sparse as sp
 
 from . import rng
 from .errors import ConfigurationError, NumericalError, StabilityError
-from .grid import GridSeries, site_to_linear
-from .neighborhoods import box_field, neighborhood_from_sites
+from .grid import GridSeries, sites_to_linear
+from .neighborhoods import _boxes, box_field, custom_neighborhood
 
 _DENSE_OPERATOR_LIMIT = 1024  # sites; below this dense matvec beats CSR
+_NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
 _CTX_KERNEL = 1
 _CTX_NOISE = 2
 _SQRT3 = float(np.sqrt(3.0))
@@ -89,13 +90,16 @@ class KernelField:
                 f"need one neighborhood and coefficient block per site "
                 f"({n_sites}), got {len(neighborhoods)} and {len(coeffs)}"
             )
+        centers = np.array([nb.center for nb in neighborhoods], dtype=np.intp)
+        stray = np.flatnonzero(sites_to_linear(centers, self.shape) != np.arange(n_sites))
+        if stray.size:
+            i = int(stray[0])
+            raise ConfigurationError(
+                f"neighborhood {i} centered at {neighborhoods[i].center} is out of "
+                f"canonical order"
+            )
         fixed = []
-        for i, (nb, c) in enumerate(zip(neighborhoods, coeffs)):
-            if site_to_linear(nb.center, self.shape) != i:
-                raise ConfigurationError(
-                    f"neighborhood {i} centered at {nb.center} is out of "
-                    f"canonical order"
-                )
+        for nb, c in zip(neighborhoods, coeffs):
             c = np.asarray(c, dtype=np.float64)
             if c.ndim == 1:
                 c = c[None, :]
@@ -104,7 +108,7 @@ class KernelField:
                     f"site {nb.center}: coefficients {c.shape} do not match "
                     f"(P={self.order}, |J|={nb.size})"
                 )
-            if not np.all(np.isfinite(c)):
+            if not np.isfinite(c).all():
                 raise ConfigurationError(f"site {nb.center}: non-finite coefficients")
             fixed.append(c)
         self.neighborhoods = list(neighborhoods)
@@ -135,9 +139,7 @@ class KernelField:
                     m[i, nb.linear] = self.coeffs[i][p]
                 ops.append(m)
         else:
-            rows = np.concatenate(
-                [np.full(nb.size, i, dtype=np.intp) for i, nb in enumerate(self.neighborhoods)]
-            )
+            rows = np.repeat(np.arange(n), [nb.size for nb in self.neighborhoods])
             cols = np.concatenate([nb.linear for nb in self.neighborhoods])
             for p in range(self.order):
                 data = np.concatenate([c[p] for c in self.coeffs])
@@ -170,23 +172,50 @@ class KernelField:
 
     @classmethod
     def from_dict(cls, data):
+        """Inverse of :meth:`to_dict`.  A neighborhood that is exactly the
+        clipped box of its per-axis extent becomes that box, any other a
+        custom neighborhood."""
         shape = tuple(data["shape"])
         order = int(data["P"])
         n_sites = int(np.prod(shape))
-        entries = [None] * n_sites
-        for item in data["sites"]:
-            center = tuple(item["center"])
-            lin = site_to_linear(center, shape)
-            nb = neighborhood_from_sites(center, shape, item["neighborhood"])
-            entries[lin] = (nb, np.asarray(item["coeffs"], dtype=np.float64))
-        missing = sum(e is None for e in entries)
+        items = data["sites"]
+        sizes = np.array([len(item["neighborhood"]) for item in items], dtype=np.intp)
+        if np.any(sizes == 0):
+            raise ConfigurationError("kernel JSON has an empty neighborhood")
+        centers = np.array([item["center"] for item in items], dtype=np.intp)
+        sites = np.array([s for item in items for s in item["neighborhood"]],
+                         dtype=np.intp)
+        entry = np.full(n_sites, -1)  # item index per linear site; last one wins
+        entry[sites_to_linear(centers, shape)] = np.arange(len(items))
+        linear = sites_to_linear(sites, shape)
+        missing = int(np.count_nonzero(entry < 0))
         if missing:
             raise ConfigurationError(f"kernel JSON is missing {missing} sites")
-        return cls(shape, order, [e[0] for e in entries], [e[1] for e in entries])
+
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        owner = np.repeat(np.arange(len(items)), sizes)
+        extents = np.maximum.reduceat(np.abs(sites - centers[owner]), starts, axis=0)
+        linear = linear[np.lexsort((linear, owner))]  # sorted within each item
+        neighborhoods = [None] * len(items)
+        distinct, group = np.unique(extents, axis=0, return_inverse=True)
+        for g, radii in enumerate(distinct.tolist()):
+            members = np.flatnonzero(group.ravel() == g)
+            boxes = _boxes(centers[members], shape, tuple(radii))
+            for i, box in zip(members.tolist(), boxes):
+                a, b = starts[i], ends[i]
+                if box.size == b - a and np.array_equal(box.linear, linear[a:b]):
+                    neighborhoods[i] = box
+                else:
+                    neighborhoods[i] = custom_neighborhood(
+                        box.center, shape, items[i]["neighborhood"])
+        entry = entry.tolist()
+        return cls(shape, order, [neighborhoods[i] for i in entry],
+                   [np.asarray(items[i]["coeffs"], dtype=np.float64) for i in entry])
 
     def save_json(self, path):
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh)
+            fh.write(json.dumps(self.to_dict()))
 
     @classmethod
     def load_json(cls, path):
@@ -266,15 +295,14 @@ def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
     if not 0.0 < target_norm < 1.0:
         raise ConfigurationError(f"target_norm must be in (0, 1), got {target_norm}")
     neighborhoods = box_field(shape, radii)
+    site_ids = np.arange(len(neighborhoods))[:, None]
+    counters = np.arange(max(nb.size for nb in neighborhoods))
     for attempt in range(6):
         s = seed + attempt
-        coeffs = []
-        for i, nb in enumerate(neighborhoods):
-            block = np.empty((order, nb.size))
-            for p in range(order):
-                key = rng.derive_key(s, [_CTX_KERNEL, i, p])
-                block[p] = 2.0 * rng.uniforms(key, np.arange(nb.size)) - 1.0
-            coeffs.append(block)
+        # (site, lag) streams, each read from counter 0 up to its box size
+        keys = rng.derive_key(s, [_CTX_KERNEL, site_ids, np.arange(order)])
+        draws = 2.0 * rng.uniforms(keys[:, :, None], counters) - 1.0
+        coeffs = [draws[i, :, : nb.size] for i, nb in enumerate(neighborhoods)]
         field = KernelField(shape, order, neighborhoods, coeffs)
         norm = operator_norm(field)
         if norm > 1e-12:
@@ -327,14 +355,18 @@ def simulate_liar(kernels, n_frames, noise, burn_in=500):
 
     out = np.empty((n_frames, n))
     state = [np.zeros(n) for _ in range(order)]
-    chunk = 256
+    # noise is addressed by (site, frame), so the block size never changes
+    # the stream; on a 91x181 grid blocks of 2**16 draws ran 1.5x faster
+    # than blocks of 2**18 (smaller temporaries)
+    chunk = max(1, _NOISE_BLOCK // n)
     for start in range(0, total, chunk):
         stop = min(start + chunk, total)
         frames_idx = np.arange(start, stop)
         if noise.sigma == 0.0:
             block = np.zeros((stop - start, n))
         elif noise.kind == "iid_gaussian":
-            block = noise.sigma * rng.frame_gaussians(site_keys, frames_idx)
+            block = rng.frame_gaussians(site_keys, frames_idx)
+            block *= noise.sigma
         else:
             block = noise.sigma * _SQRT3 * (
                 2.0 * rng.frame_uniforms(site_keys, frames_idx) - 1.0

@@ -1,15 +1,19 @@
 """End-to-end tests of the command line front end.
 
 Commands run in process through ``liargrid.cli.main`` so exit codes,
-artifacts, and console output can all be asserted; one smoke test
-exercises the ``liar`` script (see ``liar_command`` in conftest.py).
+artifacts, and console output can all be asserted; smoke tests
+exercise the ``liar`` script (see ``liar_command`` in conftest.py) and
+``python -m liargrid``.
 """
 
 import csv
 import hashlib
 import json
 import math
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +337,16 @@ class TestCsvIngestion:
         kc = KernelField.load_json(out_c / "kernels.json")
         for a, b in zip(kg.coeffs, kc.coeffs):
             assert_array_equal(a, b)
+
+
+def test_module_entry_point_reports_version(monkeypatch):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", src + os.pathsep + path if path else src)
+    proc = subprocess.run([sys.executable, "-m", "liargrid", "--version"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "0.1.0"
 
 
 def test_installed_script_reports_version(liar_command):

@@ -4,9 +4,11 @@ from numpy.testing import assert_array_equal
 
 from liargrid import (
     ConfigurationError,
+    box_field,
     box_neighborhood,
     custom_neighborhood,
     interior_mask,
+    linear_to_site,
     nested_family,
     site_to_linear,
 )
@@ -53,6 +55,37 @@ class TestBoxNeighborhood:
     def test_negative_radius(self):
         with pytest.raises(ConfigurationError):
             box_neighborhood((2, 2), (5, 5), (-1, 0))
+
+
+def _reference_box_sites(center, shape, radii):
+    """Clipped box by one meshgrid of per-axis ranges, sorted by linear index."""
+    axes = [np.arange(max(0, c - r), min(n - 1, c + r) + 1)
+            for c, r, n in zip(center, radii, shape)]
+    sites = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    linear = np.ravel_multi_index(tuple(sites.T), shape, order="F")
+    order = np.argsort(linear)
+    return sites[order], linear[order]
+
+
+class TestBoxField:
+    @pytest.mark.parametrize("shape, radii", [
+        ((7,), 0), ((7,), 2), ((7,), 9),
+        ((5, 9), 0), ((5, 9), 1), ((5, 9), (2, 0)), ((5, 9), 12),
+        ((4, 4, 6), 0), ((4, 4, 6), 1), ((4, 4, 6), (0, 1, 1)), ((4, 4, 6), 7),
+    ])
+    def test_matches_per_site_meshgrid(self, shape, radii):
+        per_axis = (radii,) * len(shape) if np.isscalar(radii) else radii
+        field = box_field(shape, radii)
+        assert len(field) == int(np.prod(shape))
+        for i, nb in enumerate(field):
+            center = linear_to_site(i, shape)
+            sites, linear = _reference_box_sites(center, shape, per_axis)
+            assert nb.center == center and nb.shape == shape
+            assert nb.radii == per_axis
+            assert_array_equal(nb.sites, sites)
+            assert_array_equal(nb.linear, linear)
+            assert not nb.sites.flags.writeable
+            assert not nb.linear.flags.writeable
 
 
 class TestNestedFamily:

@@ -14,6 +14,31 @@ def _mix64_pyint(z):
     return z ^ (z >> 31)
 
 
+def _reference_gaussians(keys, base_counters):
+    """The polar sampler as a plain attempt loop over the draws still
+    pending; also returns the attempt at which each draw was accepted."""
+    keys, base = np.broadcast_arrays(np.asarray(keys, dtype=np.uint64),
+                                     np.asarray(base_counters, dtype=np.uint64))
+    kf, bf = keys.reshape(-1), base.reshape(-1)
+    out = np.empty(kf.size)
+    accepted_at = np.full(kf.size, -1)
+    pending = np.arange(kf.size)
+    for attempt in range(64):
+        if pending.size == 0:
+            break
+        c0 = bf[pending] + np.uint64(2 * attempt)
+        v1 = 2.0 * rng.uniforms(kf[pending], c0) - 1.0
+        v2 = 2.0 * rng.uniforms(kf[pending], c0 + np.uint64(1)) - 1.0
+        s = v1 * v1 + v2 * v2
+        ok = (s > 0.0) & (s < 1.0)
+        sa = s[ok]
+        out[pending[ok]] = v1[ok] * np.sqrt(-2.0 * np.log(sa) / sa)
+        accepted_at[pending[ok]] = attempt
+        pending = pending[~ok]
+    assert pending.size == 0
+    return out.reshape(keys.shape), accepted_at.reshape(keys.shape)
+
+
 class TestMix64:
     def test_matches_pure_python_oracle(self):
         for z in [0, 1, 2**63, 0xDEADBEEF, (1 << 64) - 1, 123456789]:
@@ -73,3 +98,13 @@ class TestStreams:
         draws = rng.frame_gaussians(site_keys, np.arange(50_000))
         corr = np.corrcoef(draws[:, 0], draws[:, 1])[0, 1]
         assert abs(corr) < 0.02
+
+    def test_frame_gaussians_match_reference_loop_across_blocks(self):
+        site_keys = rng.derive_key(17, (2, np.arange(37)))
+        want, accepted_at = _reference_gaussians(
+            site_keys[None, :], rng._frame_base(np.arange(700))[:, None])
+        assert accepted_at.max() >= 2
+        cuts = [0, 1, 7, 256, 257, 512, 700]
+        got = np.concatenate([rng.frame_gaussians(site_keys, np.arange(a, b))
+                              for a, b in zip(cuts, cuts[1:])])
+        assert got.tobytes() == want.tobytes()

@@ -216,7 +216,10 @@ class TestRankDeficient:
         fitted = fit_all(s, {(1, 1): nb})
         selected = select_all(s, max_radius=1, d0=0.0)
         assert not fitted.errors and not selected.errors
-        assert selected.traces[center].chosen_k == 1
+        trace = selected.traces[center]
+        assert trace.chosen_k == 1
+        # the scan scores the deficient level by the fit it keeps
+        assert trace.rss[1] == trace.fit.rss
         for fit in (fitted.fits[center], selected.traces[center].fit):
             assert fit.neighborhood == nb
             assert fit.cond_flag

@@ -12,14 +12,13 @@ from liargrid import (
     random_stable_kernels,
     simulate_liar,
 )
-from liargrid.grid import linear_to_site
-from liargrid.neighborhoods import box_neighborhood
+from liargrid.neighborhoods import (box_field, box_neighborhood,
+                                    custom_neighborhood, neighborhood_from_sites)
 
 
 def _self_only_kernels(shape, a, order=1):
-    n = int(np.prod(shape))
-    nbs = [box_neighborhood(linear_to_site(i, shape), shape, 0) for i in range(n)]
-    coeffs = [np.full((order, 1), a) for _ in range(n)]
+    nbs = box_field(shape, 0)
+    coeffs = [np.full((order, 1), a) for _ in nbs]
     return KernelField(shape, order, nbs, coeffs)
 
 
@@ -138,6 +137,22 @@ class TestSimulate:
         se = np.sqrt(np.diag(lrv) / t)
         assert np.all(np.abs(s.values.mean(axis=0)) < 5 * se)
 
+    def test_recursion_across_noise_blocks(self):
+        # 70000 sites take 3 frames per noise block, so 9 frames span 3
+        # blocks; the series must still be the one-shot AR(1) recursion
+        shape = (70000,)
+        kern = _self_only_kernels(shape, 0.5)
+        s = simulate_liar(kern, 7, NoiseSpec(sigma=0.5, seed=3), burn_in=2)
+        from liargrid import rng
+        from liargrid.simulate import _CTX_NOISE
+        keys = rng.derive_key(3, [_CTX_NOISE, np.arange(shape[0])])
+        noise = 0.5 * rng.frame_gaussians(keys, np.arange(9))
+        x = np.zeros(shape[0])
+        for t in range(9):
+            x = 0.5 * x + noise[t]
+            if t >= 2:
+                assert_array_equal(s.values[t - 2], x)
+
     def test_multi_lag_recursion_matches_manual(self):
         from liargrid import rng
         from liargrid.simulate import _CTX_NOISE
@@ -166,6 +181,41 @@ class TestKernelField:
         assert back.shape == kern.shape
         assert back.order == kern.order
         assert kernel_distance(kern, back) == 0.0
+
+    def test_from_dict_mixed_field(self):
+        # radius-1 boxes (interior and clipped), per-axis boxes, a box
+        # minus a site, and a set that is no box
+        shape = (5, 6)
+        nbs = box_field(shape, 1)
+        nbs[7] = box_neighborhood((2, 1), shape, (0, 2))
+        nbs[8] = custom_neighborhood((3, 1), shape, nbs[8].sites[1:])
+        nbs[14] = custom_neighborhood((4, 2), shape, [(4, 2), (0, 0), (4, 5)])
+        nbs[29] = box_neighborhood((4, 5), shape, (4, 0))
+        coeffs = [np.arange(2 * nb.size, dtype=float).reshape(2, nb.size)
+                  for nb in nbs]
+        data = KernelField(shape, 2, nbs, coeffs).to_dict()
+        back = KernelField.from_dict(data)
+        for item, nb, c, want in zip(data["sites"], back.neighborhoods,
+                                     back.coeffs, coeffs):
+            ref = neighborhood_from_sites(item["center"], shape, item["neighborhood"])
+            assert nb == ref and nb.radii == ref.radii
+            assert_array_equal(c, want)
+        assert back.neighborhoods[14].radii is None
+        assert back.neighborhoods[8].radii is None
+        assert back.neighborhoods[29].radii == (4, 0)
+
+        del data["sites"][3]
+        with pytest.raises(ConfigurationError, match="missing 1 sites"):
+            KernelField.from_dict(data)
+        data = KernelField(shape, 2, nbs, coeffs).to_dict()
+        data["sites"][5]["neighborhood"][0] = [5, 0]
+        with pytest.raises(IndexError):
+            KernelField.from_dict(data)
+        # as many sites as the box, but one repeated: not a box
+        data = KernelField(shape, 2, nbs, coeffs).to_dict()
+        data["sites"][9]["neighborhood"][1] = data["sites"][9]["neighborhood"][0]
+        with pytest.raises(ConfigurationError, match="duplicate"):
+            KernelField.from_dict(data)
 
     def test_scale(self):
         kern = random_stable_kernels((3, 3), 1, target_norm=0.8, seed=2)
