@@ -23,7 +23,6 @@ from liargrid import (
     forecast,
     holdout_rmse,
     linear_to_site,
-    mar_holdout_rmse,
     random_stable_kernels,
     simulate_liar,
 )
@@ -57,7 +56,7 @@ print(f"local kernels     {holdout_rmse(series, local, n_test):12.4f}"
       f"   {t_local:11.3f}")
 print(f"pixel-wise AR     {holdout_rmse(series, pixel, n_test):12.4f}"
       f"   {t_pixel:11.3f}")
-print(f"matrix AR (ALS)   {mar_holdout_rmse(series, mar, n_test):12.4f}"
+print(f"matrix AR (ALS)   {holdout_rmse(series, mar, n_test):12.4f}"
       f"   {t_mar:11.3f}")
 
 # Iterated forecasts feed predictions back in, so they decay toward the

@@ -38,7 +38,6 @@ from .evaluate import (
     baseline_pixel_ar,
     forecast,
     holdout_rmse,
-    mar_holdout_rmse,
 )
 from .fit import fit_all, resolve_workers
 from .grid import GridSeries, read_csv_frames, read_gts, write_gts
@@ -275,29 +274,22 @@ def _eval_one(method, series, train, n_test, args, workers):
             raise UnderdeterminedError(
                 f"{len(report.errors)} sites failed in method liar"
             )
-        kernels = report.kernels()
-        seconds = time.perf_counter() - t0
-        score = holdout_rmse(series, kernels, n_test)
+        model = report.kernels()
     elif method == "liar_p":
-        kernels = baseline_pixel_ar(train, order=args.P, n_workers=workers)
-        seconds = time.perf_counter() - t0
-        score = holdout_rmse(series, kernels, n_test)
+        model = baseline_pixel_ar(train, order=args.P, n_workers=workers)
     elif method == "spliar":
         if args.K is None or args.R is None:
             raise ConfigurationError("method spliar needs --K and --R")
-        fitted = fit_spliar(train, args.K, order=args.P, rank=args.R,
-                            n_workers=workers)
-        seconds = time.perf_counter() - t0
-        score = holdout_rmse(series, fitted.kernels, n_test)
+        model = fit_spliar(train, args.K, order=args.P, rank=args.R,
+                           n_workers=workers).kernels
     elif method == "mar":
-        mar = baseline_mar_als(train, order=args.P)
-        seconds = time.perf_counter() - t0
-        score = mar_holdout_rmse(series, mar, n_test)
+        model = baseline_mar_als(train, order=args.P)
     else:
         raise ConfigurationError(
             f"unknown method {method!r}; choose from {', '.join(_METHODS)}"
         )
-    return score, seconds
+    seconds = time.perf_counter() - t0
+    return holdout_rmse(series, model, n_test), seconds
 
 
 def cmd_eval(args):

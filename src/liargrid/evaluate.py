@@ -1,7 +1,10 @@
 """Forecasting, error metrics, auto-covariance, and comparison baselines.
 
-Forecasts iterate the fitted recursion with the innovations set to zero
-(the conditional mean), feeding each prediction into the next step.
+Every model type (``KernelField``, ``MarFit``) has one method,
+``predict(lagged)``: the one-step conditional mean from the P lagged
+frame blocks.  ``forecast`` iterates it with the innovations set to
+zero, feeding each prediction into the next step; ``holdout_rmse``
+applies it once to the actual history of the held-out frames.
 Auto-covariance sub-blocks come from the plain Gram estimator
 (1/T) sum_t x_t x_t'.  Baselines: a pixel-wise AR fit (radius-0
 neighborhoods) and a bilinear matrix AR model A X B' fitted by
@@ -52,14 +55,23 @@ def rmse(pred, truth):
     return float(np.sqrt(np.mean((pred - truth) ** 2)))
 
 
-def forecast(series, kernels, horizon, truth=None):
-    """Forecast ``horizon`` frames ahead with a fitted kernel field.
+def _model_order(series, model):
+    """Lag order P of a model fitted on the series' grid."""
+    if model.shape != series.shape:
+        raise ConfigurationError(
+            f"model grid {model.shape} does not match series {series.shape}"
+        )
+    return model.order
+
+
+def forecast(series, model, horizon, truth=None):
+    """Forecast ``horizon`` frames ahead with a fitted model.
 
     Parameters
     ----------
     series : GridSeries
         History; its last P frames seed the recursion.
-    kernels : KernelField
+    model : KernelField or MarFit
         Must match the series' grid shape.
     horizon : int
     truth : GridSeries or ndarray, optional
@@ -69,28 +81,20 @@ def forecast(series, kernels, horizon, truth=None):
     -------
     ForecastResult
     """
-    if kernels.shape != series.shape:
-        raise ConfigurationError(
-            f"kernel grid {kernels.shape} does not match series {series.shape}"
-        )
+    p = _model_order(series, model)
     horizon = int(horizon)
     if horizon < 1:
         raise ConfigurationError("horizon must be at least 1")
-    p = kernels.order
     if series.n_frames < p:
         raise ConfigurationError(
             f"need at least P={p} frames of history, got {series.n_frames}"
         )
-    ops = kernels.operators()
-    state = [series.values[series.n_frames - p + j].copy() for j in range(p)]
-    preds = np.empty((horizon, series.n_sites))
-    for h in range(horizon):
-        x = ops[0] @ state[-1]
-        for lag in range(2, p + 1):
-            x += ops[lag - 1] @ state[-lag]
-        preds[h] = x
-        state.append(x)
-        del state[0]
+    buf = np.empty((p + horizon, series.n_sites))
+    buf[:p] = series.values[series.n_frames - p:]
+    for h in range(p, p + horizon):
+        buf[h:h + 1] = model.predict([buf[h - lag : h - lag + 1]
+                                      for lag in range(1, p + 1)])
+    preds = buf[p:]
     out = GridSeries(series.shape, preds)
 
     per_frame = overall = None
@@ -108,18 +112,18 @@ def forecast(series, kernels, horizon, truth=None):
     return ForecastResult(out, horizon, per_frame, overall)
 
 
-def holdout_rmse(series, kernels, n_test):
+def holdout_rmse(series, model, n_test):
     """One-step-ahead prediction RMSE on the last ``n_test`` frames.
 
     Each held-out frame is predicted from the actual preceding frames
     (not from earlier predictions), so the score reflects pure
-    one-step accuracy of the fitted kernels.
+    one-step accuracy of the fitted model.
 
     Parameters
     ----------
     series : GridSeries
         Full series; the fit should have used only the prefix.
-    kernels : KernelField
+    model : KernelField or MarFit
     n_test : int
         Number of trailing frames to score.
 
@@ -127,22 +131,16 @@ def holdout_rmse(series, kernels, n_test):
     -------
     float
     """
-    if kernels.shape != series.shape:
-        raise ConfigurationError(
-            f"kernel grid {kernels.shape} does not match series {series.shape}"
-        )
+    p = _model_order(series, model)
     n_test = int(n_test)
-    p = kernels.order
     if not 1 <= n_test <= series.n_frames - p:
         raise ConfigurationError(
             f"n_test must be in [1, {series.n_frames - p}], got {n_test}"
         )
     vals = series.values
     t = vals.shape[0]
-    preds = np.zeros((t - p, vals.shape[1]))
-    for lag, op in enumerate(kernels.operators(), start=1):
-        preds += vals[p - lag : t - lag] @ op.T
-    err = preds[-n_test:] - vals[-n_test:]
+    preds = model.predict([vals[t - n_test - lag : t - lag] for lag in range(1, p + 1)])
+    err = preds - vals[t - n_test:]
     return float(np.sqrt(np.mean(err * err)))
 
 
@@ -234,6 +232,25 @@ class MarFit:
         self.ridge_flagged = ridge_flagged
         self.n_iter = n_iter
 
+    @property
+    def shape(self):
+        """Grid shape (M, N) of the fitted frames."""
+        return (self.a[0].shape[0], self.b[0].shape[0])
+
+    def predict(self, lagged):
+        """One-step conditional mean sum_p A_p X_{t-p} B_p'.
+
+        ``lagged`` holds the P lagged blocks, lag 1 first, each
+        (n, n_sites) with frames flattened column-major; returns the
+        (n, n_sites) predictions in the same layout.
+        """
+        m, n = self.shape
+        pred = None
+        for a, b, x in zip(self.a, self.b, lagged):
+            term = a @ x.reshape(-1, n, m).transpose(0, 2, 1) @ b.T
+            pred = term if pred is None else pred + term
+        return pred.transpose(0, 2, 1).reshape(-1, m * n)
+
 
 def _stacked_lstsq(design, target):
     """Least squares with a ridge fallback for singular designs."""
@@ -322,54 +339,6 @@ def baseline_mar_als(series, order=1, max_iter=50, tol=1e-7):
     return MarFit(p, a, b, loss, flagged, sweeps)
 
 
-def mar_forecast(series, mar, horizon, truth=None):
-    """Iterated conditional-mean forecast under a fitted matrix AR model."""
-    horizon = int(horizon)
-    if horizon < 1:
-        raise ConfigurationError("horizon must be at least 1")
-    p = mar.order
-    frames = series.frames
-    if frames.shape[0] < p:
-        raise ConfigurationError(f"need at least P={p} frames of history")
-    state = [frames[frames.shape[0] - p + j].copy() for j in range(p)]
-    preds = np.empty((horizon,) + series.shape)
-    for h in range(horizon):
-        x = np.zeros(series.shape)
-        for q in range(1, p + 1):
-            x += mar.a[q - 1] @ state[-q] @ mar.b[q - 1].T
-        preds[h] = x
-        state.append(x)
-        del state[0]
-    out = GridSeries.from_frames(preds)
-    per_frame = overall = None
-    if truth is not None:
-        tvals = truth.values if isinstance(truth, GridSeries) else np.asarray(truth, float)
-        if tvals.ndim > 2:
-            tvals = tvals.reshape(tvals.shape[0], -1)
-        if tvals.shape != out.values.shape:
-            raise ConfigurationError(
-                f"truth shape {tvals.shape} does not match forecast "
-                f"{out.values.shape}"
-            )
-        diff2 = (out.values - tvals) ** 2
-        per_frame = np.sqrt(diff2.mean(axis=1))
-        overall = float(np.sqrt(diff2.mean()))
-    return ForecastResult(out, horizon, per_frame, overall)
-
-
-def mar_holdout_rmse(series, mar, n_test):
-    """One-step-ahead prediction RMSE of a matrix AR fit on the last
-    ``n_test`` frames, predicting each from the actual history."""
-    n_test = int(n_test)
-    p = mar.order
-    if not 1 <= n_test <= series.n_frames - p:
-        raise ConfigurationError(
-            f"n_test must be in [1, {series.n_frames - p}], got {n_test}"
-        )
-    frames = series.frames
-    t = frames.shape[0]
-    preds = np.zeros((t - p,) + series.shape)
-    for q in range(p):
-        preds += mar.a[q] @ frames[p - 1 - q : t - 1 - q] @ mar.b[q].T
-    err = preds[-n_test:] - frames[-n_test:]
-    return float(np.sqrt(np.mean(err * err)))
+# the matrix AR names of the shared functions, which take a MarFit too
+mar_forecast = forecast
+mar_holdout_rmse = holdout_rmse

@@ -453,32 +453,45 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
     """
     order = int(order)
     pairs = _normalize_neighborhood_map(series, neighborhoods)
-    workers = resolve_workers(n_workers)
     panel = _site_major(series)
 
-    def work(pair):
-        lin, nb = pair
-        center = tuple(nb.center)
-        try:
-            aug = _site_block(series, panel, center, nb, order)
-            r, tail = _factor(aug)
-            fit = SiteFit(center, nb, order,
-                          *_solve(aug, r, tail, aug.shape[1] - 1, compute_se))
-            return lin, fit, None
-        except LiarError as exc:
-            return lin, None, (center, str(exc))
+    def work(center, nb):
+        aug = _site_block(series, panel, center, nb, order)
+        r, tail = _factor(aug)
+        return SiteFit(center, nb, order,
+                       *_solve(aug, r, tail, aug.shape[1] - 1, compute_se))
 
+    fits, errors = _run_sites(work, [(lin, tuple(nb.center), nb) for lin, nb in pairs],
+                              n_workers)
+    return FitReport(series.shape, order, fits, errors)
+
+
+def _run_sites(work, sites, n_workers):
+    """Call ``work(site, arg)`` for each ``(linear, site, arg)`` in
+    ``sites`` on a thread pool, with OpenBLAS pinned to one thread.
+
+    Returns the results keyed by linear index and the error manifest:
+    the message of each :class:`LiarError` raised, keyed by site.
+    """
+    def run(item):
+        lin, site, arg = item
+        try:
+            return lin, work(site, arg), None
+        except LiarError as exc:
+            return lin, None, (site, str(exc))
+
+    workers = resolve_workers(n_workers)
     with single_threaded_blas():
-        if workers == 1 or len(pairs) <= 1:
-            results = [work(p) for p in pairs]
+        if workers == 1 or len(sites) <= 1:
+            results = [run(item) for item in sites]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(work, pairs, chunksize=max(1, len(pairs) // (8 * workers))))
-
-    fits, errors = {}, {}
-    for lin, fit, err in results:
-        if fit is not None:
-            fits[lin] = fit
+                results = list(pool.map(run, sites,
+                                        chunksize=max(1, len(sites) // (8 * workers))))
+    done, errors = {}, {}
+    for lin, result, err in results:
+        if err is None:
+            done[lin] = result
         else:
             errors[err[0]] = err[1]
-    return FitReport(series.shape, order, fits, errors)
+    return done, errors

@@ -21,13 +21,12 @@ kept.
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ConfigurationError, LiarError, UnderdeterminedError
+from .errors import ConfigurationError, UnderdeterminedError
 from .fit import (SiteFit, _factor, _gather, _kernel_field, _rank_deficient,
-                  _site_major, _solve, resolve_workers, single_threaded_blas)
+                  _run_sites, _site_major, _solve)
 from .grid import linear_to_site, site_to_linear
 from .neighborhoods import interior_mask, nested_family
 
@@ -350,33 +349,14 @@ def select_all(series, max_radius=None, order=1, d0=None, axis_caps=None,
         raise ConfigurationError("pass either max_radius or radii_list")
     if d0 is None:
         d0 = default_d0(series.n_frames)
-    workers = resolve_workers(n_workers)
-    n_sites = series.n_sites
     shape = series.shape
     panel = _site_major(series)
 
-    def work(lin):
-        center = linear_to_site(lin, shape)
-        try:
-            family = nested_family(center, shape, max_radius=max_radius,
-                                   axis_caps=axis_caps, radii_list=radii_list)
-            trace = _select_site(series, panel, family, order, d0, keep_fit)
-            return lin, trace, None
-        except LiarError as exc:
-            return lin, None, (center, str(exc))
+    def work(center, _):
+        family = nested_family(center, shape, max_radius=max_radius,
+                               axis_caps=axis_caps, radii_list=radii_list)
+        return _select_site(series, panel, family, order, d0, keep_fit)
 
-    indices = range(n_sites)
-    with single_threaded_blas():
-        if workers == 1 or n_sites <= 1:
-            results = [work(i) for i in indices]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(work, indices))
-
-    traces, errors = {}, {}
-    for lin, trace, err in results:
-        if trace is not None:
-            traces[lin] = trace
-        else:
-            errors[err[0]] = err[1]
+    sites = [(lin, linear_to_site(lin, shape), None) for lin in range(series.n_sites)]
+    traces, errors = _run_sites(work, sites, n_workers)
     return SelectionReport(shape, order, d0, traces, errors)

@@ -147,6 +147,18 @@ class KernelField:
         self._ops = ops
         return ops
 
+    def predict(self, lagged):
+        """One-step conditional mean sum_p x_{t-p} Op_p'.
+
+        ``lagged`` holds the P lagged blocks, lag 1 first, each
+        (n, n_sites); returns the (n, n_sites) predictions.
+        """
+        ops = self.operators()
+        pred = lagged[0] @ ops[0].T
+        for x, op in zip(lagged[1:], ops[1:]):
+            pred += x @ op.T
+        return pred
+
     def scale(self, factor):
         """New field with every coefficient multiplied by ``factor``."""
         return KernelField(
@@ -196,7 +208,9 @@ class KernelField:
         starts = ends - sizes
         owner = np.repeat(np.arange(len(items)), sizes)
         extents = np.maximum.reduceat(np.abs(sites - centers[owner]), starts, axis=0)
-        linear = linear[np.lexsort((linear, owner))]  # sorted within each item
+        perm = np.lexsort((linear, owner))  # each item's sites in linear order
+        linear = linear[perm]
+        unsorted = set(owner[perm != np.arange(perm.size)].tolist())
         neighborhoods = [None] * len(items)
         distinct, group = np.unique(extents, axis=0, return_inverse=True)
         for g, radii in enumerate(distinct.tolist()):
@@ -209,9 +223,18 @@ class KernelField:
                 else:
                     neighborhoods[i] = custom_neighborhood(
                         box.center, shape, items[i]["neighborhood"])
+
+        def coeffs(i):
+            # coefficient columns follow their sites into linear order
+            c = np.asarray(items[i]["coeffs"], dtype=np.float64)
+            a, b = starts[i], ends[i]
+            if i in unsorted and c.shape[-1:] == (b - a,):
+                c = c[..., perm[a:b] - a]
+            return c
+
         entry = entry.tolist()
         return cls(shape, order, [neighborhoods[i] for i in entry],
-                   [np.asarray(items[i]["coeffs"], dtype=np.float64) for i in entry])
+                   [coeffs(i) for i in entry])
 
     def save_json(self, path):
         with open(path, "w") as fh:

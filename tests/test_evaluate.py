@@ -271,11 +271,40 @@ class TestMarForecast:
     def test_holdout_matches_manual(self):
         gen = np.random.default_rng(61)
         s = GridSeries((3, 3), gen.normal(size=(80, 9)))
-        mar = baseline_mar_als(s.slice_time(0, 70))
-        got = mar_holdout_rmse(s, mar, 10)
-        errs = []
-        for t in range(70, 80):
-            pred = mar.a[0] @ s.frame(t - 1) @ mar.b[0].T
-            errs.append((pred - s.frame(t)).ravel())
-        want = float(np.sqrt(np.mean(np.square(errs))))
-        assert_allclose(got, want, rtol=1e-12)
+        for order in (1, 2):
+            mar = baseline_mar_als(s.slice_time(0, 70), order=order)
+            got = mar_holdout_rmse(s, mar, 10)
+            errs = []
+            for t in range(70, 80):
+                pred = sum(mar.a[q] @ s.frame(t - 1 - q) @ mar.b[q].T
+                           for q in range(order))
+                errs.append((pred - s.frame(t)).ravel())
+            want = float(np.sqrt(np.mean(np.square(errs))))
+            assert_allclose(got, want, rtol=1e-12)
+
+    def test_names_are_the_shared_functions(self):
+        assert mar_forecast is forecast
+        assert mar_holdout_rmse is holdout_rmse
+
+    def test_equals_its_kernel_field(self):
+        # a non-square grid pins the column-major frame layout of predict
+        gen = np.random.default_rng(62)
+        shape = (4, 5)
+        s = GridSeries(shape, gen.normal(size=(120, 20)))
+        mar = baseline_mar_als(s.slice_time(0, 100))
+        kern = mar_kernel_field(shape, mar.a[0], mar.b[0])
+        assert_allclose(holdout_rmse(s, mar, 20), holdout_rmse(s, kern, 20),
+                        rtol=0, atol=1e-12)
+        assert_allclose(forecast(s, mar, 6).series.values,
+                        forecast(s, kern, 6).series.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 3, 3)])
+    def test_wrong_grid_refused(self, shape):
+        gen = np.random.default_rng(63)
+        mar = baseline_mar_als(GridSeries((3, 3), gen.normal(size=(40, 9))))
+        n_sites = int(np.prod(shape))
+        s = GridSeries(shape, gen.normal(size=(20, n_sites)))
+        with pytest.raises(ConfigurationError, match="grid"):
+            forecast(s, mar, 2)
+        with pytest.raises(ConfigurationError, match="grid"):
+            holdout_rmse(s, mar, 5)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -216,6 +218,27 @@ class TestKernelField:
         data["sites"][9]["neighborhood"][1] = data["sites"][9]["neighborhood"][0]
         with pytest.raises(ConfigurationError, match="duplicate"):
             KernelField.from_dict(data)
+
+    def test_from_dict_pairs_coeffs_with_listed_sites(self):
+        shape = (4, 5)
+        nbs = box_field(shape, 1)
+        nbs[11] = custom_neighborhood((3, 2), shape, [(3, 2), (0, 0), (1, 4), (2, 1)])
+        gen = np.random.default_rng(23)
+        coeffs = [gen.normal(size=(2, nb.size)) for nb in nbs]
+        kern = KernelField(shape, 2, nbs, coeffs)
+        data = kern.to_dict()
+        saved = json.dumps(data)
+        # a box site listed backwards, a custom site shuffled; the
+        # coefficients are listed in the same order as their sites
+        for i, perm in ((6, np.arange(nbs[6].size)[::-1]), (11, [2, 0, 3, 1])):
+            item = data["sites"][i]
+            item["neighborhood"] = [item["neighborhood"][j] for j in perm]
+            item["coeffs"] = [[row[j] for j in perm] for row in item["coeffs"]]
+        back = KernelField.from_dict(data)
+        assert kernel_distance(kern, back) == 0.0
+        assert back.neighborhoods[6].radii == (1, 1)
+        assert back.neighborhoods[11].radii is None
+        assert json.dumps(back.to_dict()) == saved
 
     def test_scale(self):
         kern = random_stable_kernels((3, 3), 1, target_norm=0.8, seed=2)
