@@ -73,15 +73,6 @@ def _parse_int_list(text):
         raise ConfigurationError(f"cannot parse integer list {text!r}")
 
 
-def _single_t(args):
-    if args.T is None:
-        return None
-    values = _parse_int_list(args.T)
-    if len(values) != 1:
-        raise ConfigurationError("--T takes a single frame count here")
-    return values[0]
-
-
 def _parse_radii_list(text):
     """Semicolon-separated candidate radius tuples: '0,0,0;0,0,1;...'."""
     out = []
@@ -133,19 +124,15 @@ def _write_config(args, outdir, extra=None):
 
 
 def _outdir(args):
-    out = args.output_dir
-    if out is None:
-        raise ConfigurationError("--output-dir is required")
-    os.makedirs(out, exist_ok=True)
-    return out
+    os.makedirs(args.output_dir, exist_ok=True)
+    return args.output_dir
 
 
 def cmd_simulate(args):
     if args.shape is None:
         raise ConfigurationError("--shape is required")
     shape = _parse_shape(args.shape)
-    n_frames = _single_t(args)
-    if n_frames is None or n_frames < 1:
+    if args.T is None or args.T < 1:
         raise ConfigurationError("--T must be a positive frame count")
     if args.K is None:
         raise ConfigurationError("--K (kernel box radius) is required")
@@ -154,11 +141,11 @@ def cmd_simulate(args):
         shape, args.K, order=args.P, target_norm=args.target_norm, seed=args.seed
     )
     noise = NoiseSpec(kind=args.noise, sigma=args.sigma, seed=args.seed)
-    series = simulate_liar(kernels, n_frames, noise, burn_in=args.burn_in)
+    series = simulate_liar(kernels, args.T, noise, burn_in=args.burn_in)
     write_gts(series, os.path.join(out, "series.gts"))
     kernels.save_json(os.path.join(out, "kernels.json"))
     _write_config(args, out)
-    print(f"wrote {n_frames} frames on {shape} to {out}/series.gts")
+    print(f"wrote {args.T} frames on {shape} to {out}/series.gts")
     return 0
 
 
@@ -237,9 +224,7 @@ def cmd_spliar(args):
 
 def cmd_forecast(args):
     series = _load_series(args)
-    if args.kernels is None:
-        raise ConfigurationError("--kernels kernels.json is required")
-    if args.horizon is None or args.horizon < 1:
+    if args.horizon < 1:
         raise ConfigurationError("--horizon must be a positive integer")
     out = _outdir(args)
     kernels = KernelField.load_json(args.kernels)
@@ -357,6 +342,61 @@ def cmd_bench(args):
     return 0
 
 
+# Every flag of the command line; each subcommand declares the ones it reads.
+_OPTIONS = {
+    "--input": dict(help="input series (.gts or .csv)"),
+    "--output-dir": dict(required=True, help="run directory"),
+    "--shape": dict(help="grid shape M,N or MxN (required for CSV input)"),
+    "--T": dict(type=int, help="frame count"),
+    "--P": dict(type=int, default=1, help="lag order (default 1)"),
+    "--K": dict(type=int, help="box radius"),
+    "--K0": dict(type=int, help="largest candidate radius for selection"),
+    "--R": dict(type=int, help="separable rank"),
+    "--D0": dict(type=float, help="BIC penalty strength (default log log T)"),
+    "--sigma": dict(type=float, default=1.0,
+                    help="innovation standard deviation (default 1)"),
+    "--target-norm": dict(type=float, default=0.8,
+                          help="stability norm of random kernels"),
+    "--seed": dict(type=int, default=0, help="stream seed"),
+    "--threads": dict(type=int,
+                      help="worker threads (default LIAR_THREADS or cpu count)"),
+    "--burn-in": dict(type=int, default=500,
+                      help="simulation burn-in frames (default 500)"),
+    "--noise": dict(choices=("iid_gaussian", "iid_uniform"), default="iid_gaussian"),
+    "--candidates": dict(
+        help="explicit radius tuples '0,0,0;0,0,1;...' (tensor grids)"),
+    "--kernels": dict(required=True, help="kernel JSON file"),
+    "--horizon": dict(type=int, required=True),
+    "--truth": dict(help="held-out GTS file to score"),
+    "--train-fraction": dict(type=float, default=0.9,
+                             help="time-prefix training fraction"),
+    "--methods": dict(default="liar", help="comma list from: " + ", ".join(_METHODS)),
+}
+
+# (name, handler, help, flags); a flag may carry overrides of its table entry
+_COMMANDS = (
+    ("simulate", cmd_simulate, "simulate a series with random kernels",
+     ("--output-dir", "--shape", "--T", "--P", "--K", "--sigma", "--target-norm",
+      "--seed", "--burn-in", "--noise")),
+    ("fit", cmd_fit, "fit fixed box neighborhoods at every site",
+     ("--input", "--output-dir", "--shape", "--P", "--K", "--threads")),
+    ("select", cmd_select, "BIC neighborhood-size selection",
+     ("--input", "--output-dir", "--shape", "--P", "--K", "--K0", "--D0",
+      "--threads", "--candidates")),
+    ("spliar", cmd_spliar, "separable low-rank projected fit",
+     ("--input", "--output-dir", "--shape", "--P", "--K", "--R", "--threads")),
+    ("forecast", cmd_forecast, "forecast ahead with fitted kernels",
+     ("--input", "--output-dir", "--shape", "--kernels", "--horizon", "--truth")),
+    ("eval", cmd_eval, "train/test comparison of methods",
+     ("--input", "--output-dir", "--shape", "--P", "--K", "--R", "--seed",
+      "--threads", "--train-fraction", "--methods")),
+    ("bench", cmd_bench, "fit wall-time across shapes",
+     ("--output-dir", ("--shape", dict(help="comma list of MxN grid shapes")),
+      ("--T", dict(type=str, help="comma list of frame counts")), "--P", "--K",
+      "--sigma", "--target-norm", "--seed", "--burn-in", "--threads")),
+)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="liar",
@@ -373,70 +413,12 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_input=False):
-        p.add_argument("--input", default=None,
-                       help="input series (.gts or .csv)" if needs_input else argparse.SUPPRESS)
-        p.add_argument("--output-dir", required=True, help="run directory")
-        p.add_argument("--shape", default=None,
-                       help="grid shape M,N (or MxN; bench: comma list of MxN)")
-        p.add_argument("--T", default=None,
-                       help="frame count (bench: comma list)")
-        p.add_argument("--P", type=int, default=1, help="lag order (default 1)")
-        p.add_argument("--K", type=int, default=None, help="box radius")
-        p.add_argument("--K0", type=int, default=None,
-                       help="largest candidate radius for selection")
-        p.add_argument("--R", type=int, default=None, help="separable rank")
-        p.add_argument("--D0", type=float, default=None,
-                       help="BIC penalty strength (default log log T)")
-        p.add_argument("--sigma", type=float, default=1.0,
-                       help="innovation standard deviation (default 1)")
-        p.add_argument("--target-norm", dest="target_norm", type=float,
-                       default=0.8, help="stability norm of random kernels")
-        p.add_argument("--seed", type=int, default=0, help="stream seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default LIAR_THREADS or cpu count)")
-        p.add_argument("--train-fraction", dest="train_fraction", type=float,
-                       default=0.9, help="time-prefix training fraction")
-        p.add_argument("--methods", default="liar",
-                       help="comma list from: " + ", ".join(_METHODS))
-        p.add_argument("--burn-in", dest="burn_in", type=int, default=500,
-                       help="simulation burn-in frames (default 500)")
-
-    p = sub.add_parser("simulate", help="simulate a series with random kernels")
-    common(p)
-    p.add_argument("--noise", choices=("iid_gaussian", "iid_uniform"),
-                   default="iid_gaussian")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("fit", help="fit fixed box neighborhoods at every site")
-    common(p, needs_input=True)
-    p.set_defaults(func=cmd_fit)
-
-    p = sub.add_parser("select", help="BIC neighborhood-size selection")
-    common(p, needs_input=True)
-    p.add_argument("--candidates", default=None,
-                   help="explicit radius tuples '0,0,0;0,0,1;...' (tensor grids)")
-    p.set_defaults(func=cmd_select)
-
-    p = sub.add_parser("spliar", help="separable low-rank projected fit")
-    common(p, needs_input=True)
-    p.set_defaults(func=cmd_spliar)
-
-    p = sub.add_parser("forecast", help="forecast ahead with fitted kernels")
-    common(p, needs_input=True)
-    p.add_argument("--kernels", required=True, help="kernel JSON file")
-    p.add_argument("--horizon", type=int, required=True)
-    p.add_argument("--truth", default=None, help="held-out GTS file to score")
-    p.set_defaults(func=cmd_forecast)
-
-    p = sub.add_parser("eval", help="train/test comparison of methods")
-    common(p, needs_input=True)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="fit wall-time across shapes")
-    common(p)
-    p.set_defaults(func=cmd_bench)
+    for name, func, text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag in flags:
+            flag, custom = flag if isinstance(flag, tuple) else (flag, {})
+            p.add_argument(flag, **{**_OPTIONS[flag], **custom})
+        p.set_defaults(func=func)
     return parser
 
 

@@ -262,8 +262,7 @@ def read_gts(path):
     if np.any(bad):
         j = int(np.argmax(bad))
         raise GtsFormatError(f"non-finite value at position {j}", header_len + 8 * j)
-    values = flat.astype(np.float64).reshape(t, n_sites)
-    return GridSeries(tuple(dims), values)
+    return GridSeries(tuple(dims), flat.reshape(t, n_sites))
 
 
 def read_csv_frames(path, shape):

@@ -76,12 +76,10 @@ class Neighborhood:
             f"Neighborhood(center={self.center}, size={self.size}, radii={self.radii})"
         )
 
-    def to_dict(self, k=None):
+    def to_dict(self):
         """JSON-ready mapping {"center": [...], "k": ..., "sites": [[...], ...]}."""
         out = {"center": list(self.center), "sites": self.sites.tolist()}
-        if k is not None:
-            out["k"] = k
-        elif self.radii is not None:
+        if self.radii is not None:
             rs = set(self.radii)
             out["k"] = self.radii[0] if len(rs) == 1 else list(self.radii)
         return out

@@ -318,8 +318,8 @@ class SelectionReport:
                 fh.write(f"{i1 + 1},{i2 + 1},{k_str}\n")
 
 
-def select_all(series, max_radius=None, order=1, d0=None, axis_caps=None,
-               radii_list=None, n_workers=None, keep_fit=True):
+def select_all(series, max_radius=None, order=1, d0=None, radii_list=None,
+               n_workers=None, keep_fit=True):
     """Run :func:`select_site` at every site, in parallel.
 
     Parameters
@@ -331,8 +331,6 @@ def select_all(series, max_radius=None, order=1, d0=None, axis_caps=None,
         Lag order P.
     d0 : float, optional
         Penalty strength; defaults to log log T.
-    axis_caps : tuple, optional
-        Per-axis radius caps for the default families.
     radii_list : list of tuple, optional
         Explicit candidate radius tuples (see :func:`nested_family`).
     n_workers : int, optional
@@ -354,7 +352,7 @@ def select_all(series, max_radius=None, order=1, d0=None, axis_caps=None,
 
     def work(center, _):
         family = nested_family(center, shape, max_radius=max_radius,
-                               axis_caps=axis_caps, radii_list=radii_list)
+                               radii_list=radii_list)
         return _select_site(series, panel, family, order, d0, keep_fit)
 
     sites = [(lin, linear_to_site(lin, shape), None) for lin in range(series.n_sites)]

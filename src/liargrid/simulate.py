@@ -26,8 +26,9 @@ from .errors import ConfigurationError, NumericalError, StabilityError
 from .grid import GridSeries, sites_to_linear
 from .neighborhoods import _boxes, box_field, custom_neighborhood
 
-_DENSE_OPERATOR_LIMIT = 1024  # sites; below this dense matvec beats CSR
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
+_NORM_RTOL = 1e-8  # relative change that ends power iteration
+_NORM_MAX_ITER = 10000
 _CTX_KERNEL = 1
 _CTX_NOISE = 2
 _SQRT3 = float(np.sqrt(3.0))
@@ -119,33 +120,19 @@ class KernelField:
     def n_sites(self):
         return len(self.neighborhoods)
 
-    def operators(self, dense=None):
-        """Per-lag linear operators on flattened frames.
-
-        Returns a list of P arrays (dense) or CSR matrices, cached.
-        ``dense`` forces the representation; default picks dense for
-        small grids.
-        """
-        if self._ops is not None:
-            return self._ops
-        n = self.n_sites
-        if dense is None:
-            dense = n <= _DENSE_OPERATOR_LIMIT
-        ops = []
-        if dense:
-            for p in range(self.order):
-                m = np.zeros((n, n))
-                for i, nb in enumerate(self.neighborhoods):
-                    m[i, nb.linear] = self.coeffs[i][p]
-                ops.append(m)
-        else:
+    def operators(self):
+        """Per-lag linear operators on flattened frames: a list of P CSR
+        matrices, cached."""
+        if self._ops is None:
+            n = self.n_sites
             rows = np.repeat(np.arange(n), [nb.size for nb in self.neighborhoods])
             cols = np.concatenate([nb.linear for nb in self.neighborhoods])
-            for p in range(self.order):
-                data = np.concatenate([c[p] for c in self.coeffs])
-                ops.append(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
-        self._ops = ops
-        return ops
+            self._ops = [
+                sp.csr_matrix((np.concatenate([c[p] for c in self.coeffs]),
+                               (rows, cols)), shape=(n, n))
+                for p in range(self.order)
+            ]
+        return self._ops
 
     def predict(self, lagged):
         """One-step conditional mean sum_p x_{t-p} Op_p'.
@@ -153,10 +140,11 @@ class KernelField:
         ``lagged`` holds the P lagged blocks, lag 1 first, each
         (n, n_sites); returns the (n, n_sites) predictions.
         """
+        # Op @ x' runs scipy's CSR kernel; x @ Op' goes through two transposes
         ops = self.operators()
-        pred = lagged[0] @ ops[0].T
+        pred = (ops[0] @ lagged[0].T).T
         for x, op in zip(lagged[1:], ops[1:]):
-            pred += x @ op.T
+            pred += (op @ x.T).T
         return pred
 
     def scale(self, factor):
@@ -246,7 +234,7 @@ class KernelField:
             return cls.from_dict(json.load(fh))
 
 
-def operator_norm(kernels, rtol=1e-8, max_iter=10000):
+def operator_norm(kernels):
     """Stability norm of a kernel field.
 
     For P = 1 this is the largest singular value of the induced operator,
@@ -258,14 +246,13 @@ def operator_norm(kernels, rtol=1e-8, max_iter=10000):
     Raises
     ------
     NumericalError
-        If power iteration has not converged after ``max_iter`` steps;
-        the message reports the last two iterates.
+        If power iteration has not converged after 10000 steps (relative
+        tolerance 1e-8); the message reports the last two iterates.
     """
-    ops = kernels.operators()
-    return float(sum(_spectral_norm(op, rtol, max_iter) for op in ops))
+    return float(sum(_spectral_norm(op) for op in kernels.operators()))
 
 
-def _spectral_norm(op, rtol, max_iter):
+def _spectral_norm(op):
     n = op.shape[0]
     key = rng.derive_key(0x5EED0FF, [n])
     v = rng.uniforms(key, np.arange(n)) - 0.5
@@ -274,20 +261,20 @@ def _spectral_norm(op, rtol, max_iter):
         v = np.ones(n)
         nv = np.linalg.norm(v)
     v /= nv
-    op_t = op.T if isinstance(op, np.ndarray) else op.T.tocsr()
+    op_t = op.T.tocsr()
     lam_prev = None
-    for _ in range(max_iter):
+    for _ in range(_NORM_MAX_ITER):
         w = op_t @ (op @ v)
         lam = float(v @ w)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0 or lam <= 0.0:
             return 0.0
         v = w / norm_w
-        if lam_prev is not None and abs(lam - lam_prev) <= rtol * max(lam, 1e-300):
+        if lam_prev is not None and abs(lam - lam_prev) <= _NORM_RTOL * max(lam, 1e-300):
             return float(np.sqrt(lam))
         lam_prev = lam
     raise NumericalError(
-        f"power iteration did not converge in {max_iter} steps; "
+        f"power iteration did not converge in {_NORM_MAX_ITER} steps; "
         f"last two iterates {lam_prev:.17g}, {lam:.17g}"
     )
 
@@ -408,22 +395,15 @@ def simulate_liar(kernels, n_frames, noise, burn_in=500):
 def kernel_distance(a, b):
     """Frobenius distance between two kernel fields.
 
-    Coefficients are compared on the union of the two neighborhoods at
-    each site (absent sites count as zero), summed over lags and sites.
+    The norm of the per-lag operator differences: coefficients are
+    compared on the union of the two neighborhoods at each site (absent
+    sites count as zero), summed over lags and sites.
     """
     if a.shape != b.shape:
         raise ConfigurationError(f"grid shapes differ: {a.shape} vs {b.shape}")
     if a.order != b.order:
         raise ConfigurationError(f"lag orders differ: {a.order} vs {b.order}")
     total = 0.0
-    for nb_a, ca, nb_b, cb in zip(a.neighborhoods, a.coeffs, b.neighborhoods, b.coeffs):
-        if np.array_equal(nb_a.linear, nb_b.linear):
-            total += float(np.sum((ca - cb) ** 2))
-            continue
-        union = np.union1d(nb_a.linear, nb_b.linear)
-        wa = np.zeros((a.order, union.size))
-        wb = np.zeros((b.order, union.size))
-        wa[:, np.searchsorted(union, nb_a.linear)] = ca
-        wb[:, np.searchsorted(union, nb_b.linear)] = cb
-        total += float(np.sum((wa - wb) ** 2))
+    for op_a, op_b in zip(a.operators(), b.operators()):
+        total += float(np.sum((op_a - op_b).data ** 2))
     return float(np.sqrt(total))

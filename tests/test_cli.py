@@ -90,6 +90,8 @@ class TestFit:
         assert (out / "fit_report.json").exists()
         assert (out / "kernels.json").exists()
         config = json.loads((out / "config.json").read_text())
+        assert set(config["params"]) == {"command", "input", "output_dir", "shape",
+                                          "P", "K", "threads"}
         assert config["params"]["K"] == 1
         assert config["fit_seconds"] > 0
         want = hashlib.sha256((sim / "series.gts").read_bytes()).hexdigest()
@@ -136,6 +138,9 @@ class TestSelect:
             assert 0.0 <= summary[key] <= 1.0
         assert "success vs truth K=1" in capsys.readouterr().out
         config = json.loads((out / "config.json").read_text())
+        assert set(config["params"]) == {"command", "input", "output_dir", "shape",
+                                          "P", "K", "K0", "D0", "threads",
+                                          "candidates"}
         assert config["params"]["D0"] is None
 
     def test_explicit_d0_used(self, tmp_path):
@@ -318,6 +323,21 @@ class TestExitCodes:
         (tmp_path / "frames.csv").write_text("1.0,2.0\n3.0,4.0\n")
         assert run("fit", "--input", tmp_path / "frames.csv", "--K", "1",
                    "--output-dir", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--threads", "2"],
+        ["fit", "--seed", "1"],
+        ["select", "--R", "1"],
+        ["spliar", "--K0", "2"],
+        ["forecast", "--P", "2", "--kernels", "k.json", "--horizon", "3"],
+        ["eval", "--sigma", "2"],
+        ["bench", "--input", "x.gts"],
+    ], ids=lambda argv: argv[0])
+    def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--output-dir", tmp_path / "out")
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[1]} " in capsys.readouterr().err
 
 
 class TestCsvIngestion:

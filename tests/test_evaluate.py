@@ -71,7 +71,7 @@ class TestForecast:
         kern = random_stable_kernels(shape, 1, order=2, target_norm=0.7,
                                      seed=21)
         s = simulate_liar(kern, 60, NoiseSpec(sigma=1.0, seed=22))
-        ops = [np.asarray(o) for o in kern.operators(dense=True)]
+        ops = [o.toarray() for o in kern.operators()]
         state = [s.values[-2].copy(), s.values[-1].copy()]
         truth = []
         for _ in range(5):
@@ -81,6 +81,23 @@ class TestForecast:
         result = forecast(s, kern, 5, truth=np.array(truth))
         assert result.rmse <= 1e-10
         assert_allclose(result.series.values, truth, atol=1e-10)
+
+    def test_blocks_match_operator_recursion_bitwise(self):
+        shape = (6, 7)
+        kern = random_stable_kernels(shape, 1, order=2, target_norm=0.7,
+                                     seed=23)
+        s = simulate_liar(kern, 40, NoiseSpec(sigma=1.0, seed=24))
+        ops = kern.operators()
+        state = [s.values[-2], s.values[-1]]
+        for _ in range(6):
+            x = ops[0] @ state[-1]
+            x += ops[1] @ state[-2]
+            state.append(x)
+        assert_array_equal(forecast(s, kern, 6).series.values, state[2:])
+        v = s.values
+        block = kern.predict([v[1:-1], v[:-2]])
+        rows = [kern.predict([v[t - 1:t], v[t - 2:t - 1]])[0] for t in range(2, 40)]
+        assert_array_equal(block, rows)
 
     def test_scalar_power_iteration(self):
         kern = _self_only((1, 1), 0.6)
@@ -110,7 +127,7 @@ class TestHoldoutRmse:
         kern = random_stable_kernels(shape, 1, target_norm=0.7, seed=31)
         s = simulate_liar(kern, 50, NoiseSpec(sigma=1.0, seed=32))
         got = holdout_rmse(s, kern, 10)
-        op = np.asarray(kern.operators(dense=True)[0])
+        op = kern.operators()[0].toarray()
         errs = []
         for t in range(40, 50):
             pred = op @ s.values[t - 1]

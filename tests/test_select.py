@@ -102,12 +102,12 @@ class TestSelectSite:
     def test_noiseless_exact_fit_smallest_exact_level(self):
         shape = (5, 5)
         kern = random_stable_kernels(shape, 1, target_norm=0.8, seed=40)
-        ops = kern.operators(dense=True)
+        op = kern.operators()[0].toarray()
         gen = np.random.default_rng(41)
         x = gen.normal(size=25)
         frames = [x]
         for _ in range(79):
-            frames.append(np.asarray(ops[0]) @ frames[-1])
+            frames.append(op @ frames[-1])
         s = GridSeries(shape, np.array(frames))
         fam = nested_family((2, 2), shape, max_radius=2)
         trace = select_site(s, fam, order=1)

@@ -36,16 +36,16 @@ class TestOperatorNorm:
     def test_matches_dense_svd_oracle(self):
         shape = (3, 3)
         kern = random_stable_kernels(shape, 1, target_norm=0.7, seed=2)
-        dense = kern.operators(dense=True)[0]
-        want = np.linalg.svd(np.asarray(dense), compute_uv=False)[0]
+        dense = kern.operators()[0].toarray()
+        want = np.linalg.svd(dense, compute_uv=False)[0]
         assert_allclose(operator_norm(kern), want, rtol=1e-6)
 
     def test_multi_lag_is_sum_of_lag_norms(self):
         shape = (3, 3)
         kern = random_stable_kernels(shape, 1, order=2, target_norm=0.6, seed=5)
         parts = [
-            np.linalg.svd(np.asarray(op), compute_uv=False)[0]
-            for op in kern.operators(dense=True)
+            np.linalg.svd(op.toarray(), compute_uv=False)[0]
+            for op in kern.operators()
         ]
         assert_allclose(operator_norm(kern), sum(parts), rtol=1e-6)
 
@@ -133,7 +133,7 @@ class TestSimulate:
         kern = random_stable_kernels(shape, 1, target_norm=0.8, seed=13)
         t = 10_000
         s = simulate_liar(kern, t, NoiseSpec(sigma=1.0, seed=14))
-        m = np.asarray(kern.operators(dense=True)[0])
+        m = kern.operators()[0].toarray()
         resolvent = np.linalg.inv(np.eye(m.shape[0]) - m)
         lrv = resolvent @ resolvent.T
         se = np.sqrt(np.diag(lrv) / t)
@@ -162,7 +162,7 @@ class TestSimulate:
         shape = (3, 3)
         kern = random_stable_kernels(shape, 1, order=2, target_norm=0.6, seed=6)
         s = simulate_liar(kern, 30, NoiseSpec(sigma=1.3, seed=7), burn_in=0)
-        ops = [np.asarray(o) for o in kern.operators(dense=True)]
+        ops = [o.toarray() for o in kern.operators()]
         site_keys = rng.derive_key(7, [_CTX_NOISE, np.arange(9)])
         noise = 1.3 * rng.frame_gaussians(site_keys, np.arange(30))
         x_prev2 = np.zeros(9)
