@@ -8,30 +8,35 @@ leading column count, back substitution on the leading block of R gives
 the coefficients, the trailing sum of squares of R's last column the
 RSS, and the row norms of the block's inverse the standard errors.  A
 fixed box is one group; :mod:`liargrid.select` passes one group per
-nested level.  ``fit_all`` and ``select_all`` gather from one site-major
-copy of the series per call, so each site's history is read as
-contiguous rows.  Rank deficiency is non-fatal: the minimum-norm
-solution is returned with ``cond_flag`` set.
+nested level.  Rank deficiency is non-fatal: the minimum-norm solution
+is returned with ``cond_flag`` set.
 
-``fit_all`` distributes sites over a thread pool.  All inputs are
-immutable and every worker writes only its own slot, so the result is a
-pure function of (series, neighborhoods, order) regardless of thread
-count.  The per-site factorizations are small, so OpenBLAS runs on one
-thread for the duration of the call (:func:`single_threaded_blas`):
-its own threads would only contend with the pool's.
+The kernel runs in two stages (:func:`_run_sites`).  A thread pool does
+only each site's gather, from one site-major copy of the series, and
+its ``dgeqrf``, which releases the GIL; OpenBLAS runs on one thread
+throughout (:func:`single_threaded_blas`).  The calling thread then
+takes blocks of consecutive sites, stacks their R factors by column
+count and forms the RSS, rank test and standard errors as array
+operations, with LAPACK's triangular solves per site.  Each result is a
+pure function of its site's data, the same for any worker count, block
+or BLAS thread setting.  ``fit_site``, ``standard_errors`` and
+``select_site`` are batches of one.
 
 References
 ----------
 Golub, Van Loan (2013), "Matrix Computations", 4th ed., sec. 5.2-5.3.
 """
 
+import collections
 import contextlib
 import ctypes
+import functools
 import json
 import os
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +46,7 @@ from .grid import site_to_linear
 from .simulate import KernelField
 
 _RANK_TOL = 1e-10  # diagonal ratio below which a design counts as rank-deficient
+_BLOCK = 64  # sites per post-pool block
 
 # (set, get) thread-count symbols of an OpenBLAS build, in the order tried:
 # numpy's 64-bit-integer scipy-openblas, scipy's scipy-openblas, plain OpenBLAS.
@@ -205,7 +211,7 @@ def _gather(panel, order, groups, target):
     """
     t = panel.shape[1]
     cols = order * sum(g.size for g in groups)
-    aug = np.empty((t - order, cols + 1), order="F")  # geqrf copies it as is
+    aug = np.empty((t - order, cols + 1), order="F")  # geqrf factors it in place
     pos = 0
     for group in groups:
         for p in range(1, order + 1):
@@ -215,66 +221,95 @@ def _gather(panel, order, groups, target):
     return aug
 
 
+@functools.cache
+def _lapack_geqrf():
+    """scipy's LAPACK dgeqrf through ctypes, which releases the GIL for
+    the call where scipy's own wrapper holds it."""
+    from scipy.linalg import cython_lapack
+
+    capsule, api = cython_lapack.__pyx_capi__["dgeqrf"], ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 8)(address)
+
+
 def _factor(aug):
-    """R factor of [Y z] and the RSS of every leading column count c,
-    ``tail[c]``: the trailing sum of squares of R's last column from row c.
-
-    LAPACK's geqrf through scipy, not ``np.linalg.qr``: the latter keeps
-    a 2-worker ``fit_all`` slower than a 1-worker one.
-    """
-    r = np.triu(scipy.linalg.lapack.dgeqrf(aug)[0][: aug.shape[1]])
-    w2 = r[:, -1] ** 2
-    tail = np.zeros(w2.size + 1)
-    tail[:-1] = np.cumsum(w2[::-1])[::-1]
-    return r, tail
-
-
-def _inverse_row_norms(r):
-    """Squared row norms of the inverse of an upper-triangular R."""
-    rinv = scipy.linalg.solve_triangular(r, np.eye(r.shape[0]))
-    return np.sum(rinv * rinv, axis=1)
+    """R factor of [Y z]: dgeqrf in place on ``aug``, with the workspace
+    ``scipy.linalg.lapack.dgeqrf`` passes (so the same bits).  Returns a
+    copy of the leading square block, R in its upper triangle (nothing
+    reads the reflectors below), so the gathered block can be freed."""
+    aug = np.asfortranarray(aug, dtype=np.float64)
+    rows, n = aug.shape
+    lwork = max(3 * n, 1)
+    ref, c, buf = ctypes.byref, ctypes.c_int, ctypes.c_double
+    # aug.T: the same memory, C-contiguous as from_buffer needs
+    _lapack_geqrf()(ref(c(rows)), ref(c(n)), ref(ctypes.c_char.from_buffer(aug.T)),
+                    ref(c(max(rows, 1))), (buf * min(rows, n))(), (buf * lwork)(),
+                    ref(c(lwork)), ref(c()))
+    return aug[:n].copy()
 
 
-def _rank_deficient(r, cols):
-    """Whether the leading ``cols`` x ``cols`` block of R (``cols`` an int
-    or an array of them) fails the rank test: its diagonal is empty or
-    zero, or its smallest entry is below _RANK_TOL times its largest."""
-    cols = np.asarray(cols)
-    diag = np.abs(np.diag(r))
-    top = np.maximum.accumulate(diag)[cols - 1]
-    low = np.minimum.accumulate(diag)[cols - 1]
-    return (cols < 1) | ~((top > 0.0) & (low >= _RANK_TOL * top))
+def _trsolve(r, b):
+    """``scipy.linalg.solve_triangular(r, b)``: the same LAPACK call and
+    flags, so the same bits, without the validation around it."""
+    if r.flags.f_contiguous:
+        return scipy.linalg.lapack.dtrtrs(r, b)[0]
+    return scipy.linalg.lapack.dtrtrs(r.T, b, lower=1, trans=1)[0]
 
 
-def _solve(aug, r, tail, cols, with_se):
-    """Regress aug's last column on its leading ``cols`` columns, given
-    ``_factor(aug)``.
+def _scan(members, cols, regather):
+    """Stacked R factors of ``members`` (sites of one column plan), the
+    trailing sums of squares of their last columns, summed from the
+    bottom, and the RSS of each leading column count in ``cols``.  R would
+    count a degenerate column's rounding noise as explained variance, so
+    a block failing the rank test takes the explicit RSS of its
+    minimum-norm fit, from a second gather of the site.
+    Returns (R, tail, rss, {(member, level): (coeffs, rss)})."""
+    r = np.stack([item[3] for item in members])
+    tail = np.zeros((r.shape[0], r.shape[1] + 1))
+    tail[:, :-1] = np.cumsum(r[:, ::-1, -1] ** 2, axis=1)[:, ::-1]
+    # the rank test: a leading block's diagonal is empty or zero, or its
+    # smallest entry is below _RANK_TOL times its largest
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    top = np.maximum.accumulate(diag, axis=1)[:, cols - 1]
+    low = np.minimum.accumulate(diag, axis=1)[:, cols - 1]
+    deficient = (cols < 1) | ~((top > 0.0) & (low >= _RANK_TOL * top))
+    rss, lstsq = tail[:, cols], {}
+    for i in np.flatnonzero(deficient.any(axis=1)).tolist():
+        aug = regather(members[i])
+        y, z = aug[:, :-1], aug[:, -1]
+        for lev in np.flatnonzero(deficient[i]).tolist():
+            coeffs = np.linalg.lstsq(y[:, : cols[lev]], z, rcond=_RANK_TOL)[0]
+            resid = z - y[:, : cols[lev]] @ coeffs
+            lstsq[i, lev] = coeffs, float(resid @ resid)
+            rss[i, lev] = lstsq[i, lev][1]
+    return r, tail, rss, lstsq
 
-    Returns (coeffs, rss, sigma2, cond_flag, se).  When the leading R
-    diagonal is zero or spans more than 1/_RANK_TOL, the minimum-norm
-    ``lstsq`` solution and its explicit residual are returned instead,
-    with ``cond_flag`` set and ``se`` None.
-    """
-    r11 = r[:cols, :cols]
-    cond_flag = bool(_rank_deficient(r, cols))
-    if cond_flag:
-        y, z = aug[:, :cols], aug[:, -1]
-        coeffs = np.linalg.lstsq(y, z, rcond=_RANK_TOL)[0]
-        resid = z - y @ coeffs
-        rss = float(resid @ resid)
+
+def _kept(r, tail, cols, rows, lstsq=None):
+    """(coeffs, rss, sigma2, cond_flag) of the leading ``cols`` columns of
+    one stacked R: back substitution, or ``lstsq`` for a deficient block."""
+    if lstsq is None:
+        coeffs, rss = _trsolve(r[:cols, :cols], r[:cols, -1]), float(tail[cols])
     else:
-        coeffs = scipy.linalg.solve_triangular(r11, r[:cols, -1])
-        rss = float(tail[cols])
-    dof = aug.shape[0] - cols
-    sigma2 = rss / dof if dof > 0 else 0.0
-    se = None
-    if with_se and not cond_flag:
-        se = np.sqrt(sigma2 * _inverse_row_norms(r11))
-    return coeffs, rss, sigma2, cond_flag, se
+        coeffs, rss = lstsq
+    dof = rows - cols
+    return coeffs, rss, rss / dof if dof > 0 else 0.0, lstsq is not None
 
 
-def _site_block(series, panel, site, neighborhood, order):
-    """Validated [Y z] of one site in the :class:`DesignBlock` layout."""
+def _standard_errors(r, cols, sigma2):
+    """Plug-in standard errors of stacked full-rank fits: sqrt(sigma2)
+    times the row norms of each leading block's inverse."""
+    eye = np.eye(cols)
+    rinv = np.stack([_trsolve(ri[:cols, :cols], eye) for ri in r])
+    return np.sqrt(sigma2[:, None] * np.cumsum(rinv * rinv, axis=2)[:, :, -1])
+
+
+def _site_block(series, panel, site, neighborhood, order, target):
+    """Validated [Y z] of one site (linear index ``target``) in the
+    :class:`DesignBlock` layout."""
     if order < 1:
         raise ConfigurationError("lag order must be at least 1")
     t = series.n_frames
@@ -290,8 +325,7 @@ def _site_block(series, panel, site, neighborhood, order):
             f"site {tuple(site)}: {rows} usable rows < {cols} unknowns "
             f"(T={t}, P={order}, |J|={s})"
         )
-    return _gather(panel, order, [neighborhood.linear],
-                   site_to_linear(site, series.shape))
+    return _gather(panel, order, [neighborhood.linear], target)
 
 
 def assemble_design(series, site, neighborhood, order=1):
@@ -301,7 +335,8 @@ def assemble_design(series, site, neighborhood, order=1):
     :class:`UnderdeterminedError` naming the counts.
     """
     order = int(order)
-    aug = _site_block(series, series.values.T, site, neighborhood, order)
+    aug = _site_block(series, series.values.T, site, neighborhood, order,
+                      site_to_linear(site, series.shape))
     return DesignBlock(tuple(site), neighborhood, order, aug[:, :-1], aug[:, -1])
 
 
@@ -312,10 +347,7 @@ def fit_site(design):
     substitution; deficient ones fall back to the minimum-norm solution
     and set ``cond_flag``.
     """
-    aug = np.column_stack((design.y, design.z))
-    r, tail = _factor(aug)
-    return SiteFit(design.site, design.neighborhood, design.order,
-                   *_solve(aug, r, tail, design.y.shape[1], with_se=False))
+    return _fit_design(design, with_se=False)
 
 
 def standard_errors(fit, design):
@@ -332,10 +364,43 @@ def standard_errors(fit, design):
             stacklevel=2,
         )
         return None
-    cols = design.y.shape[1]
-    r, _ = _factor(np.column_stack((design.y, design.z)))
-    fit.se = np.sqrt(fit.sigma2 * _inverse_row_norms(r[:cols, :cols]))
+    fit.se = _fit_design(design, with_se=True).se
     return fit.se
+
+
+def _fit_design(design, with_se):
+    """One design block through :func:`_fit_sites`, as a batch of one."""
+    fits, _ = _fit_sites(lambda *_: np.column_stack((design.y, design.z)),
+                         [(0, design.site, design.neighborhood)],
+                         design.order, design.y.shape[0], with_se)
+    return fits[0]
+
+
+def _fit_sites(gather, sites, order, rows, with_se, n_workers=1):
+    """Regress the last column of each ``gather(linear, site,
+    neighborhood)`` on the others (:func:`_run_sites`), finishing each
+    class of sites with one column count together: RSS and rank test
+    (:func:`_scan`), then each site's solve and standard errors."""
+    def finish(block):
+        fits = {}
+        for shape, members in _classes(block, lambda item: item[3].shape):
+            cols = shape[1] - 1
+            r, tail, _, lstsq = _scan(members, np.array([cols]),
+                                      lambda item: gather(*item[:3]))
+            solved = [_kept(r[i], tail[i], cols, rows, lstsq.get((i, 0)))
+                      for i in range(len(members))]
+            clean = [i for i, sol in enumerate(solved) if not sol[3]]
+            se = {}
+            if with_se and clean:
+                sigma2 = np.array([solved[i][2] for i in clean])
+                se = dict(zip(clean, _standard_errors(r[clean], cols, sigma2)))
+            for i, (item, sol) in enumerate(zip(members, solved)):
+                fits[item[0]] = SiteFit(item[1], item[2], order, *sol, se.get(i))
+        return {item[0]: fits[item[0]] for item in block}
+
+    blocks = (sites[a:b] for a, b in _blocks(len(sites)))
+    return _run_sites(lambda *item: (_factor(gather(*item)), None), finish, blocks,
+                      n_workers)
 
 
 def _kernel_field(shape, order, fits, n_failed):
@@ -366,7 +431,7 @@ class FitReport:
         self.shape = tuple(shape)
         self.order = int(order)
         self.fits = fits
-        self.errors = dict(errors)
+        self.errors = {site: str(err) for site, err in errors.items()}
 
     def __iter__(self):
         return iter(self.fits.values())
@@ -455,43 +520,65 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
     pairs = _normalize_neighborhood_map(series, neighborhoods)
     panel = _site_major(series)
 
-    def work(center, nb):
-        aug = _site_block(series, panel, center, nb, order)
-        r, tail = _factor(aug)
-        return SiteFit(center, nb, order,
-                       *_solve(aug, r, tail, aug.shape[1] - 1, compute_se))
+    def gather(lin, site, nb):
+        return _site_block(series, panel, site, nb, order, lin)
 
-    fits, errors = _run_sites(work, [(lin, tuple(nb.center), nb) for lin, nb in pairs],
-                              n_workers)
+    fits, errors = _fit_sites(gather, [(lin, tuple(nb.center), nb) for lin, nb in pairs],
+                              order, series.n_frames - order, compute_se, n_workers)
     return FitReport(series.shape, order, fits, errors)
 
 
-def _run_sites(work, sites, n_workers):
-    """Call ``work(site, arg)`` for each ``(linear, site, arg)`` in
-    ``sites`` on a thread pool, with OpenBLAS pinned to one thread.
+def _blocks(n_sites):
+    """(start, stop) of each post-pool block of consecutive sites."""
+    return ((a, min(a + _BLOCK, n_sites)) for a in range(0, n_sites, _BLOCK))
 
-    Returns the results keyed by linear index and the error manifest:
-    the message of each :class:`LiarError` raised, keyed by site.
+
+def _classes(block, key):
+    """``block``'s items grouped by ``key(item)``, as (key, list) pairs."""
+    return ((k, list(group)) for k, group in groupby(sorted(block, key=key), key))
+
+
+def _run_sites(factor, finish, blocks, n_workers):
+    """Least squares at each ``(linear, site, arg)`` of ``blocks`` (lists
+    of consecutive sites, in canonical order, taken from the iterable as
+    they are needed), with OpenBLAS on one thread, in two stages.
+
+    The pool runs ``factor(linear, site, arg)``: the site's validated
+    gather and :func:`_factor`, returning (R, column plan).  As blocks
+    come out of it in order, the calling thread hands the sites that
+    factored, as ``(linear, site, arg, R, plan)``, to ``finish``, which
+    returns their results by linear index; later blocks factor meanwhile,
+    at most ``workers`` ahead, so only a few blocks are held.  Returns the
+    results and the error manifest: each :class:`LiarError` raised, keyed
+    by site.
     """
-    def run(item):
-        lin, site, arg = item
-        try:
-            return lin, work(site, arg), None
-        except LiarError as exc:
-            return lin, None, (site, str(exc))
+    def factor_block(block):
+        out = []
+        for item in block:
+            try:
+                out.append(item + factor(*item))
+            except LiarError as exc:
+                out.append(item + (None, exc))
+        return out
+
+    done, errors = {}, {}
+
+    def post(factored):
+        errors.update((item[1], item[4]) for item in factored if item[3] is None)
+        done.update(finish([item for item in factored if item[3] is not None]))
 
     workers = resolve_workers(n_workers)
     with single_threaded_blas():
-        if workers == 1 or len(sites) <= 1:
-            results = [run(item) for item in sites]
+        if workers <= 1:
+            for block in blocks:
+                post(factor_block(block))
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, sites,
-                                        chunksize=max(1, len(sites) // (8 * workers))))
-    done, errors = {}, {}
-    for lin, result, err in results:
-        if err is None:
-            done[lin] = result
-        else:
-            errors[err[0]] = err[1]
+                queued = collections.deque()  # at most workers + 1 blocks wait
+                for block in blocks:
+                    queued.append(pool.submit(factor_block, block))
+                    if len(queued) > workers:
+                        post(queued.popleft().result())
+                while queued:
+                    post(queued.popleft().result())
     return done, errors

@@ -146,20 +146,30 @@ def box_neighborhood(center, shape, radii):
         Sites {u : |u_j - center_j| <= radii[j]} clipped to the grid,
         sorted by linear index.
     """
-    center = tuple(int(c) for c in center)
     shape = tuple(int(n) for n in shape)
     radii = _box_radii(radii, shape)
+    return _boxes([_center(center, shape)], shape, radii)[0]
+
+
+def _center(center, shape):
+    """``center`` as a tuple of ints, checked to lie on the grid."""
+    center = tuple(int(c) for c in center)
     if len(center) != len(shape) or not all(0 <= c < n for c, n in zip(center, shape)):
         raise IndexError(f"center {center} out of bounds for shape {shape}")
-    return _boxes([center], shape, radii)[0]
+    return center
+
+
+def _grid_centers(shape):
+    """Every site of the grid as an (n_sites, d) array, canonical order."""
+    return np.stack(np.unravel_index(np.arange(int(np.prod(shape))), shape,
+                                     order="F"), axis=1)
 
 
 def box_field(shape, radii):
     """Clipped boxes of the same radii around every site, in canonical
     (linear) site order: the neighborhoods of a fixed-radius fit."""
     shape = tuple(int(n) for n in shape)
-    centers = np.unravel_index(np.arange(int(np.prod(shape))), shape, order="F")
-    return _boxes(np.stack(centers, axis=1), shape, _box_radii(radii, shape))
+    return _boxes(_grid_centers(shape), shape, _box_radii(radii, shape))
 
 
 def custom_neighborhood(center, shape, sites):
@@ -206,6 +216,59 @@ class NeighborhoodFamily:
         )
 
 
+def _families(centers, shape, max_radius, axis_caps, radii_list):
+    """Nested families (see :func:`nested_family`) at in-bounds
+    ``centers``, an (m, d) array, with one :func:`_boxes` call per
+    candidate level for all of them.
+
+    Boxes compare by their per-axis clipped intervals: a level equal to
+    the one before is dropped (saturation), and a site where a level does
+    not contain it gets the error message in place of its family.
+    """
+    d = len(shape)
+    if radii_list is not None:
+        if max_radius is not None or axis_caps is not None:
+            raise ConfigurationError("radii_list excludes max_radius/axis_caps")
+        cand = labels = [tuple(int(r) for r in rs) for rs in radii_list]
+        if not cand:
+            raise ConfigurationError("radii_list is empty")
+        if any(len(rs) != d for rs in cand):
+            raise ConfigurationError(f"each radius tuple needs {d} entries")
+        if any(r < 0 for rs in cand for r in rs):
+            raise ConfigurationError("radii must be nonnegative")
+        if any(r != 0 for r in cand[0]):
+            raise ConfigurationError(
+                f"first candidate must be the bare center, got {cand[0]}"
+            )
+    else:
+        if max_radius is None or max_radius < 0:
+            raise ConfigurationError("max_radius must be a nonnegative integer")
+        caps = (max_radius,) * d if axis_caps is None else tuple(int(c) for c in axis_caps)
+        if len(caps) != d or any(c < 0 for c in caps):
+            raise ConfigurationError(f"axis_caps must be {d} nonnegative ints")
+        labels = list(range(max_radius + 1))
+        cand = [tuple(min(k, c) for c in caps) for k in labels]
+    centers = np.asarray(centers, dtype=np.intp).reshape(-1, d)
+    boxes = [_boxes(centers, shape, radii) for radii in cand]
+    lo = [np.maximum(centers - radii, 0) for radii in cand]
+    hi = [np.minimum(centers + radii, np.array(shape) - 1) for radii in cand]
+    keep = np.ones((len(cand), len(centers)), dtype=bool)
+    bad = np.full(len(centers), -1)  # first level that does not nest
+    for lev in range(1, len(cand)):
+        keep[lev] = ((lo[lev] != lo[lev - 1]) | (hi[lev] != hi[lev - 1])).any(axis=1)
+        nests = ((lo[lev] <= lo[lev - 1]) & (hi[lev] >= hi[lev - 1])).all(axis=1)
+        bad[~nests & (bad < 0)] = lev
+    families = []
+    for i, center in enumerate(map(tuple, centers.tolist())):
+        kept = np.flatnonzero(keep[:, i]).tolist()
+        families.append(
+            f"candidate {cand[bad[i]]} does not nest the previous level at center {center}"
+            if bad[i] >= 0 else
+            NeighborhoodFamily(center, shape, [boxes[lev][i] for lev in kept],
+                               [labels[lev] for lev in kept], len(kept) < len(cand)))
+    return families
+
+
 def nested_family(center, shape, max_radius=None, axis_caps=None, radii_list=None):
     """Nested box family at one site.
 
@@ -222,51 +285,11 @@ def nested_family(center, shape, max_radius=None, axis_caps=None, radii_list=Non
     NeighborhoodFamily
     """
     shape = tuple(int(n) for n in shape)
-    d = len(shape)
-    if radii_list is not None:
-        if max_radius is not None or axis_caps is not None:
-            raise ConfigurationError("radii_list excludes max_radius/axis_caps")
-        cand = [tuple(int(r) for r in rs) for rs in radii_list]
-        if not cand:
-            raise ConfigurationError("radii_list is empty")
-        if any(len(rs) != d for rs in cand):
-            raise ConfigurationError(f"each radius tuple needs {d} entries")
-        if any(r < 0 for rs in cand for r in rs):
-            raise ConfigurationError("radii must be nonnegative")
-        if any(r != 0 for r in cand[0]):
-            raise ConfigurationError(
-                f"first candidate must be the bare center, got {cand[0]}"
-            )
-        labels_all = cand
-    else:
-        if max_radius is None or max_radius < 0:
-            raise ConfigurationError("max_radius must be a nonnegative integer")
-        if axis_caps is None:
-            caps = (max_radius,) * d
-        else:
-            caps = tuple(int(c) for c in axis_caps)
-            if len(caps) != d or any(c < 0 for c in caps):
-                raise ConfigurationError(f"axis_caps must be {d} nonnegative ints")
-        cand = [tuple(min(k, c) for c in caps) for k in range(max_radius + 1)]
-        labels_all = list(range(max_radius + 1))
-
-    levels, labels = [], []
-    saturated = False
-    for label, radii in zip(labels_all, cand):
-        nb = box_neighborhood(center, shape, radii)
-        if levels:
-            prev = levels[-1]
-            if nb.size == prev.size and np.array_equal(nb.linear, prev.linear):
-                saturated = True
-                continue
-            if not np.all(np.isin(prev.linear, nb.linear)) or nb.size <= prev.size:
-                raise ConfigurationError(
-                    f"candidate {radii} does not nest the previous level at "
-                    f"center {tuple(center)}"
-                )
-        levels.append(nb)
-        labels.append(label)
-    return NeighborhoodFamily(center, shape, levels, labels, saturated)
+    family = _families([_center(center, shape)], shape, max_radius, axis_caps,
+                       radii_list)[0]
+    if isinstance(family, str):
+        raise ConfigurationError(family)
+    return family
 
 
 def interior_mask(shape, radii):
@@ -282,16 +305,9 @@ def interior_mask(shape, radii):
     ndarray of bool, length prod(shape)
     """
     shape = tuple(int(n) for n in shape)
-    d = len(shape)
-    if np.isscalar(radii):
-        radii = (int(radii),) * d
-    full = np.ones(shape, dtype=bool)
-    for j, (n, r) in enumerate(zip(shape, radii)):
-        ax = (np.arange(n) >= r) & (np.arange(n) <= n - 1 - r)
-        view = [1] * d
-        view[j] = n
-        full &= ax.reshape(view)
-    return full.ravel(order="F")
+    radii = np.broadcast_to(radii, len(shape))
+    centers = _grid_centers(shape)
+    return ((centers >= radii) & (centers <= np.array(shape) - 1 - radii)).all(axis=1)
 
 
 def neighborhood_from_sites(center, shape, sites, k=None):

@@ -16,7 +16,10 @@ as a trailing sum of squares and, by back substitution on its leading
 block, the winning level's coefficients.  A level whose leading block
 fails the kernel's rank test is scored by its minimum-norm lstsq fit.
 One gather and one factorization per site, whether or not the fit is
-kept.
+kept.  As in :mod:`liargrid.fit`, only those run in the worker pool;
+``select_all`` builds the families of each block of sites one box level
+at a time as the pool reaches the block, and scores the sites after
+the pool, block by block, all sites with the same level sizes at once.
 """
 
 import json
@@ -25,10 +28,10 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, UnderdeterminedError
-from .fit import (SiteFit, _factor, _gather, _kernel_field, _rank_deficient,
-                  _run_sites, _site_major, _solve)
-from .grid import linear_to_site, site_to_linear
-from .neighborhoods import interior_mask, nested_family
+from .fit import (SiteFit, _blocks, _classes, _factor, _gather, _kept, _kernel_field,
+                  _run_sites, _scan, _site_major)
+from .grid import site_to_linear
+from .neighborhoods import _families, _grid_centers, interior_mask
 
 _EXACT_FIT_REL = 1e-16  # rss below this times ||z||^2 counts as an exact fit
 
@@ -134,76 +137,85 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
     -------
     BicTrace
     """
-    return _select_site(series, series.values.T, family, order, d0, keep_fit)
-
-
-def _select_site(series, panel, family, order, d0, keep_fit):
-    """:func:`select_site`, gathering from ``panel`` (see fit._gather)."""
     if d0 is None:
         d0 = default_d0(series.n_frames)
-    order = int(order)
-    t = series.n_frames
-    if t <= order:
-        raise ConfigurationError("need more frames than the lag order")
-    rows = t - order
+    center = tuple(family.center)
+    lin = site_to_linear(center, series.shape)
+    traces, errors = _select_sites(series, series.values.T, [[(lin, center, family)]],
+                                   int(order), d0, keep_fit)
+    if errors:
+        raise errors[center]
+    return traces[lin]
 
-    kept, dropped = [], []
-    for label, nb in zip(family.labels, family.levels):
-        if order * nb.size <= rows:
-            kept.append((label, nb))
-        else:
-            dropped.append(label)
+
+def _scan_plan(family, order, rows):
+    """The kept levels of ``family`` (those identifiable from ``rows``
+    usable rows) as (label, neighborhood) pairs, the dropped labels, and
+    the level-major column groups: level 0's sites, then each level's
+    new ones."""
+    if rows < 1:
+        raise ConfigurationError("need more frames than the lag order")
+    levels = list(zip(family.labels, family.levels))
+    kept = [(label, nb) for label, nb in levels if order * nb.size <= rows]
     if not kept:
         raise UnderdeterminedError(
             f"site {family.center}: no candidate level is identifiable from "
             f"{rows} usable rows"
         )
+    groups = [kept[0][1].linear]
+    for (_, prev), (_, cur) in zip(kept, kept[1:]):
+        groups.append(np.setdiff1d(cur.linear, prev.linear, assume_unique=True))
+    dropped = [label for label, nb in levels if order * nb.size > rows]
+    return kept, dropped, groups, tuple(nb.size for _, nb in kept)
 
-    center = tuple(family.center)
-    level_linear = [nb.linear for _, nb in kept]
-    # level-major column layout: each level's new sites, all lags per group
-    groups = [level_linear[0]]
-    for prev, cur in zip(level_linear, level_linear[1:]):
-        groups.append(np.setdiff1d(cur, prev, assume_unique=True))
-    aug = _gather(panel, order, groups, site_to_linear(center, series.shape))
-    r, tail = _factor(aug)
 
-    sizes = np.array([nb.size for _, nb in kept])
-    labels = [label for label, _ in kept]
-    cols = order * sizes
-    rss = tail[cols]
-    # R's trailing sums would count a degenerate column's rounding noise
-    # as explained variance: score rank-deficient levels by their lstsq fit
-    lstsq = {i: _solve(aug, r, tail, int(cols[i]), with_se=False)
-             for i in np.flatnonzero(_rank_deficient(r, cols)).tolist()}
-    for i, solved in lstsq.items():
-        rss[i] = solved[1]
-    exact = rss <= _EXACT_FIT_REL * tail[0]
-    bic = np.array(
-        [
-            float("-inf") if exact[i] else
-            bic_score(rss[i], int(sizes[i]), order, t, series.shape, d0)
-            for i in range(len(kept))
-        ]
-    )
-    best = int(np.argmin(bic))
-    chosen = labels[best]
+def _select_sites(series, panel, blocks, order, d0, keep_fit, n_workers=1):
+    """BIC scan of each ``(linear, site, family)`` of ``blocks`` (see
+    fit._run_sites), gathering from ``panel`` (see fit._gather); a family
+    may instead be the message of the error that failed it.  After the
+    pool, each class of sites with the same level sizes gets its RSS,
+    rank tests, exact fits and argmin as array operations, then the
+    winning level's coefficients, permuted back to lag-major
+    neighborhood order."""
+    t, shape = series.n_frames, series.shape
+    rows = t - order
 
-    fit = None
-    if keep_fit:
-        nb = kept[best][1]
-        solved = (lstsq[best] if best in lstsq
-                  else _solve(aug, r, tail, int(cols[best]), with_se=False))
-        # lag-major neighborhood position of each level-major column
-        dest = np.concatenate([
-            (p - 1) * nb.size + np.searchsorted(nb.linear, group)
-            for group in groups[: best + 1] for p in range(1, order + 1)
-        ])
-        coeffs = np.empty_like(solved[0])
-        coeffs[dest] = solved[0]
-        fit = SiteFit(center, nb, order, coeffs, *solved[1:])
-    return BicTrace(center, labels, sizes, rss, bic, chosen,
-                    exact, family.saturated, dropped, fit)
+    def factor(lin, site, family):
+        if isinstance(family, str):
+            raise ConfigurationError(family)
+        plan = _scan_plan(family, order, rows)
+        return _factor(_gather(panel, order, plan[2], lin)), plan
+
+    def finish(block):
+        traces = {}
+        for sizes, members in _classes(block, lambda item: item[4][3]):
+            cols = order * np.array(sizes)
+            r, tail, rss, lstsq = _scan(members, cols, lambda item: _gather(
+                panel, order, item[4][2], item[0]))
+            exact = rss <= _EXACT_FIT_REL * tail[:, :1]
+            bic = np.array([[float("-inf") if e else bic_score(x, k, order, t, shape, d0)
+                             for x, e, k in zip(*row, sizes)] for row in zip(rss, exact)])
+            for i, best in enumerate(np.argmin(bic, axis=1).tolist()):
+                lin, site, family, _, (kept, dropped, groups, _) = members[i]
+                fit = None
+                if keep_fit:
+                    nb = kept[best][1]
+                    coeffs, *rest = _kept(r[i], tail[i], int(cols[best]), rows,
+                                          lstsq.get((i, best)))
+                    # lag-major neighborhood position of each level-major column
+                    dest = np.concatenate([
+                        (p - 1) * nb.size + np.searchsorted(nb.linear, group)
+                        for group in groups[: best + 1] for p in range(1, order + 1)
+                    ])
+                    fit = SiteFit(site, nb, order, np.empty_like(coeffs), *rest)
+                    fit.coeffs[dest] = coeffs
+                labels = [label for label, _ in kept]
+                traces[lin] = BicTrace(site, labels, np.array(sizes), rss[i], bic[i],
+                                       labels[best], exact[i], family.saturated,
+                                       dropped, fit)
+        return {item[0]: traces[item[0]] for item in block}
+
+    return _run_sites(factor, finish, blocks, n_workers)
 
 
 class SelectionReport:
@@ -216,7 +228,7 @@ class SelectionReport:
         self.order = int(order)
         self.d0 = float(d0)
         self.traces = traces
-        self.errors = dict(errors)
+        self.errors = {site: str(err) for site, err in errors.items()}
 
     def __iter__(self):
         return iter(self.traces.values())
@@ -348,13 +360,17 @@ def select_all(series, max_radius=None, order=1, d0=None, radii_list=None,
     if d0 is None:
         d0 = default_d0(series.n_frames)
     shape = series.shape
-    panel = _site_major(series)
+    centers = _grid_centers(shape)
 
-    def work(center, _):
-        family = nested_family(center, shape, max_radius=max_radius,
-                               radii_list=radii_list)
-        return _select_site(series, panel, family, order, d0, keep_fit)
+    def blocks():  # each block's families are built as the pool reaches it
+        for a, b in _blocks(len(centers)):
+            try:
+                families = _families(centers[a:b], shape, max_radius, None, radii_list)
+            except ConfigurationError as exc:  # fails every site, as a per-site build did
+                families = [str(exc)] * (b - a)
+            yield [(a + i, site, family) for i, (site, family)
+                   in enumerate(zip(map(tuple, centers[a:b].tolist()), families))]
 
-    sites = [(lin, linear_to_site(lin, shape), None) for lin in range(series.n_sites)]
-    traces, errors = _run_sites(work, sites, n_workers)
+    traces, errors = _select_sites(series, _site_major(series), blocks(), int(order), d0,
+                                   keep_fit, n_workers)
     return SelectionReport(shape, order, d0, traces, errors)

@@ -5,7 +5,7 @@ can score estimators against an exact target.
 """
 import numpy as np
 
-from liargrid import KernelField, operator_norm
+from liargrid import GridSeries, KernelField, operator_norm
 from liargrid.grid import linear_to_site
 from liargrid.neighborhoods import box_neighborhood
 
@@ -67,3 +67,19 @@ def loglog_slope(x, y):
     """Least-squares slope of log(y) against log(x)."""
     return float(np.polyfit(np.log(np.asarray(x, float)),
                             np.log(np.asarray(y, float)), 1)[0])
+
+
+def adversarial_series():
+    """A 5x6 series, T=18, on which fits and scans meet every special
+    case: boxes of radius 1 or more are clipped at the boundary, 0..4
+    families saturate (radius 4 covers the grid, and radius 3 does too
+    at central sites), large levels are dropped and large boxes are
+    underdetermined (17 usable rows at P=1), site (2, 3) is all zeros
+    (an exact fit, and a zero column in its neighbors' designs), and
+    sites (1, 1) and (3, 1) carry the same series (rank-deficient
+    designs wherever both are in the box)."""
+    shape = (5, 6)
+    values = np.random.default_rng(90).normal(size=(18, 30))
+    values[:, 2 + 5 * 3] = 0.0
+    values[:, 3 + 5 * 1] = values[:, 1 + 5 * 1]
+    return GridSeries(shape, values)

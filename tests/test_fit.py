@@ -1,3 +1,4 @@
+import sys
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from liargrid import (
     fit_site,
     random_stable_kernels,
     select_all,
+    select_site,
     simulate_liar,
     site_to_linear,
     standard_errors,
@@ -21,7 +23,9 @@ import liargrid.fit
 import liargrid.select
 from liargrid.fit import DesignBlock
 from liargrid.grid import linear_to_site
-from liargrid.neighborhoods import box_neighborhood
+from liargrid.neighborhoods import box_neighborhood, nested_family
+
+from _dgp import adversarial_series
 
 
 def _random_series(shape, t, seed):
@@ -200,6 +204,34 @@ class TestFitAll:
             assert a.fits[i].rss == b.fits[i].rss
             assert_array_equal(a.fits[i].se, b.fits[i].se)
 
+    @pytest.mark.parametrize("block", [7, None])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_adversarial_grid_worker_count_invariance(self, monkeypatch, order, block):
+        # small post-pool blocks split the grid into several, each with
+        # sites of more than one column count
+        if block is not None:
+            monkeypatch.setattr(liargrid.fit, "_BLOCK", block)
+        s = adversarial_series()
+        nbs = [box_neighborhood(linear_to_site(i, s.shape), s.shape, 1 + (i % 3 == 0))
+               for i in range(s.n_sites)]
+        a = fit_all(s, nbs, order=order, n_workers=1, compute_se=True)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches, more interleavings
+        try:
+            b = fit_all(s, nbs, order=order, n_workers=8, compute_se=True)
+        finally:
+            sys.setswitchinterval(switch)
+        assert a.errors and list(a.errors.items()) == list(b.errors.items())
+        assert any(f.cond_flag for f in a) and any(not f.cond_flag for f in a)
+        assert list(a.fits) == list(b.fits)
+        for lin, fa in a.fits.items():
+            fb = b.fits[lin]
+            assert_array_equal(fa.coeffs, fb.coeffs)
+            assert (fa.rss, fa.sigma2, fa.cond_flag) == (fb.rss, fb.sigma2, fb.cond_flag)
+            assert (fa.se is None) == fa.cond_flag == (fb.se is None)
+            if fa.se is not None:
+                assert_array_equal(fa.se, fb.se)
+
     def test_rss_monotone_in_nesting(self):
         s = _random_series((5, 5), 120, 12)
         center = (2, 2)
@@ -320,6 +352,27 @@ class TestSingleThreadedBlas:
             self._run(entry, 2)
         assert seen and all(n == [1] * len(_BLAS) for n in seen)
         assert _blas_threads() == [2] * len(_BLAS)
+
+    def test_single_site_calls_match_across_blas_thread_counts(self):
+        # unpinned, 1 against 2 OpenBLAS threads moved the scan RSS or the
+        # kept coefficients in the last bits at these interior sites
+        shape = (10, 10)
+        kern = random_stable_kernels(shape, 3, target_norm=0.8, seed=300)
+        s = simulate_liar(kern, 6000, NoiseSpec(sigma=1.0, seed=350))
+        sites = [linear_to_site(i, shape) for i in (33, 44, 45, 54, 66)]
+        runs = []
+        for n in (1, 2):
+            for set_threads, _ in _BLAS:
+                set_threads(n)
+            runs.append([])
+            for site in sites:
+                trace = select_site(s, nested_family(site, shape, max_radius=5))
+                fit = fit_site(assemble_design(s, site, box_neighborhood(site, shape, 3)))
+                runs[-1].append((trace.rss, trace.bic, trace.fit.coeffs,
+                                 fit.coeffs, np.array(fit.rss)))
+        for one, two in zip(*runs):
+            for a, b in zip(one, two):
+                assert_array_equal(a, b)
 
     def test_no_op_without_set_threads_symbol(self, monkeypatch):
         monkeypatch.setattr(liargrid.fit, "_BLAS_THREAD_SYMBOLS",

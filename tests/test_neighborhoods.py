@@ -12,7 +12,7 @@ from liargrid import (
     nested_family,
     site_to_linear,
 )
-from liargrid.neighborhoods import neighborhood_from_sites
+from liargrid.neighborhoods import _families, _grid_centers, neighborhood_from_sites
 
 
 class TestBoxNeighborhood:
@@ -86,6 +86,43 @@ class TestBoxField:
             assert_array_equal(nb.linear, linear)
             assert not nb.sites.flags.writeable
             assert not nb.linear.flags.writeable
+
+
+class TestGridFamilies:
+    """The whole-grid builder, one box level at a time, against per-site
+    families."""
+
+    # each case has saturated families (and the last, sites that fail)
+    @pytest.mark.parametrize("shape, mode", [
+        ((4, 5), dict(max_radius=4)),
+        ((4, 3, 5), dict(max_radius=3)),
+        ((5, 7), dict(max_radius=4, axis_caps=(1, 3))),
+        ((4, 3, 5), dict(max_radius=3, axis_caps=(0, 2, 1))),
+        ((5, 4), dict(radii_list=[(0, 0), (0, 1), (1, 1), (2, 2), (3, 2)])),
+        ((1, 3, 5), dict(radii_list=[(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)])),
+        ((3, 6), dict(radii_list=[(0, 0), (2, 0), (2, 1), (1, 1)])),
+    ])
+    def test_matches_per_site_families(self, shape, mode):
+        field = _families(_grid_centers(shape), shape, mode.get("max_radius"),
+                          mode.get("axis_caps"), mode.get("radii_list"))
+        assert len(field) == int(np.prod(shape))
+        for i, got in enumerate(field):
+            center = linear_to_site(i, shape)
+            if isinstance(got, str):  # levels that do not nest at this site
+                with pytest.raises(ConfigurationError) as exc:
+                    nested_family(center, shape, **mode)
+                assert got == str(exc.value)
+                continue
+            want = nested_family(center, shape, **mode)
+            assert got.center == want.center and got.shape == want.shape
+            assert got.labels == want.labels and got.saturated == want.saturated
+            assert got.levels == want.levels
+            assert [nb.radii for nb in got.levels] == [nb.radii for nb in want.levels]
+        assert any(not isinstance(f, str) and f.saturated for f in field)
+
+    def test_invalid_candidates_raise(self):
+        with pytest.raises(ConfigurationError, match="bare center"):
+            _families(_grid_centers((4, 4)), (4, 4), None, None, [(1, 1), (2, 2)])
 
 
 class TestNestedFamily:

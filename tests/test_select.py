@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from liargrid import (
     ConfigurationError,
@@ -22,8 +22,11 @@ from liargrid import (
     simulate_liar,
     site_to_linear,
 )
+import liargrid.fit
 from liargrid.grid import linear_to_site
 from liargrid.neighborhoods import box_neighborhood
+
+from _dgp import adversarial_series
 
 
 class TestDefaultD0:
@@ -241,6 +244,47 @@ class TestSelectAll:
             solo = select_site(s, fam, order=1)
             assert trace.chosen_k == solo.chosen_k
             assert_allclose(trace.bic, solo.bic, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("block", [7, None])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_adversarial_grid_matches_per_site_bitwise(self, monkeypatch, order, block):
+        # d0=0 lets the largest kept level win, rank-deficient ones included
+        if block is not None:
+            monkeypatch.setattr(liargrid.fit, "_BLOCK", block)
+        s = adversarial_series()
+        report = select_all(s, max_radius=4, order=order, d0=0.0, n_workers=2)
+        traces = list(report)
+        assert not report.errors and len(traces) == s.n_sites
+        assert any(t.saturated for t in traces) and any(t.dropped for t in traces)
+        assert any(t.exact_fit.any() for t in traces)
+        assert any(t.fit.cond_flag for t in traces)
+        for lin, trace in report.traces.items():
+            fam = nested_family(linear_to_site(lin, s.shape), s.shape, max_radius=4)
+            solo = select_site(s, fam, order=order, d0=0.0)
+            assert (trace.labels, trace.dropped, trace.chosen_k) == (
+                solo.labels, solo.dropped, solo.chosen_k)
+            for got, want in ((trace.rss, solo.rss), (trace.bic, solo.bic),
+                              (trace.fit.coeffs, solo.fit.coeffs)):
+                assert_array_equal(got, want)
+
+    def test_non_nesting_candidates_fail_their_sites(self):
+        # on 3 rows, radius (1, 1) nests (2, 0) only at the middle row
+        s = GridSeries((3, 6), np.random.default_rng(5).normal(size=(40, 18)))
+        radii = [(0, 0), (2, 0), (1, 1)]
+        report = select_all(s, radii_list=radii, d0=1.0)
+        for lin in range(18):
+            site = linear_to_site(lin, (3, 6))
+            if site[0] == 1:
+                assert report.traces[lin].labels == radii
+                continue
+            with pytest.raises(ConfigurationError) as exc:
+                nested_family(site, (3, 6), radii_list=radii)
+            assert report.errors[site] == str(exc.value)
+            assert "does not nest" in str(exc.value)
+        # candidates invalid everywhere fail every site the same way
+        report = select_all(s, radii_list=[(1, 1), (2, 2)], d0=1.0)
+        assert not report.traces and len(set(report.errors.values())) == 1
+        assert "bare center" in report.errors[(0, 0)]
 
     def test_thread_determinism(self):
         shape = (4, 4)
