@@ -7,19 +7,18 @@ group) and take its R factor once, never the normal equations.  For any
 leading column count, back substitution on the leading block of R gives
 the coefficients, the trailing sum of squares of R's last column the
 RSS, and the row norms of the block's inverse the standard errors.  A
-fixed box is one group; :mod:`liargrid.select` passes one group per
-nested level.  Rank deficiency is non-fatal: the minimum-norm solution
-is returned with ``cond_flag`` set.
+fixed box is a plan of one level; :mod:`liargrid.select` plans one
+column group per nested level.  Rank deficiency is non-fatal: the
+minimum-norm solution is returned with ``cond_flag`` set.
 
-The kernel runs in two stages (:func:`_run_sites`).  A thread pool does
-only each site's gather, from one site-major copy of the series, and
-its ``dgeqrf``, which releases the GIL; OpenBLAS runs on one thread
-throughout (:func:`single_threaded_blas`).  The calling thread then
-takes blocks of consecutive sites, stacks their R factors by column
-count and forms the RSS, rank test and standard errors as array
-operations, with LAPACK's triangular solves per site.  Each result is a
-pure function of its site's data, the same for any worker count, block
-or BLAS thread setting.  ``fit_site``, ``standard_errors`` and
+:func:`_solve_sites` runs the kernel in a thread pool, one task per
+block of consecutive sites: each task gathers and factors its sites
+(``dgeqrf``, which releases the GIL), then scores and solves them, all
+sites with the same column plan at once.  The calling thread only
+submits blocks and merges their results; OpenBLAS runs on one thread
+throughout (:func:`single_threaded_blas`).  Each result is a pure
+function of its site's data, the same for any worker count, block or
+BLAS thread setting.  ``fit_site``, ``standard_errors`` and
 ``select_site`` are batches of one.
 
 References
@@ -46,7 +45,7 @@ from .grid import site_to_linear
 from .simulate import KernelField
 
 _RANK_TOL = 1e-10  # diagonal ratio below which a design counts as rank-deficient
-_BLOCK = 64  # sites per post-pool block
+_BLOCK = 64  # sites per pool task
 
 # (set, get) thread-count symbols of an OpenBLAS build, in the order tried:
 # numpy's 64-bit-integer scipy-openblas, scipy's scipy-openblas, plain OpenBLAS.
@@ -288,44 +287,21 @@ def _scan(members, cols, regather):
     return r, tail, rss, lstsq
 
 
-def _kept(r, tail, cols, rows, lstsq=None):
-    """(coeffs, rss, sigma2, cond_flag) of the leading ``cols`` columns of
-    one stacked R: back substitution, or ``lstsq`` for a deficient block."""
-    if lstsq is None:
-        coeffs, rss = _trsolve(r[:cols, :cols], r[:cols, -1]), float(tail[cols])
-    else:
-        coeffs, rss = lstsq
-    dof = rows - cols
-    return coeffs, rss, rss / dof if dof > 0 else 0.0, lstsq is not None
-
-
-def _standard_errors(r, cols, sigma2):
-    """Plug-in standard errors of stacked full-rank fits: sqrt(sigma2)
-    times the row norms of each leading block's inverse."""
-    eye = np.eye(cols)
-    rinv = np.stack([_trsolve(ri[:cols, :cols], eye) for ri in r])
-    return np.sqrt(sigma2[:, None] * np.cumsum(rinv * rinv, axis=2)[:, :, -1])
-
-
-def _site_block(series, panel, site, neighborhood, order, target):
-    """Validated [Y z] of one site (linear index ``target``) in the
-    :class:`DesignBlock` layout."""
+def _check_rows(site, n_frames, order, size):
+    """Raise unless ``n_frames`` frames identify a lag-``order`` fit of
+    ``site`` on ``size`` neighborhood sites."""
     if order < 1:
         raise ConfigurationError("lag order must be at least 1")
-    t = series.n_frames
-    if t <= order:
+    if n_frames <= order:
         raise ConfigurationError(
-            f"series has {t} frames, need more than the lag order {order}"
+            f"series has {n_frames} frames, need more than the lag order {order}"
         )
-    s = neighborhood.size
-    rows = t - order
-    cols = order * s
+    rows, cols = n_frames - order, order * size
     if rows < cols:
         raise UnderdeterminedError(
             f"site {tuple(site)}: {rows} usable rows < {cols} unknowns "
-            f"(T={t}, P={order}, |J|={s})"
+            f"(T={n_frames}, P={order}, |J|={size})"
         )
-    return _gather(panel, order, [neighborhood.linear], target)
 
 
 def assemble_design(series, site, neighborhood, order=1):
@@ -335,8 +311,9 @@ def assemble_design(series, site, neighborhood, order=1):
     :class:`UnderdeterminedError` naming the counts.
     """
     order = int(order)
-    aug = _site_block(series, series.values.T, site, neighborhood, order,
-                      site_to_linear(site, series.shape))
+    target = site_to_linear(site, series.shape)
+    _check_rows(site, series.n_frames, order, neighborhood.size)
+    aug = _gather(series.values.T, order, [neighborhood.linear], target)
     return DesignBlock(tuple(site), neighborhood, order, aug[:, :-1], aug[:, -1])
 
 
@@ -369,38 +346,12 @@ def standard_errors(fit, design):
 
 
 def _fit_design(design, with_se):
-    """One design block through :func:`_fit_sites`, as a batch of one."""
-    fits, _ = _fit_sites(lambda *_: np.column_stack((design.y, design.z)),
-                         [(0, design.site, design.neighborhood)],
-                         design.order, design.y.shape[0], with_se)
-    return fits[0]
-
-
-def _fit_sites(gather, sites, order, rows, with_se, n_workers=1):
-    """Regress the last column of each ``gather(linear, site,
-    neighborhood)`` on the others (:func:`_run_sites`), finishing each
-    class of sites with one column count together: RSS and rank test
-    (:func:`_scan`), then each site's solve and standard errors."""
-    def finish(block):
-        fits = {}
-        for shape, members in _classes(block, lambda item: item[3].shape):
-            cols = shape[1] - 1
-            r, tail, _, lstsq = _scan(members, np.array([cols]),
-                                      lambda item: gather(*item[:3]))
-            solved = [_kept(r[i], tail[i], cols, rows, lstsq.get((i, 0)))
-                      for i in range(len(members))]
-            clean = [i for i, sol in enumerate(solved) if not sol[3]]
-            se = {}
-            if with_se and clean:
-                sigma2 = np.array([solved[i][2] for i in clean])
-                se = dict(zip(clean, _standard_errors(r[clean], cols, sigma2)))
-            for i, (item, sol) in enumerate(zip(members, solved)):
-                fits[item[0]] = SiteFit(item[1], item[2], order, *sol, se.get(i))
-        return {item[0]: fits[item[0]] for item in block}
-
-    blocks = (sites[a:b] for a, b in _blocks(len(sites)))
-    return _run_sites(lambda *item: (_factor(gather(*item)), None), finish, blocks,
-                      n_workers)
+    """One design block through :func:`_solve_sites`, as a batch of one."""
+    plan = [design.neighborhood], None, (design.y.shape[1] // design.order,)
+    done, _ = _solve_sites(lambda _: plan, lambda *_: np.column_stack((design.y, design.z)),
+                           [[(0, design.site, None)]], design.order, design.y.shape[0],
+                           with_se=with_se)
+    return done[0][0]
 
 
 def _kernel_field(shape, order, fits, n_failed):
@@ -474,10 +425,13 @@ def _normalize_neighborhood_map(series, neighborhoods):
     """Accept a list or a site->Neighborhood map; return (linear, nb) pairs
     sorted canonically."""
     if isinstance(neighborhoods, dict):
-        items = list(neighborhoods.items())
-        pairs = [(site_to_linear(site, series.shape), nb) for site, nb in items]
-    else:
-        pairs = [(site_to_linear(nb.center, series.shape), nb) for nb in neighborhoods]
+        for site, nb in neighborhoods.items():
+            if tuple(site) != nb.center:
+                raise ConfigurationError(
+                    f"neighborhood for site {tuple(site)} is centered at {nb.center}"
+                )
+        neighborhoods = neighborhoods.values()
+    pairs = [(site_to_linear(nb.center, series.shape), nb) for nb in neighborhoods]
     pairs.sort(key=lambda x: x[0])
     seen = set()
     for lin, nb in pairs:
@@ -520,65 +474,105 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
     pairs = _normalize_neighborhood_map(series, neighborhoods)
     panel = _site_major(series)
 
-    def gather(lin, site, nb):
-        return _site_block(series, panel, site, nb, order, lin)
+    def plan(nb):  # a fixed neighborhood is one level of one column group
+        _check_rows(nb.center, series.n_frames, order, nb.size)
+        return [nb], [nb.linear], (nb.size,)
 
-    fits, errors = _fit_sites(gather, [(lin, tuple(nb.center), nb) for lin, nb in pairs],
-                              order, series.n_frames - order, compute_se, n_workers)
+    sites = [(lin, nb.center, nb) for lin, nb in pairs]
+    done, errors = _solve_sites(
+        plan, lambda lin, groups: _gather(panel, order, groups, lin),
+        (sites[a:b] for a, b in _blocks(len(sites))), order, series.n_frames - order,
+        with_se=compute_se, n_workers=n_workers)
+    fits = {lin: fit for lin, (fit, _, _) in done.items()}
     return FitReport(series.shape, order, fits, errors)
 
 
 def _blocks(n_sites):
-    """(start, stop) of each post-pool block of consecutive sites."""
+    """(start, stop) of each pool task's block of consecutive sites."""
     return ((a, min(a + _BLOCK, n_sites)) for a in range(0, n_sites, _BLOCK))
 
 
-def _classes(block, key):
-    """``block``'s items grouped by ``key(item)``, as (key, list) pairs."""
-    return ((k, list(group)) for k, group in groupby(sorted(block, key=key), key))
+def _solve_sites(plan, gather, blocks, order, rows, choose=None, with_se=False,
+                 n_workers=1):
+    """Least squares at each ``(linear, site, arg)`` of ``blocks``, one
+    pool task per block (a list of consecutive sites, in canonical order),
+    with OpenBLAS on one thread.
 
+    A task takes each site's ``plan(arg)``, a tuple that starts with the
+    candidate levels (neighborhoods), their level-major column groups (as
+    :func:`_gather` takes them) and their sizes, and factors ``gather(
+    linear, groups)``; a :class:`LiarError` from either fails the site.
+    Then, all sites with the same sizes at once, it forms every level's
+    RSS and rank test (:func:`_scan`), keeps level 0 or the level that
+    ``choose(rss, tail, sizes)`` picks (it returns the picks and a record
+    per site), and solves that level: back substitution, or the lstsq fit
+    of a deficient level, with standard errors for full-rank fits when
+    ``with_se``, and the columns put back in lag-major neighborhood order.
 
-def _run_sites(factor, finish, blocks, n_workers):
-    """Least squares at each ``(linear, site, arg)`` of ``blocks`` (lists
-    of consecutive sites, in canonical order, taken from the iterable as
-    they are needed), with OpenBLAS on one thread, in two stages.
-
-    The pool runs ``factor(linear, site, arg)``: the site's validated
-    gather and :func:`_factor`, returning (R, column plan).  As blocks
-    come out of it in order, the calling thread hands the sites that
-    factored, as ``(linear, site, arg, R, plan)``, to ``finish``, which
-    returns their results by linear index; later blocks factor meanwhile,
-    at most ``workers`` ahead, so only a few blocks are held.  Returns the
-    results and the error manifest: each :class:`LiarError` raised, keyed
-    by site.
+    The calling thread keeps at most ``n_workers`` + 1 blocks queued and
+    merges their results in order.  Returns ``{linear: (SiteFit, plan,
+    record)}`` and the error manifest: each :class:`LiarError`, by site.
     """
-    def factor_block(block):
-        out = []
-        for item in block:
+    def solve(block):
+        factored, errors = [], {}
+        for lin, site, arg in block:
             try:
-                out.append(item + factor(*item))
+                p = plan(arg)
+                factored.append((lin, site, p, _factor(gather(lin, p[1]))))
             except LiarError as exc:
-                out.append(item + (None, exc))
-        return out
+                errors[site] = exc
+        done = {}
+        by_sizes = lambda item: item[2][2]
+        for sizes, members in groupby(sorted(factored, key=by_sizes), by_sizes):
+            members = list(members)
+            cols = order * np.array(sizes)
+            r, tail, rss, lstsq = _scan(members, cols,
+                                        lambda item: gather(item[0], item[2][1]))
+            picks, records = (choose(rss, tail, sizes) if choose is not None
+                              else ([0] * len(members), [None] * len(members)))
+            for i, ((lin, site, p, _), best) in enumerate(zip(members, picks)):
+                best = int(best)
+                nb, n_cols = p[0][best], int(cols[best])
+                flag = (i, best) in lstsq
+                if flag:
+                    coeffs, rss_i = lstsq[i, best]
+                else:
+                    coeffs = _trsolve(r[i, :n_cols, :n_cols], r[i, :n_cols, -1])
+                    rss_i = float(tail[i, n_cols])
+                sigma2 = rss_i / (rows - n_cols) if rows > n_cols else 0.0
+                if best:  # lag-major neighborhood position of each level-major column
+                    dest = np.concatenate([
+                        (q - 1) * nb.size + np.searchsorted(nb.linear, group)
+                        for group in p[1][: best + 1] for q in range(1, order + 1)
+                    ])
+                    coeffs, level_major = np.empty_like(coeffs), coeffs
+                    coeffs[dest] = level_major
+                se = None
+                if with_se and not flag:  # sqrt(sigma2) * row norms of R's inverse
+                    rinv = _trsolve(r[i, :n_cols, :n_cols], np.eye(n_cols))
+                    se = np.sqrt(sigma2 * np.cumsum(rinv * rinv, axis=1)[:, -1])
+                done[lin] = (SiteFit(site, nb, order, coeffs, rss_i, sigma2, flag, se),
+                             p, records[i])
+        return [(item[0], done[item[0]]) for item in factored], errors
 
     done, errors = {}, {}
 
-    def post(factored):
-        errors.update((item[1], item[4]) for item in factored if item[3] is None)
-        done.update(finish([item for item in factored if item[3] is not None]))
+    def merge(result):
+        done.update(result[0])
+        errors.update(result[1])
 
     workers = resolve_workers(n_workers)
     with single_threaded_blas():
         if workers <= 1:
             for block in blocks:
-                post(factor_block(block))
+                merge(solve(block))
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 queued = collections.deque()  # at most workers + 1 blocks wait
                 for block in blocks:
-                    queued.append(pool.submit(factor_block, block))
+                    queued.append(pool.submit(solve, block))
                     if len(queued) > workers:
-                        post(queued.popleft().result())
+                        merge(queued.popleft().result())
                 while queued:
-                    post(queued.popleft().result())
+                    merge(queued.popleft().result())
     return done, errors

@@ -8,18 +8,18 @@ and the smallest-score level wins, ties to the smallest k.  An exact fit
 (rss numerically zero) scores -inf so the smallest exactly-fitting level
 is chosen.
 
-The scan and the chosen level's fit share one factorization: the
-design columns are ordered level-major (level-0 sites first, then each
-level's new sites, all lags per group), so the R factor of one [Y z]
-from :mod:`liargrid.fit`'s least-squares kernel yields every level's RSS
-as a trailing sum of squares and, by back substitution on its leading
-block, the winning level's coefficients.  A level whose leading block
-fails the kernel's rank test is scored by its minimum-norm lstsq fit.
-One gather and one factorization per site, whether or not the fit is
-kept.  As in :mod:`liargrid.fit`, only those run in the worker pool;
-``select_all`` builds the families of each block of sites one box level
-at a time as the pool reaches the block, and scores the sites after
-the pool, block by block, all sites with the same level sizes at once.
+The scan and the chosen level's fit share one factorization: a site's
+plan orders the design columns level-major (level-0 sites first, then
+each level's new sites, all lags per group), so the R factor of one
+[Y z] from :mod:`liargrid.fit`'s least-squares kernel yields every
+level's RSS as a trailing sum of squares and, by back substitution on
+its leading block, the winning level's coefficients.  A level whose
+leading block fails the kernel's rank test is scored by its minimum-norm
+lstsq fit.  Selection is the fit's block solver with this plan and a
+BIC choice: each pool task gathers, factors, scores and solves a block
+of sites, all sites with the same level sizes at once.  ``select_all``
+builds each block's families one box level at a time as it submits the
+block.
 """
 
 import json
@@ -28,8 +28,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, UnderdeterminedError
-from .fit import (SiteFit, _blocks, _classes, _factor, _gather, _kept, _kernel_field,
-                  _run_sites, _scan, _site_major)
+from .fit import _blocks, _gather, _kernel_field, _site_major, _solve_sites
 from .grid import site_to_linear
 from .neighborhoods import _families, _grid_centers, interior_mask
 
@@ -149,10 +148,10 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
 
 
 def _scan_plan(family, order, rows):
-    """The kept levels of ``family`` (those identifiable from ``rows``
-    usable rows) as (label, neighborhood) pairs, the dropped labels, and
-    the level-major column groups: level 0's sites, then each level's
-    new ones."""
+    """The column plan of ``family`` (see fit._solve_sites): the levels
+    identifiable from ``rows`` usable rows, their level-major column
+    groups (level 0's sites, then each level's new ones) and their sizes;
+    then their labels, the dropped labels and the saturation flag."""
     if rows < 1:
         raise ConfigurationError("need more frames than the lag order")
     levels = list(zip(family.labels, family.levels))
@@ -166,56 +165,37 @@ def _scan_plan(family, order, rows):
     for (_, prev), (_, cur) in zip(kept, kept[1:]):
         groups.append(np.setdiff1d(cur.linear, prev.linear, assume_unique=True))
     dropped = [label for label, nb in levels if order * nb.size > rows]
-    return kept, dropped, groups, tuple(nb.size for _, nb in kept)
+    return ([nb for _, nb in kept], groups, tuple(nb.size for _, nb in kept),
+            [label for label, _ in kept], dropped, family.saturated)
 
 
 def _select_sites(series, panel, blocks, order, d0, keep_fit, n_workers=1):
-    """BIC scan of each ``(linear, site, family)`` of ``blocks`` (see
-    fit._run_sites), gathering from ``panel`` (see fit._gather); a family
-    may instead be the message of the error that failed it.  After the
-    pool, each class of sites with the same level sizes gets its RSS,
-    rank tests, exact fits and argmin as array operations, then the
-    winning level's coefficients, permuted back to lag-major
-    neighborhood order."""
+    """BIC selection at each ``(linear, site, family)`` of ``blocks``
+    through fit._solve_sites, gathering from ``panel`` (see fit._gather);
+    a family may instead be the message of the error that failed it."""
     t, shape = series.n_frames, series.shape
-    rows = t - order
 
-    def factor(lin, site, family):
+    def plan(family):
         if isinstance(family, str):
             raise ConfigurationError(family)
-        plan = _scan_plan(family, order, rows)
-        return _factor(_gather(panel, order, plan[2], lin)), plan
+        return _scan_plan(family, order, t - order)
 
-    def finish(block):
-        traces = {}
-        for sizes, members in _classes(block, lambda item: item[4][3]):
-            cols = order * np.array(sizes)
-            r, tail, rss, lstsq = _scan(members, cols, lambda item: _gather(
-                panel, order, item[4][2], item[0]))
-            exact = rss <= _EXACT_FIT_REL * tail[:, :1]
-            bic = np.array([[float("-inf") if e else bic_score(x, k, order, t, shape, d0)
-                             for x, e, k in zip(*row, sizes)] for row in zip(rss, exact)])
-            for i, best in enumerate(np.argmin(bic, axis=1).tolist()):
-                lin, site, family, _, (kept, dropped, groups, _) = members[i]
-                fit = None
-                if keep_fit:
-                    nb = kept[best][1]
-                    coeffs, *rest = _kept(r[i], tail[i], int(cols[best]), rows,
-                                          lstsq.get((i, best)))
-                    # lag-major neighborhood position of each level-major column
-                    dest = np.concatenate([
-                        (p - 1) * nb.size + np.searchsorted(nb.linear, group)
-                        for group in groups[: best + 1] for p in range(1, order + 1)
-                    ])
-                    fit = SiteFit(site, nb, order, np.empty_like(coeffs), *rest)
-                    fit.coeffs[dest] = coeffs
-                labels = [label for label, _ in kept]
-                traces[lin] = BicTrace(site, labels, np.array(sizes), rss[i], bic[i],
-                                       labels[best], exact[i], family.saturated,
-                                       dropped, fit)
-        return {item[0]: traces[item[0]] for item in block}
+    def choose(rss, tail, sizes):
+        exact = rss <= _EXACT_FIT_REL * tail[:, :1]
+        bic = np.array([[float("-inf") if e else bic_score(x, k, order, t, shape, d0)
+                         for x, e, k in zip(*row, sizes)] for row in zip(rss, exact)])
+        picks = np.argmin(bic, axis=1)
+        return picks, list(zip(rss, bic, exact, picks.tolist()))
 
-    return _run_sites(factor, finish, blocks, n_workers)
+    done, errors = _solve_sites(
+        plan, lambda lin, groups: _gather(panel, order, groups, lin), blocks, order,
+        t - order, choose, n_workers=n_workers)
+    traces = {}
+    for lin, (fit, site_plan, (rss, bic, exact, best)) in done.items():
+        sizes, labels, dropped, saturated = site_plan[2:]
+        traces[lin] = BicTrace(fit.site, labels, np.array(sizes), rss, bic, labels[best],
+                               exact, saturated, dropped, fit if keep_fit else None)
+    return traces, errors
 
 
 class SelectionReport:

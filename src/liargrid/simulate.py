@@ -185,12 +185,17 @@ class KernelField:
         centers = np.array([item["center"] for item in items], dtype=np.intp)
         sites = np.array([s for item in items for s in item["neighborhood"]],
                          dtype=np.intp)
-        entry = np.full(n_sites, -1)  # item index per linear site; last one wins
-        entry[sites_to_linear(centers, shape)] = np.arange(len(items))
+        center_linear = sites_to_linear(centers, shape)
+        entry = np.full(n_sites, -1)  # item index per linear site
+        entry[center_linear] = np.arange(len(items))
         linear = sites_to_linear(sites, shape)
         missing = int(np.count_nonzero(entry < 0))
         if missing:
             raise ConfigurationError(f"kernel JSON is missing {missing} sites")
+        if len(items) > n_sites:  # every site is listed, so some site twice
+            first = int(np.flatnonzero(entry[center_linear] != np.arange(len(items)))[0])
+            raise ConfigurationError(
+                f"kernel JSON lists site {tuple(items[first]['center'])} more than once")
 
         ends = np.cumsum(sizes)
         starts = ends - sizes
@@ -241,7 +246,9 @@ def operator_norm(kernels):
     found by power iteration on M'M with matrix-free products.  For
     P > 1 the per-lag spectral norms are summed; the sum being below 1
     certifies a stationary solution and reduces to the P = 1 value when
-    there is one lag.
+    there is one lag.  OpenBLAS runs on one thread for the call: split
+    across threads, its dot products on long vectors (above about 10000
+    sites) round differently, and the norm scales every random field.
 
     Raises
     ------
@@ -249,7 +256,10 @@ def operator_norm(kernels):
         If power iteration has not converged after 10000 steps (relative
         tolerance 1e-8); the message reports the last two iterates.
     """
-    return float(sum(_spectral_norm(op) for op in kernels.operators()))
+    from .fit import single_threaded_blas  # fit imports this module
+
+    with single_threaded_blas():
+        return float(sum(_spectral_norm(op) for op in kernels.operators()))
 
 
 def _spectral_norm(op):

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from liargrid import (
+    ConfigurationError,
     GridSeries,
     NoiseSpec,
     UnderdeterminedError,
@@ -20,7 +21,6 @@ from liargrid import (
     standard_errors,
 )
 import liargrid.fit
-import liargrid.select
 from liargrid.fit import DesignBlock
 from liargrid.grid import linear_to_site
 from liargrid.neighborhoods import box_neighborhood, nested_family
@@ -204,24 +204,47 @@ class TestFitAll:
             assert a.fits[i].rss == b.fits[i].rss
             assert_array_equal(a.fits[i].se, b.fits[i].se)
 
-    @pytest.mark.parametrize("block", [7, None])
-    @pytest.mark.parametrize("order", [1, 2])
-    def test_adversarial_grid_worker_count_invariance(self, monkeypatch, order, block):
-        # small post-pool blocks split the grid into several, each with
-        # sites of more than one column count
+    @pytest.mark.parametrize("entry,order,block", [
+        ("fit_all", 1, 7), ("fit_all", 1, None), ("fit_all", 2, 7), ("fit_all", 2, None),
+        ("select_all", 2, 7),
+    ], ids=["1-7", "1-None", "2-7", "2-None", "select_all-2-7"])
+    def test_adversarial_grid_worker_count_invariance(self, monkeypatch, entry, order,
+                                                      block):
+        # small blocks split the grid into several, each with sites of more
+        # than one column plan; BIC scores and permutations run in the pool
         if block is not None:
             monkeypatch.setattr(liargrid.fit, "_BLOCK", block)
         s = adversarial_series()
         nbs = [box_neighborhood(linear_to_site(i, s.shape), s.shape, 1 + (i % 3 == 0))
                for i in range(s.n_sites)]
-        a = fit_all(s, nbs, order=order, n_workers=1, compute_se=True)
+
+        def run(workers):
+            if entry == "select_all":
+                return select_all(s, max_radius=4, order=order, d0=0.0, n_workers=workers)
+            return fit_all(s, nbs, order=order, n_workers=workers, compute_se=True)
+
+        a = run(1)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # more thread switches, more interleavings
         try:
-            b = fit_all(s, nbs, order=order, n_workers=8, compute_se=True)
+            b = run(8)
         finally:
             sys.setswitchinterval(switch)
-        assert a.errors and list(a.errors.items()) == list(b.errors.items())
+        assert list(a.errors.items()) == list(b.errors.items())
+        if entry == "select_all":
+            assert list(a.traces) == list(b.traces)
+            assert any(t.fit.cond_flag for t in a) and any(t.chosen_k for t in a)
+            for lin, ta in a.traces.items():
+                tb = b.traces[lin]
+                assert (ta.labels, ta.dropped, ta.chosen_k) == (tb.labels, tb.dropped,
+                                                                tb.chosen_k)
+                for got, want in ((ta.rss, tb.rss), (ta.bic, tb.bic),
+                                  (ta.exact_fit, tb.exact_fit),
+                                  (ta.fit.coeffs, tb.fit.coeffs)):
+                    assert_array_equal(got, want)
+                assert (ta.fit.rss, ta.fit.cond_flag) == (tb.fit.rss, tb.fit.cond_flag)
+            return
+        assert a.errors
         assert any(f.cond_flag for f in a) and any(not f.cond_flag for f in a)
         assert list(a.fits) == list(b.fits)
         for lin, fa in a.fits.items():
@@ -264,6 +287,15 @@ class TestFitAll:
         b = fit_all(s, nbs_dict)
         for i in range(4):
             assert_array_equal(a.fits[i].coeffs, b.fits[i].coeffs)
+
+    def test_dict_key_must_be_the_neighborhood_center(self):
+        s = _random_series((3, 3), 30, 14)
+        nbs = {linear_to_site(i, (3, 3)): box_neighborhood(linear_to_site(i, (3, 3)),
+                                                           (3, 3), 0)
+               for i in range(9)}
+        nbs[(0, 0)] = box_neighborhood((2, 2), (3, 3), 0)
+        with pytest.raises(ConfigurationError, match=r"\(0, 0\) is centered at \(2, 2\)"):
+            fit_all(s, nbs)
 
     def test_report_json_round_trip(self, tmp_path):
         s = _random_series((2, 3), 50, 15)
@@ -324,7 +356,6 @@ class TestSingleThreadedBlas:
             return factor(aug)
 
         monkeypatch.setattr(liargrid.fit, "_factor", spy)
-        monkeypatch.setattr(liargrid.select, "_factor", spy)
         return seen
 
     @staticmethod

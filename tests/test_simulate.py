@@ -14,6 +14,7 @@ from liargrid import (
     random_stable_kernels,
     simulate_liar,
 )
+from liargrid.fit import _openblas_thread_controls
 from liargrid.neighborhoods import (box_field, box_neighborhood,
                                     custom_neighborhood, neighborhood_from_sites)
 
@@ -78,6 +79,25 @@ class TestRandomStableKernels:
     def test_bad_target(self):
         with pytest.raises(ConfigurationError):
             random_stable_kernels((3, 3), 1, target_norm=1.0, seed=0)
+
+    @pytest.mark.skipif(not _openblas_thread_controls(),
+                        reason="no OpenBLAS build with thread control loaded")
+    def test_large_grid_same_bits_for_any_blas_thread_count(self):
+        # above about 10000 sites OpenBLAS splits the norm's dot products
+        # across its threads, which moved the scale in the last bits
+        controls = _openblas_thread_controls()
+        before = [get() for _, get in controls]
+        fields = []
+        try:
+            for n in (1, 2):
+                for set_threads, _ in controls:
+                    set_threads(n)
+                fields.append(random_stable_kernels((91, 181), 1, seed=4))
+        finally:
+            for (set_threads, _), n in zip(controls, before):
+                set_threads(n)
+        for a, b in zip(*(field.coeffs for field in fields)):
+            assert_array_equal(a, b)
 
 
 class TestSimulate:
@@ -217,6 +237,15 @@ class TestKernelField:
         data = KernelField(shape, 2, nbs, coeffs).to_dict()
         data["sites"][9]["neighborhood"][1] = data["sites"][9]["neighborhood"][0]
         with pytest.raises(ConfigurationError, match="duplicate"):
+            KernelField.from_dict(data)
+
+    def test_from_dict_rejects_a_site_listed_twice(self):
+        shape = (3, 4)
+        kern = random_stable_kernels(shape, 1, target_norm=0.5, seed=6)
+        data = kern.to_dict()
+        again = dict(data["sites"][0], coeffs=[[0.5] * len(data["sites"][0]["coeffs"][0])])
+        data["sites"].append(again)
+        with pytest.raises(ConfigurationError, match=r"site \(0, 0\) more than once"):
             KernelField.from_dict(data)
 
     def test_from_dict_pairs_coeffs_with_listed_sites(self):
