@@ -19,6 +19,8 @@ from .grid import GridSeries, sites_to_linear
 from .neighborhoods import box_field
 
 _AUTOCOV_CAP = 4_000_000  # entries in one requested block
+_MOMENT_BUDGET = 2**28  # bytes of MAR lag moments, above which ALS sweeps the frames
+_GRAM_RCOND = 1e-6  # smallest Cholesky pivot ratio a MAR normal-equation solve accepts
 
 
 class ForecastResult:
@@ -218,19 +220,27 @@ class MarFit:
     ``a`` and ``b`` hold one matrix per lag; ``loss`` is the training
     loss after each alternating sweep (non-increasing); ``ridge_flagged``
     marks sweeps that needed a tiny ridge to regularize a singular
-    subproblem.  Only the products A_p (.) B_p' are identified; the
-    stored factors fix the scale by unit-Frobenius B.
+    subproblem; ``converged`` is True when a sweep met the tolerance or
+    the loss reached 0, False when the fit stopped at ``max_iter``.
+    Only the products A_p (.) B_p' are identified; the stored factors fix
+    the scale by unit-Frobenius B.
     """
 
-    __slots__ = ("order", "a", "b", "loss", "ridge_flagged", "n_iter")
+    __slots__ = ("order", "a", "b", "loss", "ridge_flagged", "n_iter", "_converged")
 
-    def __init__(self, order, a, b, loss, ridge_flagged, n_iter):
+    def __init__(self, order, a, b, loss, ridge_flagged, n_iter, converged=False):
         self.order = order
         self.a = a
         self.b = b
         self.loss = loss
         self.ridge_flagged = ridge_flagged
         self.n_iter = n_iter
+        self._converged = bool(converged)
+
+    @property
+    def converged(self):
+        """True when a sweep met ``tol`` or the loss reached 0."""
+        return self._converged
 
     @property
     def shape(self):
@@ -264,14 +274,99 @@ def _stacked_lstsq(design, target):
     return sol, False
 
 
-def baseline_mar_als(series, order=1, max_iter=50, tol=1e-7):
+def _lstsq_step(targets, lagged, fixed):
+    """One half-sweep from the frames: the F_q minimizing
+    sum_t ||X_t - sum_q F_q X_{t-q} C_q'||^2 for the ``fixed`` C_q, with
+    frames (t, k, c); returns the F_q and whether a ridge was needed."""
+    tp, k, c = targets.shape
+    z = [x @ f.T for x, f in zip(lagged, fixed)]
+    design = np.concatenate(z, axis=1).transpose(0, 2, 1).reshape(tp * c, len(z) * k)
+    sol, flagged = _stacked_lstsq(design, targets.transpose(0, 2, 1).reshape(tp * c, k))
+    return [sol[q * k : (q + 1) * k].T for q in range(len(z))], flagged
+
+
+def _lag_moments(values, m, n, p):
+    """Second moments M_qr = sum_t x_{t-q} x_{t-r}' of the frames, summed
+    over the targets t = p..T-1, for 0 <= q <= r <= p except (0, 0).
+
+    Each is stored permuted to [(i, k), (j, l)] order, an (m*m, n*n)
+    matrix holding sum_t X_{t-q}[i, j] X_{t-r}[k, l], so the A-step
+    contracts it over (j, l) and the B-step, through its transpose, over
+    (i, k).
+    """
+    t = values.shape[0]
+    shifted = [values[p - q : t - q] for q in range(p + 1)]  # column-major x_{t-q}
+    moments = {}
+    for q in range(p + 1):
+        for r in range(max(q, 1), p + 1):
+            prod = shifted[q].T @ shifted[r]  # [(j, i), (l, k)]
+            moments[q, r] = prod.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
+    return moments
+
+
+def _normal_equations(moments, fixed, k, transpose):
+    """Normal equations F G = R of one half-sweep from the lag moments:
+    the A-step (``transpose`` False, ``fixed`` the B_q) or the B-step
+    (``transpose`` True, ``fixed`` the A_q).  Returns G, (P*k, P*k)
+    symmetric, and R, (k, P*k), for the free k x k factors F = [F_1 ... F_P].
+    """
+    p = len(fixed)
+
+    def contract(q, r, weights):
+        mom = moments[q, r].T if transpose else moments[q, r]
+        return (mom @ weights.ravel()).reshape(k, k)
+
+    g = np.empty((p * k, p * k))
+    rhs = np.empty((k, p * k))
+    for q in range(1, p + 1):
+        rows = slice((q - 1) * k, q * k)
+        rhs[:, rows] = contract(0, q, fixed[q - 1])
+        for r in range(q, p + 1):
+            block = contract(q, r, fixed[q - 1].T @ fixed[r - 1])
+            g[rows, (r - 1) * k : r * k] = block
+            g[(r - 1) * k : r * k, rows] = block.T
+    return g, rhs
+
+
+def _gram_solve(g, rhs):
+    """F with F g = rhs, or None when ``g`` fails its Cholesky
+    factorization or its pivots span more than 1/_GRAM_RCOND (the design
+    is then too ill-conditioned for the normal equations)."""
+    try:
+        pivots = np.diag(np.linalg.cholesky(g))
+    except np.linalg.LinAlgError:
+        return None
+    if not pivots.min() > _GRAM_RCOND * pivots.max():
+        return None
+    return np.linalg.solve(g, rhs.T).T
+
+
+def _residual(targets, lagged, a, b):
+    """Explicit training loss sum_t ||X_t - sum_q A_q X_{t-q} B_q'||^2."""
+    resid = -targets
+    for x, aq, bq in zip(lagged, a, b):
+        resid += aq @ (x @ bq.T)
+    return float(np.vdot(resid, resid))
+
+
+def baseline_mar_als(series, order=1, max_iter=1000, tol=1e-7):
     """Fit the bilinear matrix AR model by alternating least squares.
 
     Starting from B_p = identity, alternately solves for all A_p with B
     fixed and for all B_p with A fixed (each step a linear least-squares
     problem), normalizing each B_p to unit Frobenius norm with the scale
     absorbed into A_p.  Stops when the relative loss change drops below
-    ``tol`` or after ``max_iter`` sweeps.
+    ``tol``, when the loss reaches 0 (to rounding), or after ``max_iter``
+    sweeps.
+
+    The normal equations of both steps depend on the frames only through
+    their lag-0..P second moments (the iterated least squares of Chen,
+    Xiao & Yang, J. Econometrics 222, 2021), so those are accumulated
+    once and every sweep, its loss included, costs O((MN)^2) whatever T.
+    A step whose Gram matrix fails a Cholesky or conditioning test, and
+    every step of a grid whose moments would exceed _MOMENT_BUDGET bytes,
+    is solved from the frames by stacked least squares instead.  The
+    last loss is always an explicit residual.
 
     Returns
     -------
@@ -284,59 +379,59 @@ def baseline_mar_als(series, order=1, max_iter=50, tol=1e-7):
     if not tol > 0:
         raise ConfigurationError("tol must be positive")
     p = int(order)
+    if p < 1:
+        raise ConfigurationError("order must be at least 1")
     frames = series.frames
     t, m, n = frames.shape
     if t <= p:
         raise ConfigurationError("need more frames than the lag order")
     targets = frames[p:]
     lagged = [frames[p - q : t - q] for q in range(1, p + 1)]
+    # the B-step is the A-step of the transposed frames
+    sides = ((targets, lagged, m),
+             (targets.transpose(0, 2, 1), [x.transpose(0, 2, 1) for x in lagged], n))
+    moments = None
+    if 8 * (m * n) ** 2 * (p * (p + 3) // 2) <= _MOMENT_BUDGET:
+        moments = _lag_moments(series.values, m, n, p)
+        energy = float(np.vdot(series.values[p:], series.values[p:]))  # ||x||^2
 
-    a = [np.zeros((m, m)) for _ in range(p)]
+    def step(side, fixed, system=None):
+        frames_t, lagged_t, k = sides[side]
+        if moments is not None:
+            g, rhs = system or _normal_equations(moments, fixed, k, side == 1)
+            sol = _gram_solve(g, rhs)
+            if sol is not None:
+                return [sol[:, q * k : (q + 1) * k] for q in range(p)], False
+        return _lstsq_step(frames_t, lagged_t, fixed)
+
     b = [np.eye(n) for _ in range(p)]
-    flagged = False
-
-    def current_loss():
-        pred = np.zeros_like(targets)
-        for q in range(p):
-            pred += a[q] @ (lagged[q] @ b[q].T)
-        return float(np.sum((targets - pred) ** 2))
-
+    system = None
+    flagged = converged = False
     loss = []
-    prev = None
-    sweeps = 0
-    for _ in range(max_iter):
-        # A-step: rows of X_t' stacked over (t, column) on regressors X_{t-q} B_q'
-        za = [lagged[q] @ b[q].T for q in range(p)]  # (t-p, m, n) each
-        design = np.concatenate(za, axis=1)          # (t-p, p*m, n)
-        design = design.transpose(0, 2, 1).reshape((t - p) * n, p * m)
-        target = targets.transpose(0, 2, 1).reshape((t - p) * n, m)
-        sol, f1 = _stacked_lstsq(design, target)
+    while len(loss) < max_iter:
+        a, f1 = step(0, b, system)
+        b, f2 = step(1, a)
         for q in range(p):
-            a[q] = sol[q * m : (q + 1) * m].T
-
-        # B-step: same system with the roles of rows and columns swapped
-        zb = [lagged[q].transpose(0, 2, 1) @ a[q].T for q in range(p)]
-        design = np.concatenate(zb, axis=1)
-        design = design.transpose(0, 2, 1).reshape((t - p) * m, p * n)
-        target = targets.reshape((t - p) * m, n)
-        sol, f2 = _stacked_lstsq(design, target)
-        for q in range(p):
-            b[q] = sol[q * n : (q + 1) * n].T
             scale = float(np.linalg.norm(b[q]))
             if scale > 0:
                 b[q] /= scale
                 a[q] *= scale
-
         flagged = flagged or f1 or f2
-        cur = current_loss()
+        if moments is None:
+            cur = _residual(targets, lagged, a, b)
+        else:  # ||x||^2 - 2<A, R> + <A G, A> from the next A-step's system
+            system = g, rhs = _normal_equations(moments, b, m, False)
+            a_all = np.concatenate(a, axis=1)
+            cur = energy - 2.0 * float(np.vdot(a_all, rhs)) + float(np.vdot(a_all @ g, a_all))
         loss.append(cur)
-        sweeps += 1
-        if prev is not None and abs(prev - cur) <= tol * max(prev, 1e-300):
+        if cur <= 1e-300 or (
+                len(loss) > 1 and abs(loss[-2] - cur) <= tol * max(loss[-2], 1e-300)):
+            converged = True
             break
-        if cur <= 1e-300:
-            break
-        prev = cur
-    return MarFit(p, a, b, loss, flagged, sweeps)
+    if moments is not None:
+        moments = system = None  # freed before the residual's temporaries
+        loss[-1] = _residual(targets, lagged, a, b)
+    return MarFit(p, a, b, loss, flagged, len(loss), converged)
 
 
 # the matrix AR names of the shared functions, which take a MarFit too

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
-from .grid import site_to_linear
+from .grid import site_to_linear, sites_to_linear
 from .simulate import KernelField
 
 _RANK_TOL = 1e-10  # diagonal ratio below which a design counts as rank-deficient
@@ -431,20 +431,32 @@ def _normalize_neighborhood_map(series, neighborhoods):
                     f"neighborhood for site {tuple(site)} is centered at {nb.center}"
                 )
         neighborhoods = neighborhoods.values()
-    pairs = [(site_to_linear(nb.center, series.shape), nb) for nb in neighborhoods]
-    pairs.sort(key=lambda x: x[0])
-    seen = set()
-    for lin, nb in pairs:
-        if lin in seen:
-            raise ConfigurationError(
-                f"duplicate neighborhood for site {nb.center}"
-            )
-        seen.add(lin)
+    nbs = list(neighborhoods)
+    try:
+        centers = np.array([nb.center for nb in nbs], dtype=np.intp)
+        centers = centers.reshape(-1, len(series.shape))
+        if len(centers) != len(nbs):
+            raise IndexError("centers do not have one coordinate per axis")
+        linear = sites_to_linear(centers, series.shape)
+    except (ValueError, IndexError):
+        for nb in nbs:  # raise the first bad center's own message
+            site_to_linear(nb.center, series.shape)
+        raise
+    order = np.argsort(linear, kind="stable")
+    linear = linear[order]
+    duplicate = np.zeros(len(nbs), dtype=bool)
+    duplicate[1:] = linear[1:] == linear[:-1]
+    pairs = []
+    for lin, dup, i in zip(linear.tolist(), duplicate.tolist(), order.tolist()):
+        nb = nbs[i]
+        if dup:
+            raise ConfigurationError(f"duplicate neighborhood for site {nb.center}")
         if nb.shape != series.shape:
             raise ConfigurationError(
                 f"neighborhood at {nb.center} built for shape {nb.shape}, "
                 f"series has {series.shape}"
             )
+        pairs.append((lin, nb))
     return pairs
 
 

@@ -20,6 +20,7 @@ from liargrid import (
     rmse,
     simulate_liar,
 )
+import liargrid.evaluate
 from liargrid.grid import linear_to_site, site_to_linear
 from liargrid.neighborhoods import box_neighborhood
 
@@ -271,6 +272,89 @@ class TestMarAls:
         s = GridSeries((4, 4), gen.normal(size=(200, 16)))
         mar = baseline_mar_als(s, max_iter=3, tol=1e-300)
         assert mar.n_iter <= 3
+
+    def test_order_zero_refused(self):
+        s = GridSeries((3, 3), np.zeros((30, 9)))
+        with pytest.raises(ConfigurationError, match="order"):
+            baseline_mar_als(s, order=0)
+
+    def test_converged_flag(self):
+        gen = np.random.default_rng(55)
+        s = GridSeries((4, 4), gen.normal(size=(200, 16)))
+        assert not baseline_mar_als(s, max_iter=3, tol=1e-300).converged
+        gen = np.random.default_rng(50)
+        a = 0.5 * gen.normal(size=(6, 6)) / np.sqrt(6)
+        b = 0.5 * gen.normal(size=(6, 6)) / np.sqrt(6)
+        kern = mar_kernel_field((6, 6), a, b)
+        mar = baseline_mar_als(simulate_liar(kern, 300, NoiseSpec(sigma=1.0, seed=51)),
+                               max_iter=200)
+        assert mar.converged
+        assert mar.n_iter < 200
+        with pytest.raises(AttributeError):
+            mar.converged = False
+
+    @staticmethod
+    def _predictions(mar, series):
+        v, p = series.values, mar.order
+        return mar.predict([v[p - q : len(v) - q] for q in range(1, p + 1)])
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_moments_match_frame_sweeps(self, order, monkeypatch):
+        # a non-square grid pins the [(i, k), (j, l)] moment layout
+        gen = np.random.default_rng(70)
+        s = GridSeries((5, 7), gen.normal(size=(150, 35)) + 0.2)
+        moments = baseline_mar_als(s, order=order, max_iter=25, tol=1e-300)
+        monkeypatch.setattr(liargrid.evaluate, "_MOMENT_BUDGET", 0)
+        frames = baseline_mar_als(s, order=order, max_iter=25, tol=1e-300)
+        assert moments.n_iter == frames.n_iter == 25
+        want = self._predictions(frames, s)
+        got = self._predictions(moments, s)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        assert_allclose(moments.loss, frames.loss, rtol=1e-9)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_last_loss_is_explicit_residual(self, order):
+        gen = np.random.default_rng(71)
+        s = GridSeries((5, 7), gen.normal(size=(150, 35)))
+        mar = baseline_mar_als(s, order=order)
+        resid = self._predictions(mar, s) - s.values[order:]
+        assert_allclose(mar.loss[-1], np.sum(resid * resid), rtol=1e-12)
+
+    def test_zero_site_flags_singular_gram(self):
+        # on a one-column grid the zero site is a zero row of every frame,
+        # so the A-step's Gram matrix is singular and lstsq takes the step
+        gen = np.random.default_rng(72)
+        frames = gen.normal(size=(120, 5, 1))
+        frames[:, 2, 0] = 0.0
+        mar = baseline_mar_als(GridSeries.from_frames(frames))
+        assert mar.ridge_flagged
+        assert all(np.all(np.isfinite(f)) for f in mar.a + mar.b)
+        assert np.isfinite(mar.loss[-1])
+
+    def test_ill_conditioned_gram_solved_from_frames(self, monkeypatch):
+        # a row 1e-7 the scale of the others puts the A-step's Cholesky
+        # pivots further apart than _GRAM_RCOND allows, so lstsq on the
+        # frames takes that step, as it does with no moments at all
+        gen = np.random.default_rng(74)
+        frames = gen.normal(size=(120, 5, 1))
+        frames[:, 2, 0] *= 1e-7
+        s = GridSeries.from_frames(frames)
+        moments = baseline_mar_als(s, max_iter=10, tol=1e-300)
+        monkeypatch.setattr(liargrid.evaluate, "_MOMENT_BUDGET", 0)
+        want = baseline_mar_als(s, max_iter=10, tol=1e-300).a[0]
+        assert np.max(np.abs(moments.a[0] - want)) <= 1e-12 * np.max(np.abs(want))
+        assert not moments.ridge_flagged
+
+    def test_over_budget_grid_never_forms_moments(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("lag moments formed above the budget")
+
+        monkeypatch.setattr(liargrid.evaluate, "_lag_moments", refuse)
+        gen = np.random.default_rng(73)
+        s = GridSeries((91, 181), gen.normal(size=(4, 91 * 181)))
+        mar = baseline_mar_als(s, max_iter=2)
+        assert mar.n_iter == 2
+        assert np.isfinite(mar.loss[-1])
 
 
 class TestMarForecast:

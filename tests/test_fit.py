@@ -297,6 +297,14 @@ class TestFitAll:
         with pytest.raises(ConfigurationError, match=r"\(0, 0\) is centered at \(2, 2\)"):
             fit_all(s, nbs)
 
+    def test_duplicate_center_refused(self):
+        s = _random_series((3, 3), 30, 14)
+        nbs = [box_neighborhood(linear_to_site(i, (3, 3)), (3, 3), 0) for i in range(9)]
+        nbs.append(box_neighborhood((1, 2), (3, 3), 1))
+        with pytest.raises(ConfigurationError,
+                           match=r"duplicate neighborhood for site \(1, 2\)"):
+            fit_all(s, nbs)
+
     def test_report_json_round_trip(self, tmp_path):
         s = _random_series((2, 3), 50, 15)
         nbs = [box_neighborhood(linear_to_site(i, (2, 3)), (2, 3), 1)
