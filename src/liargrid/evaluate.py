@@ -14,7 +14,7 @@ alternating least squares.
 import numpy as np
 
 from .errors import ConfigurationError, SizeError
-from .fit import fit_all
+from .fit import _check_order, fit_all
 from .grid import GridSeries, sites_to_linear
 from .neighborhoods import box_field
 
@@ -208,9 +208,6 @@ def baseline_pixel_ar(series, order=1, n_workers=None):
         )
     report = fit_all(series, box_field(series.shape, 0), order=order,
                      n_workers=n_workers, compute_se=False)
-    if report.errors:
-        site, msg = next(iter(report.errors.items()))
-        raise ConfigurationError(f"pixel AR failed at site {site}: {msg}")
     return report.kernels()
 
 
@@ -379,12 +376,9 @@ def baseline_mar_als(series, order=1, max_iter=1000, tol=1e-7):
     if not tol > 0:
         raise ConfigurationError("tol must be positive")
     p = int(order)
-    if p < 1:
-        raise ConfigurationError("order must be at least 1")
     frames = series.frames
     t, m, n = frames.shape
-    if t <= p:
-        raise ConfigurationError("need more frames than the lag order")
+    _check_order(p, t)
     targets = frames[p:]
     lagged = [frames[p - q : t - q] for q in range(1, p + 1)]
     # the B-step is the A-step of the transposed frames

@@ -287,15 +287,19 @@ def _scan(members, cols, regather):
     return r, tail, rss, lstsq
 
 
-def _check_rows(site, n_frames, order, size):
-    """Raise unless ``n_frames`` frames identify a lag-``order`` fit of
-    ``site`` on ``size`` neighborhood sites."""
+def _check_order(order, n_frames):
+    """Raise unless ``n_frames`` frames leave rows for a lag-``order`` fit."""
     if order < 1:
         raise ConfigurationError("lag order must be at least 1")
     if n_frames <= order:
         raise ConfigurationError(
             f"series has {n_frames} frames, need more than the lag order {order}"
         )
+
+
+def _check_rows(site, n_frames, order, size):
+    """Raise unless ``n_frames`` frames identify a lag-``order`` fit of
+    ``site`` on ``size`` neighborhood sites."""
     rows, cols = n_frames - order, order * size
     if rows < cols:
         raise UnderdeterminedError(
@@ -312,6 +316,7 @@ def assemble_design(series, site, neighborhood, order=1):
     """
     order = int(order)
     target = site_to_linear(site, series.shape)
+    _check_order(order, series.n_frames)
     _check_rows(site, series.n_frames, order, neighborhood.size)
     aug = _gather(series.values.T, order, [neighborhood.linear], target)
     return DesignBlock(tuple(site), neighborhood, order, aug[:, :-1], aug[:, -1])
@@ -347,23 +352,33 @@ def standard_errors(fit, design):
 
 def _fit_design(design, with_se):
     """One design block through :func:`_solve_sites`, as a batch of one."""
-    plan = [design.neighborhood], None, (design.y.shape[1] // design.order,)
-    done, _ = _solve_sites(lambda _: plan, lambda *_: np.column_stack((design.y, design.z)),
+    def plan(_):  # read once _solve_sites has checked the lag order
+        return [design.neighborhood], None, (design.y.shape[1] // design.order,)
+
+    done, _ = _solve_sites(plan, lambda *_: np.column_stack((design.y, design.z)),
                            [[(0, design.site, None)]], design.order, design.y.shape[0],
                            with_se=with_se)
     return done[0][0]
 
 
-def _kernel_field(shape, order, fits, n_failed):
-    """KernelField from per-site fits keyed by linear index; every site
-    of the grid must have one."""
+def _require_complete(shape, n_fitted, errors):
+    """Refuse a partial fit: :class:`UnderdeterminedError` naming the first
+    failed site, :class:`ConfigurationError` for sites never requested."""
     n_sites = int(np.prod(shape))
-    if len(fits) != n_sites:
-        raise ConfigurationError(
-            f"{len(fits)} of {n_sites} sites fitted ({n_failed} failed); "
-            f"cannot form a kernel field"
-        )
-    fits = [fits[i] for i in range(n_sites)]
+    if errors:
+        site, msg = next(iter(errors.items()))
+        raise UnderdeterminedError(f"{len(errors)} of {n_sites} sites failed; first: "
+                                   f"site {site}: {msg.removeprefix(f'site {site}: ')}")
+    if n_fitted != n_sites:
+        raise ConfigurationError(f"{n_fitted} of {n_sites} sites fitted; "
+                                 f"a kernel field needs every site")
+
+
+def _kernel_field(shape, order, fits, errors):
+    """KernelField from per-site fits keyed by linear index; every site
+    of the grid must have one (:func:`_require_complete`)."""
+    _require_complete(shape, len(fits), errors)
+    fits = [fits[i] for i in range(len(fits))]
     return KernelField(shape, order, [f.neighborhood for f in fits],
                        [f.coeffs_by_lag() for f in fits])
 
@@ -395,7 +410,7 @@ class FitReport:
 
     def kernels(self):
         """Package the fit as a KernelField (requires full site coverage)."""
-        return _kernel_field(self.shape, self.order, self.fits, len(self.errors))
+        return _kernel_field(self.shape, self.order, self.fits, self.errors)
 
     def to_dict(self):
         sites = []
@@ -521,10 +536,13 @@ def _solve_sites(plan, gather, blocks, order, rows, choose=None, with_se=False,
     of a deficient level, with standard errors for full-rank fits when
     ``with_se``, and the columns put back in lag-major neighborhood order.
 
+    The lag order and frame count are checked once, before any block.
     The calling thread keeps at most ``n_workers`` + 1 blocks queued and
     merges their results in order.  Returns ``{linear: (SiteFit, plan,
     record)}`` and the error manifest: each :class:`LiarError`, by site.
     """
+    _check_order(order, rows + order)
+
     def solve(block):
         factored, errors = [], {}
         for lin, site, arg in block:

@@ -79,8 +79,8 @@ def sites_to_linear(sites, shape):
     for j, n in enumerate(shape):
         bad = (sites[:, j] < 0) | (sites[:, j] >= n)
         if np.any(bad):
-            k = int(np.argmax(bad))
-            raise IndexError(f"site {tuple(sites[k])} out of bounds for shape {shape}")
+            site = tuple(sites[int(np.argmax(bad))].tolist())
+            raise IndexError(f"site {site} out of bounds for shape {shape}")
     return np.ravel_multi_index(tuple(sites.T), shape, order="F")
 
 

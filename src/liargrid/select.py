@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, UnderdeterminedError
-from .fit import _blocks, _gather, _kernel_field, _site_major, _solve_sites
+from .fit import _blocks, _check_order, _gather, _kernel_field, _site_major, _solve_sites
 from .grid import site_to_linear
 from .neighborhoods import _families, _grid_centers, interior_mask
 
@@ -75,8 +75,7 @@ def bic_score(rss, size, order, n_frames, dims, d0):
     """
     if size < 1:
         raise ConfigurationError(f"size must be at least 1, got {size}")
-    if n_frames <= order:
-        raise ConfigurationError("need more frames than the lag order")
+    _check_order(order, n_frames)
     if rss <= 0.0:
         return float("-inf")
     scale = math.log(max(max(dims), n_frames))
@@ -152,8 +151,6 @@ def _scan_plan(family, order, rows):
     identifiable from ``rows`` usable rows, their level-major column
     groups (level 0's sites, then each level's new ones) and their sizes;
     then their labels, the dropped labels and the saturation flag."""
-    if rows < 1:
-        raise ConfigurationError("need more frames than the lag order")
     levels = list(zip(family.labels, family.levels))
     kept = [(label, nb) for label, nb in levels if order * nb.size <= rows]
     if not kept:
@@ -182,8 +179,10 @@ def _select_sites(series, panel, blocks, order, d0, keep_fit, n_workers=1):
 
     def choose(rss, tail, sizes):
         exact = rss <= _EXACT_FIT_REL * tail[:, :1]
-        bic = np.array([[float("-inf") if e else bic_score(x, k, order, t, shape, d0)
-                         for x, e, k in zip(*row, sizes)] for row in zip(rss, exact)])
+        # each level's penalty once: bic_score(x) is log(x) + bic_score(1)
+        penalty = [bic_score(1.0, k, order, t, shape, d0) for k in sizes]
+        bic = np.array([[float("-inf") if e else math.log(x) + p
+                         for x, e, p in zip(*row, penalty)] for row in zip(rss, exact)])
         picks = np.argmin(bic, axis=1)
         return picks, list(zip(rss, bic, exact, picks.tolist()))
 
@@ -259,7 +258,7 @@ class SelectionReport:
         fits = {lin: trace.fit for lin, trace in self.traces.items()}
         if any(f is None for f in fits.values()):
             raise ConfigurationError("selection was run without kept fits")
-        return _kernel_field(self.shape, self.order, fits, len(self.errors))
+        return _kernel_field(self.shape, self.order, fits, self.errors)
 
     def to_dict(self):
         sites = []

@@ -16,9 +16,9 @@ import scipy.sparse.linalg
 
 from . import rng
 from .errors import ConfigurationError, NumericalError, StructureError
-from .fit import FitReport, fit_all
+from .fit import FitReport, _require_complete, fit_all
 from .grid import GridSeries
-from .neighborhoods import box_field
+from .neighborhoods import _box_radii, box_field
 from .simulate import KernelField
 
 _DENSE_SVD_LIMIT = 4_000_000  # entries; larger matrices use the subspace path
@@ -68,6 +68,29 @@ class BlockKernelMatrix:
         return GridSeries.from_frames(self.data[None, :, :])
 
 
+def _cells(neighborhoods, radii):
+    """Block-matrix (rows, columns) of each box's sites in turn, for block
+    ``radii`` (see :class:`BlockKernelMatrix`), and where each box's run
+    ends; :class:`StructureError` for a non-box or a box beyond ``radii``."""
+    k = np.array(radii)
+    extents = np.array([nb.radii or (-1, -1) for nb in neighborhoods])
+    extents = extents.reshape(len(neighborhoods), 2)
+    bad = np.flatnonzero((extents < 0).any(axis=1) | (extents > k).any(axis=1))
+    if bad.size:
+        nb = neighborhoods[bad[0]]
+        if nb.radii is None:
+            raise StructureError(f"site {nb.center}: non-box neighborhood cannot be tiled")
+        raise StructureError(
+            f"site {nb.center}: box radii {nb.radii} exceed block radii {radii}")
+    sizes = [nb.size for nb in neighborhoods]
+    centers = np.array([nb.center for nb in neighborhoods], dtype=np.intp)
+    centers = np.repeat(centers.reshape(len(neighborhoods), 2), sizes, axis=0)
+    sites = np.concatenate([nb.sites for nb in neighborhoods]
+                           + [np.empty((0, 2), dtype=np.intp)])
+    cells = centers * (2 * k + 1) + k + (sites - centers)
+    return (cells[:, 0], cells[:, 1]), np.cumsum(sizes)
+
+
 def assemble_block(fits, radii, lag=1):
     """Tile per-site fits into the padded block matrix for one lag.
 
@@ -89,42 +112,20 @@ def assemble_block(fits, radii, lag=1):
     StructureError
         For non-box neighborhoods or radii exceeding the block size.
     """
+    fit_list = list(fits)
     if isinstance(fits, FitReport):
-        shape = fits.shape
-        fit_list = list(fits)
-        if len(fit_list) != int(np.prod(shape)):
-            raise ConfigurationError(
-                f"fit covers {len(fit_list)} of {int(np.prod(shape))} sites"
-            )
-    else:
-        fit_list = list(fits)
-        if not fit_list:
-            raise ConfigurationError("no fits supplied")
-        shape = fit_list[0].neighborhood.shape
+        _require_complete(fits.shape, len(fit_list), fits.errors)
+    elif not fit_list:
+        raise ConfigurationError("no fits supplied")
+    shape = fit_list[0].neighborhood.shape
     if len(shape) != 2:
         raise StructureError("block assembly is defined for 2-D grids only")
     k1, k2 = (int(r) for r in radii)
     if not 1 <= lag <= fit_list[0].order:
         raise ConfigurationError(f"lag {lag} outside 1..{fit_list[0].order}")
-    b1, b2 = 2 * k1 + 1, 2 * k2 + 1
-    m, n = shape
-    data = np.zeros((m * b1, n * b2))
-    for fit in fit_list:
-        nb = fit.neighborhood
-        if nb.radii is None:
-            raise StructureError(
-                f"site {fit.site}: non-box neighborhood cannot be tiled"
-            )
-        if nb.radii[0] > k1 or nb.radii[1] > k2:
-            raise StructureError(
-                f"site {fit.site}: box radii {nb.radii} exceed block radii "
-                f"({k1}, {k2})"
-            )
-        i1, i2 = fit.site
-        coeffs = fit.coeffs_by_lag()[lag - 1]
-        rows = i1 * b1 + k1 + (nb.sites[:, 0] - i1)
-        cols = i2 * b2 + k2 + (nb.sites[:, 1] - i2)
-        data[rows, cols] = coeffs
+    cells, _ = _cells([fit.neighborhood for fit in fit_list], (k1, k2))
+    data = np.zeros((shape[0] * (2 * k1 + 1), shape[1] * (2 * k2 + 1)))
+    data[cells] = np.concatenate([fit.coeffs_by_lag()[lag - 1] for fit in fit_list])
     return BlockKernelMatrix(shape, (k1, k2), lag, data)
 
 
@@ -133,30 +134,22 @@ def scatter_block(block, neighborhoods):
 
     ``neighborhoods`` lists the clipped footprints (canonical site
     order); returns one vector per site aligned to its site order.
-    Padded cells outside the footprints are ignored.
+    Padded cells outside the footprints are ignored.  Raises
+    :class:`StructureError` for a non-box footprint or one larger than
+    the block.
     """
-    k1, k2 = block.radii
-    b1, b2 = block.block_shape
-    out = []
-    for nb in neighborhoods:
-        if nb.radii is None:
-            raise StructureError(f"site {nb.center}: non-box neighborhood")
-        i1, i2 = nb.center
-        rows = i1 * b1 + k1 + (nb.sites[:, 0] - i1)
-        cols = i2 * b2 + k2 + (nb.sites[:, 1] - i2)
-        out.append(block.data[rows, cols].copy())
-    return out
+    cells, ends = _cells(list(neighborhoods), block.radii)
+    return np.split(block.data[cells], ends)[:-1]
 
 
-def truncated_svd(mat, rank, method=None):
+def truncated_svd(mat, rank):
     """Best rank-``rank`` Frobenius approximation of a dense matrix.
 
     Sign convention: each retained left singular vector has its
     largest-magnitude entry positive, so results are reproducible across
     platforms.  When ``rank >= min(mat.shape)`` the input is returned
-    unchanged (with a warning).  ``method`` forces "dense" or
-    "subspace"; the default uses dense SVD up to 4e6 entries and an
-    iterative subspace solver above.  Both paths agree to 1e-8.
+    unchanged (with a warning).  Dense SVD up to 4e6 entries, an
+    iterative subspace solver above; both paths agree to 1e-8.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
@@ -170,12 +163,10 @@ def truncated_svd(mat, rank, method=None):
             stacklevel=2,
         )
         return mat.copy()
-    if method is None:
-        method = "dense" if mat.size <= _DENSE_SVD_LIMIT else "subspace"
-    if method == "dense":
+    if mat.size <= _DENSE_SVD_LIMIT:
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         u, s, vt = u[:, :rank], s[:rank], vt[:rank]
-    elif method == "subspace":
+    else:
         v0 = rng.uniforms(rng.derive_key(0x51D5, [min(mat.shape)]),
                           np.arange(min(mat.shape))) - 0.5
         try:
@@ -184,8 +175,6 @@ def truncated_svd(mat, rank, method=None):
             raise NumericalError(f"subspace SVD failed: {exc}") from exc
         order = np.argsort(s)[::-1]
         u, s, vt = u[:, order], s[order], vt[order]
-    else:
-        raise ConfigurationError(f"unknown SVD method {method!r}")
     for r in range(rank):
         j = int(np.argmax(np.abs(u[:, r])))
         if u[j, r] < 0:
@@ -233,10 +222,7 @@ def fit_spliar(series, radii, order=1, rank=1, n_workers=None):
     """
     if len(series.shape) != 2:
         raise ConfigurationError("separable fitting is defined for 2-D grids")
-    if np.isscalar(radii):
-        radii = (int(radii), int(radii))
-    else:
-        radii = (int(radii[0]), int(radii[1]))
+    radii = _box_radii(radii, series.shape)
     b1, b2 = 2 * radii[0] + 1, 2 * radii[1] + 1
     rank = int(rank)
     if not 1 <= rank <= min(b1, b2):
@@ -247,11 +233,6 @@ def fit_spliar(series, radii, order=1, rank=1, n_workers=None):
     neighborhoods = box_field(shape, radii)
     raw = fit_all(series, neighborhoods, order=order, n_workers=n_workers,
                   compute_se=False)
-    if raw.errors:
-        site, msg = next(iter(raw.errors.items()))
-        raise ConfigurationError(
-            f"{len(raw.errors)} sites failed to fit; first: site {site}: {msg}"
-        )
 
     blocks = []
     coeffs = [np.empty((order, nb.size)) for nb in neighborhoods]

@@ -235,8 +235,12 @@ class KernelField:
 
     @classmethod
     def load_json(cls, path):
+        """Read a kernel JSON file; a malformed one raises ConfigurationError."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                return cls.from_dict(json.load(fh))
+            except (ValueError, KeyError, IndexError, TypeError) as exc:
+                raise ConfigurationError(f"malformed kernel file {path}: {exc!r}") from exc
 
 
 def operator_norm(kernels):

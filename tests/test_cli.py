@@ -339,6 +339,61 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[1]} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--K", "1", "--P", "0"],
+        ["select", "--K0", "1", "--P", "0"],
+        ["select", "--K0", "1", "--P", "-1"],
+        ["eval", "--K", "1", "--P", "0"],
+    ], ids=["fit-P0", "select-P0", "select-P-1", "eval-P0"])
+    def test_bad_lag_order_exit_2(self, tmp_path, capsys, argv):
+        series = GridSeries((6, 7), np.random.default_rng(61).normal(size=(60, 42)))
+        write_gts(series, tmp_path / "series.gts")
+        code = run(argv[0], "--input", tmp_path / "series.gts", *argv[1:],
+                   "--output-dir", tmp_path / "out")
+        assert code == 2
+        assert capsys.readouterr().err == "error: lag order must be at least 1\n"
+
+    def test_underdetermined_sites_exit_4_in_every_command(self, tmp_path, capsys):
+        # K=3 on 6x6 leaves 12 sites with 30 unknowns: T=30 gives 29 rows,
+        # the 27-frame training prefix of eval 26
+        series = GridSeries((6, 6), np.random.default_rng(62).normal(size=(30, 36)))
+        write_gts(series, tmp_path / "series.gts")
+        common = ["--input", tmp_path / "series.gts", "--K", "3", "--R", "1"]
+
+        def err(*argv):
+            assert run(*argv, *common, "--output-dir", tmp_path / "out") == 4
+            return capsys.readouterr().err
+
+        first = "12 of 36 sites failed; first: site (2, 1): "
+        assert err("spliar") == f"error: {first}29 usable rows < 30 unknowns " \
+                                "(T=30, P=1, |J|=30)\n"
+        liar = err("eval", "--methods", "liar")
+        assert liar == f"error: {first}26 usable rows < 30 unknowns (T=27, P=1, |J|=30)\n"
+        assert err("eval", "--methods", "spliar") == liar
+
+    @pytest.mark.parametrize("edit", ["truncated", "no_order", "off_grid"])
+    def test_malformed_kernel_file_exit_2(self, tmp_path, capsys, edit):
+        series = GridSeries((4, 4), np.random.default_rng(63).normal(size=(30, 16)))
+        write_gts(series, tmp_path / "series.gts")
+        data = random_stable_kernels((4, 4), 1, target_norm=0.5, seed=0).to_dict()
+        text = json.dumps(data)
+        if edit == "truncated":
+            text = text[: len(text) // 2]
+        elif edit == "no_order":
+            del data["P"]
+            text = json.dumps(data)
+        else:
+            data["sites"][-1]["center"] = [9, 9]
+            text = json.dumps(data)
+        path = tmp_path / "kernels.json"
+        path.write_text(text)
+        code = run("forecast", "--input", tmp_path / "series.gts", "--kernels", path,
+                   "--horizon", "3", "--output-dir", tmp_path / "fc")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: malformed kernel file {path}: ")
+        assert "Traceback" not in err
+
 
 class TestCsvIngestion:
     def test_csv_and_gts_inputs_fit_identically(self, tmp_path):

@@ -333,6 +333,63 @@ class TestFitAll:
 _BLAS = liargrid.fit._openblas_thread_controls()
 
 
+class TestOneCheckPerCall:
+    """The lag order and frame count are checked once per call, on the
+    calling thread; a partial fit is refused by one function."""
+
+    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("entry", ["fit_all", "select_all", "select_site",
+                                       "fit_site"])
+    def test_bad_lag_order_refused(self, entry, order):
+        s = _random_series((3, 4), 30, 40)
+        nb = box_neighborhood((1, 1), (3, 4), 1)
+        calls = {
+            "fit_all": lambda: fit_all(s, [nb], order=order, n_workers=1),
+            "select_all": lambda: select_all(s, max_radius=1, order=order, d0=1.0),
+            "select_site": lambda: select_site(s, nested_family((1, 1), (3, 4), 1),
+                                               order=order, d0=1.0),
+            "fit_site": lambda: fit_site(DesignBlock((1, 1), nb, order,
+                                                     np.ones((29, 0)), np.ones(29))),
+        }
+        with pytest.raises(ConfigurationError, match="lag order must be at least 1"):
+            calls[entry]()
+
+    @pytest.mark.parametrize("entry", ["fit_all", "select_all"])
+    def test_too_few_frames_refused(self, entry):
+        s = _random_series((3, 4), 2, 41)
+        with pytest.raises(ConfigurationError, match="2 frames, need more than the lag"):
+            if entry == "fit_all":
+                fit_all(s, [box_neighborhood((0, 0), (3, 4), 0)], order=2)
+            else:
+                select_all(s, max_radius=1, order=2, d0=1.0)
+
+    def test_checked_once_per_call(self, monkeypatch):
+        calls = []
+        check = liargrid.fit._check_order
+        monkeypatch.setattr(liargrid.fit, "_check_order",
+                            lambda *args: calls.append(args) or check(*args))
+        s = _random_series((9, 9), 40, 42)
+        nbs = [box_neighborhood(linear_to_site(i, (9, 9)), (9, 9), 1) for i in range(81)]
+        fit_all(s, nbs, order=2, n_workers=2)
+        select_all(s, max_radius=2, order=2, n_workers=2)
+        assert calls == [(2, 40), (2, 40)]
+
+    def test_partial_fit_refused_with_first_failure(self):
+        s = _random_series((3, 3), 8, 13)
+        nbs = [box_neighborhood(linear_to_site(i, (3, 3)), (3, 3),
+                                1 if i == 4 else 0) for i in range(9)]
+        want = (r"^1 of 9 sites failed; first: site \(1, 1\): 7 usable rows < 9 "
+                r"unknowns \(T=8, P=1, \|J\|=9\)$")
+        with pytest.raises(UnderdeterminedError, match=want):
+            fit_all(s, nbs).kernels()
+
+    def test_unrequested_sites_refused(self):
+        s = _random_series((3, 3), 30, 13)
+        report = fit_all(s, [box_neighborhood((1, 1), (3, 3), 1)])
+        with pytest.raises(ConfigurationError, match="1 of 9 sites fitted"):
+            report.kernels()
+
+
 def _blas_threads():
     return [get() for _, get in _BLAS]
 

@@ -55,6 +55,10 @@ class TestIndexing:
         with pytest.raises(IndexError, match=r"4.*0|\(4, 0\)"):
             sites_to_linear([(0, 0), (4, 0)], (4, 6))
 
+    def test_vectorized_offender_in_plain_ints(self):
+        with pytest.raises(IndexError, match=r"site \(4, 0\) out of bounds"):
+            sites_to_linear([(0, 0), (4, 0)], (4, 6))
+
 
 class TestGridSeries:
     def test_frame_layout_column_major(self):

@@ -9,6 +9,7 @@ from liargrid import (
     GridSeries,
     NoiseSpec,
     StructureError,
+    UnderdeterminedError,
     assemble_block,
     fit_all,
     fit_spliar,
@@ -18,9 +19,10 @@ from liargrid import (
     simulate_liar,
     truncated_svd,
 )
+import liargrid.separable
 from liargrid.fit import SiteFit
 from liargrid.grid import linear_to_site, read_gts, write_gts
-from liargrid.neighborhoods import box_neighborhood, custom_neighborhood
+from liargrid.neighborhoods import box_field, box_neighborhood, custom_neighborhood
 
 from _dgp import separable_rank1_kernels
 
@@ -122,6 +124,27 @@ class TestScatterBlock:
         for fit, vec in zip(fits, back):
             assert_array_equal(vec, fit.coeffs)
 
+    def test_single_site_and_empty_lists(self):
+        fits = _hand_fits((4, 5), 1, lambda i, u: 10.0 * i[0] + i[1] + 0.1 * u[1])
+        block = assemble_block(fits, (1, 1))
+        [vec] = scatter_block(block, [fits[7].neighborhood])
+        assert_array_equal(vec, fits[7].coeffs)
+        assert scatter_block(block, []) == []
+
+    def test_oversized_box_refused(self):
+        fits = _hand_fits((4, 5), 1, lambda i, u: 1.0)
+        block = assemble_block(fits, (1, 1))
+        with pytest.raises(StructureError, match=r"\(2, 2\) exceed block radii \(1, 1\)"):
+            scatter_block(block, box_field((4, 5), 2))
+
+    def test_non_box_refused(self):
+        fits = _hand_fits((2, 2), 1, lambda i, u: 1.0)
+        block = assemble_block(fits, (1, 1))
+        nb = custom_neighborhood((1, 1), (2, 2), [(0, 0), (1, 1)])
+        with pytest.raises(StructureError,
+                           match=r"site \(1, 1\): non-box neighborhood cannot be tiled"):
+            scatter_block(block, [fits[0].neighborhood, nb])
+
 
 class TestTruncatedSvd:
     def test_fixed_point_on_low_rank_input(self):
@@ -153,11 +176,12 @@ class TestTruncatedSvd:
         assert_array_equal(out, mat)
         assert len(caught) == 1
 
-    def test_dense_and_subspace_agree(self):
+    def test_dense_and_subspace_agree(self, monkeypatch):
         gen = np.random.default_rng(3)
         mat = gen.normal(size=(40, 30))
-        a = truncated_svd(mat, 3, method="dense")
-        b = truncated_svd(mat, 3, method="subspace")
+        a = truncated_svd(mat, 3)
+        monkeypatch.setattr(liargrid.separable, "_DENSE_SVD_LIMIT", 0)
+        b = truncated_svd(mat, 3)
         assert np.abs(a - b).max() <= 1e-8
 
     def test_deterministic_output(self):
@@ -211,6 +235,21 @@ class TestFitSpliar:
             fit_spliar(s, 1, rank=4)
         with pytest.raises(ConfigurationError):
             fit_spliar(s, 1, rank=0)
+
+    @pytest.mark.parametrize("radii, message", [
+        ((1, 1, 7), "need 2 radii"), ((1,), "need 2 radii"),
+        ((-1, 1), "radii must be nonnegative"),
+    ])
+    def test_radii_parsed_as_for_box_field(self, radii, message):
+        s = GridSeries((4, 4), np.random.default_rng(5).normal(size=(200, 16)))
+        with pytest.raises(ConfigurationError, match=message):
+            fit_spliar(s, radii, rank=1)
+
+    def test_underdetermined_sites_refused(self):
+        s = GridSeries((6, 6), np.random.default_rng(6).normal(size=(30, 36)))
+        with pytest.raises(UnderdeterminedError,
+                           match=r"^12 of 36 sites failed; first: site \(2, 1\): 29 usable"):
+            fit_spliar(s, 3, rank=1)
 
     def test_multi_lag_blocks_independent(self):
         kern = random_stable_kernels((5, 5), 1, order=2, target_norm=0.6,
