@@ -143,6 +143,7 @@ def cmd_simulate(args):
     noise = NoiseSpec(kind=args.noise, sigma=args.sigma, seed=args.seed)
     series = simulate_liar(kernels, args.T, noise, burn_in=args.burn_in)
     write_gts(series, os.path.join(out, "series.gts"))
+    del series  # never resident together with the kernel JSON
     kernels.save_json(os.path.join(out, "kernels.json"))
     _write_config(args, out)
     print(f"wrote {args.T} frames on {shape} to {out}/series.gts")
@@ -223,11 +224,13 @@ def cmd_spliar(args):
 
 
 def cmd_forecast(args):
-    series = _load_series(args)
     if args.horizon < 1:
         raise ConfigurationError("--horizon must be a positive integer")
-    out = _outdir(args)
+    # the parsed kernel JSON is freed before the series is read, so the
+    # two are never resident together
     kernels = KernelField.load_json(args.kernels)
+    series = _load_series(args)
+    out = _outdir(args)
     truth = read_gts(args.truth) if args.truth else None
     result = forecast(series, kernels, args.horizon,
                       truth=truth.values if truth is not None else None)

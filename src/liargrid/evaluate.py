@@ -97,7 +97,7 @@ def forecast(series, model, horizon, truth=None):
         buf[h:h + 1] = model.predict([buf[h - lag : h - lag + 1]
                                       for lag in range(1, p + 1)])
     preds = buf[p:]
-    out = GridSeries(series.shape, preds)
+    out = GridSeries._adopt(series.shape, preds)
 
     per_frame = overall = None
     if truth is not None:

@@ -42,7 +42,7 @@ import scipy.linalg
 
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
 from .grid import site_to_linear, sites_to_linear
-from .simulate import KernelField
+from .simulate import KernelField, _lag_order
 
 _RANK_TOL = 1e-10  # diagonal ratio below which a design counts as rank-deficient
 _BLOCK = 64  # sites per pool task
@@ -289,8 +289,7 @@ def _scan(members, cols, regather):
 
 def _check_order(order, n_frames):
     """Raise unless ``n_frames`` frames leave rows for a lag-``order`` fit."""
-    if order < 1:
-        raise ConfigurationError("lag order must be at least 1")
+    _lag_order(order)
     if n_frames <= order:
         raise ConfigurationError(
             f"series has {n_frames} frames, need more than the lag order {order}"

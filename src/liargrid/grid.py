@@ -11,6 +11,7 @@ f64 values, time-major with column-major sites within each frame.
 """
 
 import csv
+import os
 import struct
 
 import numpy as np
@@ -20,6 +21,7 @@ from .errors import ConfigurationError, GtsFormatError
 _GTS_MAGIC = b"GTS1"
 _MAX_SITES = 2**31  # per-frame site count guard
 _MAX_TOTAL = 2**33  # total value count guard
+_FINITE_CHUNK = 2**16  # values per finiteness check (a 64 KB mask)
 
 
 def _check_shape(shape):
@@ -84,6 +86,17 @@ def sites_to_linear(sites, shape):
     return np.ravel_multi_index(tuple(sites.T), shape, order="F")
 
 
+def _first_nonfinite(values):
+    """Flat position of the first non-finite entry of a C-contiguous
+    array, or -1; checked in chunks, so no full-size mask is made."""
+    flat = values.reshape(-1)
+    for start in range(0, flat.size, _FINITE_CHUNK):
+        ok = np.isfinite(flat[start : start + _FINITE_CHUNK])
+        if not ok.all():
+            return start + int(np.argmin(ok))
+    return -1
+
+
 class GridSeries:
     """Immutable time series of frames on a fixed grid.
 
@@ -99,15 +112,26 @@ class GridSeries:
     __slots__ = ("shape", "values")
 
     def __init__(self, shape, values):
+        self._own(shape, np.array(values, dtype=np.float64, order="C", copy=True))
+
+    @classmethod
+    def _adopt(cls, shape, values, finite=False):
+        """Series over ``values``, a C-contiguous float64 array that no
+        one else writes, without a copy; ``finite`` says the caller has
+        already checked every value."""
+        series = cls.__new__(cls)
+        series._own(shape, values, finite)
+        return series
+
+    def _own(self, shape, values, finite=False):
         shape, n_sites = _check_shape(shape)
-        values = np.array(values, dtype=np.float64, order="C", copy=True)
         if values.ndim != 2 or values.shape[1] != n_sites:
             raise ConfigurationError(
                 f"values must be (T, {n_sites}) for shape {shape}, got {values.shape}"
             )
         if values.shape[0] < 1:
             raise ConfigurationError("a series needs at least one frame")
-        if not np.isfinite(values).all():
+        if not finite and _first_nonfinite(values) >= 0:
             raise ConfigurationError("series values must be finite")
         values.setflags(write=False)
         object.__setattr__(self, "shape", shape)
@@ -200,17 +224,19 @@ def extract_patch(series, t, sites):
 
 def write_gts(series, path):
     """Write a series to ``path`` in the binary GTS format."""
-    if not np.all(np.isfinite(series.values)):
+    if _first_nonfinite(series.values) >= 0:
         raise ConfigurationError("refusing to write non-finite values")
     d = series.ndim_space
     header = struct.pack(f"<4sB{d}II", _GTS_MAGIC, d, *series.shape, series.n_frames)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(series.values.astype("<f8", copy=False).tobytes())
+        fh.write(series.values.astype("<f8", copy=False))
 
 
 def read_gts(path):
     """Read a binary GTS file, validating layout and finiteness.
+
+    The payload is read straight into the array the series keeps.
 
     Raises
     ------
@@ -218,51 +244,58 @@ def read_gts(path):
         Naming the byte offset of the first problem found.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 or raw[:4] != _GTS_MAGIC:
-        raise GtsFormatError("bad magic, expected GTS1", 0)
-    if len(raw) < 5:
-        raise GtsFormatError("file ends before the axis-count byte", 4)
-    d = raw[4]
-    if d == 0:
-        raise GtsFormatError("axis count must be at least 1", 4)
-    header_len = 5 + 4 * d + 4
-    if len(raw) < header_len:
-        raise GtsFormatError(
-            f"file ends inside the header ({header_len} bytes needed)", len(raw)
-        )
-    dims = []
-    n_sites = 1
-    for j in range(d):
-        off = 5 + 4 * j
-        (dim,) = struct.unpack_from("<I", raw, off)
-        if dim == 0:
-            raise GtsFormatError(f"axis {j} has zero extent", off)
-        n_sites *= dim
-        if n_sites > _MAX_SITES:
-            raise GtsFormatError(f"site count overflow at axis {j}", off)
-        dims.append(dim)
-    t_off = 5 + 4 * d
-    (t,) = struct.unpack_from("<I", raw, t_off)
-    if t == 0:
-        raise GtsFormatError("frame count must be at least 1", t_off)
-    count = t * n_sites
-    if count > _MAX_TOTAL:
-        raise GtsFormatError(f"total value count {count} exceeds the size cap", t_off)
-    expected = count * 8
-    avail = len(raw) - header_len
-    if avail < expected:
-        raise GtsFormatError(
-            f"payload truncated: expected {expected} bytes, found {avail}", len(raw)
-        )
-    if avail > expected:
-        raise GtsFormatError("trailing data after payload", header_len + expected)
-    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=header_len)
-    bad = ~np.isfinite(flat)
-    if np.any(bad):
-        j = int(np.argmax(bad))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(5)
+        if len(head) < 4 or head[:4] != _GTS_MAGIC:
+            raise GtsFormatError("bad magic, expected GTS1", 0)
+        if len(head) < 5:
+            raise GtsFormatError("file ends before the axis-count byte", 4)
+        d = head[4]
+        if d == 0:
+            raise GtsFormatError("axis count must be at least 1", 4)
+        header_len = 5 + 4 * d + 4
+        if size < header_len:
+            raise GtsFormatError(
+                f"file ends inside the header ({header_len} bytes needed)", size
+            )
+        raw = head + fh.read(header_len - 5)
+        dims = []
+        n_sites = 1
+        for j in range(d):
+            off = 5 + 4 * j
+            (dim,) = struct.unpack_from("<I", raw, off)
+            if dim == 0:
+                raise GtsFormatError(f"axis {j} has zero extent", off)
+            n_sites *= dim
+            if n_sites > _MAX_SITES:
+                raise GtsFormatError(f"site count overflow at axis {j}", off)
+            dims.append(dim)
+        t_off = 5 + 4 * d
+        (t,) = struct.unpack_from("<I", raw, t_off)
+        if t == 0:
+            raise GtsFormatError("frame count must be at least 1", t_off)
+        count = t * n_sites
+        if count > _MAX_TOTAL:
+            raise GtsFormatError(f"total value count {count} exceeds the size cap", t_off)
+        expected = count * 8
+        avail = size - header_len
+        if avail < expected:
+            raise GtsFormatError(
+                f"payload truncated: expected {expected} bytes, found {avail}", size
+            )
+        if avail > expected:
+            raise GtsFormatError("trailing data after payload", header_len + expected)
+        values = np.empty((t, n_sites), dtype="<f8")
+        got = fh.readinto(memoryview(values).cast("B"))
+        if got < expected:  # the file shrank after fstat
+            raise GtsFormatError(
+                f"payload truncated: expected {expected} bytes, found {got}",
+                header_len + got)
+    j = _first_nonfinite(values)
+    if j >= 0:
         raise GtsFormatError(f"non-finite value at position {j}", header_len + 8 * j)
-    return GridSeries(tuple(dims), flat.reshape(t, n_sites))
+    return GridSeries._adopt(tuple(dims), values.astype(np.float64, copy=False),
+                             finite=True)
 
 
 def read_csv_frames(path, shape):

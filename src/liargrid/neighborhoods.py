@@ -99,13 +99,13 @@ def _box_radii(radii, shape):
     return radii
 
 
-def _boxes(centers, shape, radii):
-    """Clipped boxes of validated ``radii`` around in-bounds ``centers``
-    (an (m, d) array), one :class:`Neighborhood` each.
+def _box_sites(centers, shape, radii):
+    """Sites of the clipped boxes of validated ``radii`` around in-bounds
+    ``centers`` (an (m, d) array): the (s, d) sites and their linear
+    indices, box after box, and the (m + 1,) box offsets into them.
 
     The offsets are enumerated column-major, so each box's in-bounds
-    sites come out sorted by linear index; every neighborhood's arrays
-    are read-only views into one shared array.
+    sites come out sorted by linear index.
     """
     d = len(shape)
     centers = np.asarray(centers, dtype=np.intp).reshape(-1, d)
@@ -115,19 +115,27 @@ def _boxes(centers, shape, radii):
     offsets = offsets.reshape(d, -1, order="F").T - np.array(reach)
     sites = centers[:, None, :] + offsets
     inside = ((sites >= 0) & (sites < np.array(shape))).all(axis=2)
-    counts = np.count_nonzero(inside, axis=1)
+    bounds = np.zeros(len(centers) + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(inside, axis=1), out=bounds[1:])
     sites = sites[inside]
     linear = np.ravel_multi_index(tuple(sites.T), shape, order="F")
-    ends = np.cumsum(counts)
-    starts = ends - counts
     rising = np.diff(linear) > 0
-    rising[starts[1:] - 1] = True  # box boundaries
+    rising[bounds[1:-1] - 1] = True  # box boundaries
     if not rising.all():
         raise ConfigurationError("box sites out of linear order")
+    return sites, linear, bounds
+
+
+def _boxes(centers, shape, radii):
+    """:func:`_box_sites` as one :class:`Neighborhood` per center; every
+    neighborhood's arrays are read-only views into one shared array."""
+    centers = np.asarray(centers, dtype=np.intp).reshape(-1, len(shape))
+    sites, linear, bounds = _box_sites(centers, shape, radii)
     sites.setflags(write=False)
     linear.setflags(write=False)
+    bounds = bounds.tolist()
     return [Neighborhood._from_sorted(tuple(c), shape, sites[a:b], linear[a:b], radii)
-            for c, a, b in zip(centers.tolist(), starts.tolist(), ends.tolist())]
+            for c, a, b in zip(centers.tolist(), bounds, bounds[1:])]
 
 
 def box_neighborhood(center, shape, radii):
@@ -216,16 +224,9 @@ class NeighborhoodFamily:
         )
 
 
-def _families(centers, shape, max_radius, axis_caps, radii_list):
-    """Nested families (see :func:`nested_family`) at in-bounds
-    ``centers``, an (m, d) array, with one :func:`_boxes` call per
-    candidate level for all of them.
-
-    Boxes compare by their per-axis clipped intervals: a level equal to
-    the one before is dropped (saturation), and a site where a level does
-    not contain it gets the error message in place of its family.
-    """
-    d = len(shape)
+def _candidates(d, max_radius, axis_caps, radii_list):
+    """Validated candidate radius tuples of a nested family on a d-axis
+    grid (see :func:`nested_family`) and their labels."""
     if radii_list is not None:
         if max_radius is not None or axis_caps is not None:
             raise ConfigurationError("radii_list excludes max_radius/axis_caps")
@@ -248,6 +249,25 @@ def _families(centers, shape, max_radius, axis_caps, radii_list):
             raise ConfigurationError(f"axis_caps must be {d} nonnegative ints")
         labels = list(range(max_radius + 1))
         cand = [tuple(min(k, c) for c in caps) for k in labels]
+    return cand, labels
+
+
+def _families(centers, shape, max_radius, axis_caps, radii_list):
+    """Nested families (see :func:`nested_family`) at in-bounds
+    ``centers``, an (m, d) array; see :func:`_nest`."""
+    return _nest(centers, shape, *_candidates(len(shape), max_radius, axis_caps,
+                                               radii_list))
+
+
+def _nest(centers, shape, cand, labels):
+    """Families of the validated candidates ``cand`` at ``centers``, with
+    one :func:`_boxes` call per candidate level for all of them.
+
+    Boxes compare by their per-axis clipped intervals: a level equal to
+    the one before is dropped (saturation), and a site where a level does
+    not contain it gets the error message in place of its family.
+    """
+    d = len(shape)
     centers = np.asarray(centers, dtype=np.intp).reshape(-1, d)
     boxes = [_boxes(centers, shape, radii) for radii in cand]
     lo = [np.maximum(centers - radii, 0) for radii in cand]

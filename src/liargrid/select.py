@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigurationError, UnderdeterminedError
 from .fit import _blocks, _check_order, _gather, _kernel_field, _site_major, _solve_sites
 from .grid import site_to_linear
-from .neighborhoods import _families, _grid_centers, interior_mask
+from .neighborhoods import _candidates, _grid_centers, _nest, interior_mask
 
 _EXACT_FIT_REL = 1e-16  # rss below this times ||z||^2 counts as an exact fit
 
@@ -341,14 +341,14 @@ def select_all(series, max_radius=None, order=1, d0=None, radii_list=None,
     shape = series.shape
     centers = _grid_centers(shape)
 
+    # a list that is wrong everywhere is refused here, once; a level that
+    # does not nest after clipping fails only its own sites
+    cand = _candidates(len(shape), max_radius, None, radii_list)
+
     def blocks():  # each block's families are built as the pool reaches it
         for a, b in _blocks(len(centers)):
-            try:
-                families = _families(centers[a:b], shape, max_radius, None, radii_list)
-            except ConfigurationError as exc:  # fails every site, as a per-site build did
-                families = [str(exc)] * (b - a)
-            yield [(a + i, site, family) for i, (site, family)
-                   in enumerate(zip(map(tuple, centers[a:b].tolist()), families))]
+            yield [(a + i, site, family) for i, (site, family) in enumerate(zip(
+                map(tuple, centers[a:b].tolist()), _nest(centers[a:b], shape, *cand)))]
 
     traces, errors = _select_sites(series, _site_major(series), blocks(), int(order), d0,
                                    keep_fit, n_workers)

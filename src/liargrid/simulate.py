@@ -17,16 +17,20 @@ scheduling, and a shorter simulation is a prefix of a longer one.
 """
 
 import json
+import operator
+from collections.abc import Sequence
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import rng
 from .errors import ConfigurationError, NumericalError, StabilityError
-from .grid import GridSeries, sites_to_linear
-from .neighborhoods import _boxes, box_field, custom_neighborhood
+from .grid import GridSeries, linear_to_site, sites_to_linear
+from .neighborhoods import Neighborhood, _box_radii, _box_sites, _grid_centers
 
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
+_LOAD_BLOCK = 2**10  # sites flattened at a time by KernelField.from_dict
 _NORM_RTOL = 1e-8  # relative change that ends power iteration
 _NORM_MAX_ITER = 10000
 _CTX_KERNEL = 1
@@ -62,8 +66,44 @@ class NoiseSpec:
         return f"NoiseSpec(kind={self.kind!r}, sigma={self.sigma}, seed={self.seed})"
 
 
+class _PerSite(Sequence):
+    """Read-only sequence of per-site items, each built when accessed."""
+
+    __slots__ = ("_n", "_item")
+
+    def __init__(self, n, item):
+        self._n = n
+        self._item = item
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in range(*i.indices(self._n))]
+        i = operator.index(i)
+        if not -self._n <= i < self._n:
+            raise IndexError(f"site index {i} out of range for {self._n} sites")
+        return self._item(i % self._n)
+
+
+def _lag_order(order):
+    """``order`` as an int, refused below 1."""
+    order = int(order)
+    if order < 1:
+        raise ConfigurationError("lag order must be at least 1")
+    return order
+
+
 class KernelField:
     """Per-site neighborhoods and lagged coefficient vectors.
+
+    The field is held as its P per-lag CSR operators on flattened
+    frames: row i holds site i's lag-p coefficients on the linear indices
+    of its neighborhood, in increasing order.  The operators share one
+    ``indptr``/``indices`` pair and each has its own read-only ``data``
+    array.  Each site also keeps its box radii, or none for a custom
+    neighborhood.
 
     Parameters
     ----------
@@ -78,21 +118,19 @@ class KernelField:
         lag-p coefficients aligned to the neighborhood's site order.
     """
 
-    __slots__ = ("shape", "order", "neighborhoods", "coeffs", "_ops")
+    __slots__ = ("shape", "order", "_ops", "_radii", "_norm")
 
     def __init__(self, shape, order, neighborhoods, coeffs):
-        self.shape = tuple(int(n) for n in shape)
-        self.order = int(order)
-        if self.order < 1:
-            raise ConfigurationError("lag order must be at least 1")
-        n_sites = int(np.prod(self.shape))
+        shape = tuple(int(n) for n in shape)
+        order = _lag_order(order)
+        n_sites = int(np.prod(shape))
         if len(neighborhoods) != n_sites or len(coeffs) != n_sites:
             raise ConfigurationError(
                 f"need one neighborhood and coefficient block per site "
                 f"({n_sites}), got {len(neighborhoods)} and {len(coeffs)}"
             )
         centers = np.array([nb.center for nb in neighborhoods], dtype=np.intp)
-        stray = np.flatnonzero(sites_to_linear(centers, self.shape) != np.arange(n_sites))
+        stray = np.flatnonzero(sites_to_linear(centers, shape) != np.arange(n_sites))
         if stray.size:
             i = int(stray[0])
             raise ConfigurationError(
@@ -104,34 +142,81 @@ class KernelField:
             c = np.asarray(c, dtype=np.float64)
             if c.ndim == 1:
                 c = c[None, :]
-            if c.shape != (self.order, nb.size):
+            if c.shape != (order, nb.size):
                 raise ConfigurationError(
                     f"site {nb.center}: coefficients {c.shape} do not match "
-                    f"(P={self.order}, |J|={nb.size})"
+                    f"(P={order}, |J|={nb.size})"
                 )
             if not np.isfinite(c).all():
                 raise ConfigurationError(f"site {nb.center}: non-finite coefficients")
             fixed.append(c)
-        self.neighborhoods = list(neighborhoods)
-        self.coeffs = fixed
-        self._ops = None
+        bounds = np.zeros(n_sites + 1, dtype=np.intp)
+        np.cumsum([nb.size for nb in neighborhoods], out=bounds[1:])
+        self._own(shape, order, bounds,
+                  np.concatenate([nb.linear for nb in neighborhoods]),
+                  [np.concatenate([c[p] for c in fixed]) for p in range(order)],
+                  np.array([(-1,) * len(shape) if nb.radii is None else nb.radii
+                            for nb in neighborhoods], dtype=np.intp))
+
+    @classmethod
+    def _from_arrays(cls, shape, order, indptr, indices, data, radii):
+        """Field over validated CSR arrays: ``data`` holds one array per
+        lag that no one else writes, ``radii`` one row per site (-1 for a
+        custom neighborhood)."""
+        field = cls.__new__(cls)
+        field._own(shape, order, indptr, indices, data, radii)
+        return field
+
+    def _own(self, shape, order, indptr, indices, data, radii):
+        n = indptr.size - 1
+        ops = []
+        for values in data:
+            values.setflags(write=False)
+            ops.append(sp.csr_matrix((values, indices, indptr), shape=(n, n)))
+            # scipy's index dtype, shared by every lag
+            indptr, indices = ops[0].indptr, ops[0].indices
+        for arr in (indptr, indices, radii):
+            arr.setflags(write=False)
+        self.shape = shape
+        self.order = order
+        self._ops = ops
+        self._radii = radii
+        self._norm = None  # stability norm, carried when already known
 
     @property
     def n_sites(self):
-        return len(self.neighborhoods)
+        return self._ops[0].shape[0]
+
+    @property
+    def neighborhoods(self):
+        """Per-site :class:`Neighborhood` views, built on access."""
+        return _PerSite(self.n_sites, self._neighborhood)
+
+    @property
+    def coeffs(self):
+        """Per-site read-only (P, |J|) coefficient arrays, built on access."""
+        return _PerSite(self.n_sites, self._coeffs)
+
+    def _neighborhood(self, i):
+        a, b = self._ops[0].indptr[i : i + 2]
+        linear = self._ops[0].indices[a:b].astype(np.intp)
+        sites = np.stack(np.unravel_index(linear, self.shape, order="F"), axis=1)
+        sites.setflags(write=False)
+        linear.setflags(write=False)
+        radii = self._radii[i].tolist()
+        return Neighborhood._from_sorted(linear_to_site(i, self.shape), self.shape,
+                                         sites, linear,
+                                         None if radii[0] < 0 else tuple(radii))
+
+    def _coeffs(self, i):
+        a, b = self._ops[0].indptr[i : i + 2]
+        c = np.stack([op.data[a:b] for op in self._ops])
+        c.setflags(write=False)
+        return c
 
     def operators(self):
-        """Per-lag linear operators on flattened frames: a list of P CSR
-        matrices, cached."""
-        if self._ops is None:
-            n = self.n_sites
-            rows = np.repeat(np.arange(n), [nb.size for nb in self.neighborhoods])
-            cols = np.concatenate([nb.linear for nb in self.neighborhoods])
-            self._ops = [
-                sp.csr_matrix((np.concatenate([c[p] for c in self.coeffs]),
-                               (rows, cols)), shape=(n, n))
-                for p in range(self.order)
-            ]
+        """Per-lag linear operators on flattened frames: the P CSR
+        matrices the field is held as."""
         return self._ops
 
     def predict(self, lagged):
@@ -149,24 +234,28 @@ class KernelField:
 
     def scale(self, factor):
         """New field with every coefficient multiplied by ``factor``."""
-        return KernelField(
-            self.shape,
-            self.order,
-            self.neighborhoods,
-            [c * factor for c in self.coeffs],
-        )
+        op = self._ops[0]
+        return KernelField._from_arrays(self.shape, self.order, op.indptr, op.indices,
+                                        [o.data * factor for o in self._ops],
+                                        self._radii)
 
     def to_dict(self):
+        op = self._ops[0]
+        bounds = op.indptr.tolist()
+        sites = np.stack(np.unravel_index(op.indices, self.shape, order="F"),
+                         axis=1).tolist()
+        values = [o.data.tolist() for o in self._ops]
         return {
             "shape": list(self.shape),
             "P": self.order,
             "sites": [
                 {
-                    "center": list(nb.center),
-                    "neighborhood": nb.sites.tolist(),
-                    "coeffs": c.tolist(),
+                    "center": center,
+                    "neighborhood": sites[a:b],
+                    "coeffs": [v[a:b] for v in values],
                 }
-                for nb, c in zip(self.neighborhoods, self.coeffs)
+                for center, a, b in zip(_grid_centers(self.shape).tolist(),
+                                        bounds, bounds[1:])
             ],
         }
 
@@ -174,60 +263,10 @@ class KernelField:
     def from_dict(cls, data):
         """Inverse of :meth:`to_dict`.  A neighborhood that is exactly the
         clipped box of its per-axis extent becomes that box, any other a
-        custom neighborhood."""
-        shape = tuple(data["shape"])
-        order = int(data["P"])
-        n_sites = int(np.prod(shape))
-        items = data["sites"]
-        sizes = np.array([len(item["neighborhood"]) for item in items], dtype=np.intp)
-        if np.any(sizes == 0):
-            raise ConfigurationError("kernel JSON has an empty neighborhood")
-        centers = np.array([item["center"] for item in items], dtype=np.intp)
-        sites = np.array([s for item in items for s in item["neighborhood"]],
-                         dtype=np.intp)
-        center_linear = sites_to_linear(centers, shape)
-        entry = np.full(n_sites, -1)  # item index per linear site
-        entry[center_linear] = np.arange(len(items))
-        linear = sites_to_linear(sites, shape)
-        missing = int(np.count_nonzero(entry < 0))
-        if missing:
-            raise ConfigurationError(f"kernel JSON is missing {missing} sites")
-        if len(items) > n_sites:  # every site is listed, so some site twice
-            first = int(np.flatnonzero(entry[center_linear] != np.arange(len(items)))[0])
-            raise ConfigurationError(
-                f"kernel JSON lists site {tuple(items[first]['center'])} more than once")
-
-        ends = np.cumsum(sizes)
-        starts = ends - sizes
-        owner = np.repeat(np.arange(len(items)), sizes)
-        extents = np.maximum.reduceat(np.abs(sites - centers[owner]), starts, axis=0)
-        perm = np.lexsort((linear, owner))  # each item's sites in linear order
-        linear = linear[perm]
-        unsorted = set(owner[perm != np.arange(perm.size)].tolist())
-        neighborhoods = [None] * len(items)
-        distinct, group = np.unique(extents, axis=0, return_inverse=True)
-        for g, radii in enumerate(distinct.tolist()):
-            members = np.flatnonzero(group.ravel() == g)
-            boxes = _boxes(centers[members], shape, tuple(radii))
-            for i, box in zip(members.tolist(), boxes):
-                a, b = starts[i], ends[i]
-                if box.size == b - a and np.array_equal(box.linear, linear[a:b]):
-                    neighborhoods[i] = box
-                else:
-                    neighborhoods[i] = custom_neighborhood(
-                        box.center, shape, items[i]["neighborhood"])
-
-        def coeffs(i):
-            # coefficient columns follow their sites into linear order
-            c = np.asarray(items[i]["coeffs"], dtype=np.float64)
-            a, b = starts[i], ends[i]
-            if i in unsorted and c.shape[-1:] == (b - a,):
-                c = c[..., perm[a:b] - a]
-            return c
-
-        entry = entry.tolist()
-        return cls(shape, order, [neighborhoods[i] for i in entry],
-                   [coeffs(i) for i in entry])
+        custom neighborhood.  Sites may be listed in any order, and each
+        site's neighborhood too, as long as its coefficient rows follow
+        the same order."""
+        return cls._from_arrays(*_field_arrays(data))
 
     def save_json(self, path):
         with open(path, "w") as fh:
@@ -241,6 +280,92 @@ class KernelField:
                 return cls.from_dict(json.load(fh))
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise ConfigurationError(f"malformed kernel file {path}: {exc!r}") from exc
+
+
+def _field_arrays(data):
+    """(shape, order, indptr, indices, per-lag data, radii) of a kernel
+    dict, for :meth:`KernelField.from_dict`.
+
+    The sites are flattened a block at a time into arrays allocated up
+    front: temporaries over the whole field (about 40 MB for a 91x181
+    radius-2 field) stayed resident on the heap once freed.
+    """
+    shape = tuple(int(n) for n in data["shape"])
+    order = _lag_order(data["P"])
+    n_sites, d = int(np.prod(shape)), len(shape)
+    items = data["sites"]
+    n = len(items)
+    sizes = np.fromiter((len(item["neighborhood"]) for item in items), np.intp, n)
+    if np.any(sizes == 0):
+        raise ConfigurationError("kernel JSON has an empty neighborhood")
+    centers = np.array([item["center"] for item in items], dtype=np.intp)
+    center_linear = sites_to_linear(centers, shape)
+    entry = np.full(n_sites, -1)  # item index per linear site
+    entry[center_linear] = np.arange(n)
+    missing = int(np.count_nonzero(entry < 0))
+    if missing:
+        raise ConfigurationError(f"kernel JSON is missing {missing} sites")
+    if n > n_sites:  # every site is listed, so some site twice
+        first = int(np.flatnonzero(entry[center_linear] != np.arange(n))[0])
+        raise ConfigurationError(
+            f"kernel JSON lists site {tuple(items[first]['center'])} more than once")
+
+    indptr = np.zeros(n_sites + 1, dtype=np.intp)
+    np.cumsum(sizes[entry], out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.intp)
+    values = [np.empty(indptr[-1]) for _ in range(order)]
+    radii = np.empty((n_sites, d), dtype=np.intp)
+    for a in range(0, n, _LOAD_BLOCK):
+        block = items[a : a + _LOAD_BLOCK]
+        size, center = sizes[a : a + len(block)], centers[a : a + len(block)]
+        listed = list(chain.from_iterable(item["neighborhood"] for item in block))
+        ragged = np.fromiter(map(len, listed), np.intp, len(listed)) != d
+        if np.any(ragged):
+            raise ConfigurationError(f"kernel JSON site {listed[int(np.argmax(ragged))]} "
+                                     f"does not have {d} coordinates")
+        sites = np.fromiter(chain.from_iterable(listed), np.intp, d * len(listed))
+        sites = sites.reshape(-1, d)
+        linear = sites_to_linear(sites, shape)
+        bounds = np.zeros(len(block) + 1, dtype=np.intp)  # item by item, as listed
+        np.cumsum(size, out=bounds[1:])
+        owner = np.repeat(np.arange(len(block)), size)
+        perm = np.lexsort((linear, owner))  # each neighborhood in linear order
+        linear = linear[perm]
+        if np.any((linear[1:] == linear[:-1]) & (owner[1:] == owner[:-1])):
+            raise ConfigurationError("duplicate sites in neighborhood")
+        # the sites lie inside the box of their extent, so they are that box
+        # exactly when they are as many as its clipped size
+        extents = np.maximum.reduceat(np.abs(sites - center[owner]), bounds[:-1], axis=0)
+        lo = np.maximum(center - extents, 0)
+        hi = np.minimum(center + extents, np.array(shape) - 1)
+        boxed = np.prod(hi - lo + 1, axis=1) == size
+        radii[center_linear[a : a + len(block)]] = np.where(boxed[:, None], extents, -1)
+
+        lists = [item["coeffs"] for item in block]
+        bad = np.fromiter(map(len, lists), np.intp, len(lists)) != order
+        if not bad.any():
+            lists = list(chain.from_iterable(lists))
+            widths = np.fromiter(map(len, lists), np.intp, len(lists))
+            bad = (widths.reshape(-1, order) != size[:, None]).any(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ConfigurationError(f"site {tuple(center[i].tolist())}: coefficients "
+                                     f"do not match (P={order}, |J|={size[i]})")
+        flat = np.fromiter(chain.from_iterable(lists), np.float64, order * linear.size)
+        finite = np.isfinite(flat)
+        if not finite.all():
+            i = np.searchsorted(bounds, int(np.argmin(finite)) // order, side="right") - 1
+            raise ConfigurationError(
+                f"site {tuple(center[i].tolist())}: non-finite coefficients")
+        # item i lists lag p's coefficient j at order * bounds[i] + p * size[i] + j
+        at = (np.arange(linear.size) + (order - 1) * bounds[owner])[perm]
+        step = size[owner][perm]
+        out = np.repeat(indptr[center_linear[a : a + len(block)]] - bounds[:-1], size)
+        out += np.arange(linear.size)
+        indices[out] = linear
+        for p, v in enumerate(values):
+            v[out] = flat[at + p * step]
+    return shape, order, indptr, indices, values, radii
 
 
 def operator_norm(kernels):
@@ -260,21 +385,31 @@ def operator_norm(kernels):
         If power iteration has not converged after 10000 steps (relative
         tolerance 1e-8); the message reports the last two iterates.
     """
+    return _operator_norm(kernels)[0]
+
+
+def _operator_norm(kernels, start=None):
+    """:func:`operator_norm` and each lag's converged right singular
+    vector; ``start`` holds per-lag starting vectors (a fixed
+    pseudo-random one per lag by default)."""
     from .fit import single_threaded_blas  # fit imports this module
 
+    ops = kernels.operators()
     with single_threaded_blas():
-        return float(sum(_spectral_norm(op) for op in kernels.operators()))
+        parts = [_spectral_norm(op, v) for op, v in zip(ops, start or [None] * len(ops))]
+    return float(sum(norm for norm, _ in parts)), [v for _, v in parts]
 
 
-def _spectral_norm(op):
-    n = op.shape[0]
-    key = rng.derive_key(0x5EED0FF, [n])
-    v = rng.uniforms(key, np.arange(n)) - 0.5
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        v = np.ones(n)
+def _spectral_norm(op, v=None):
+    if v is None:
+        n = op.shape[0]
+        key = rng.derive_key(0x5EED0FF, [n])
+        v = rng.uniforms(key, np.arange(n)) - 0.5
         nv = np.linalg.norm(v)
-    v /= nv
+        if nv == 0.0:
+            v = np.ones(n)
+            nv = np.linalg.norm(v)
+        v /= nv
     op_t = op.T.tocsr()
     lam_prev = None
     for _ in range(_NORM_MAX_ITER):
@@ -282,10 +417,10 @@ def _spectral_norm(op):
         lam = float(v @ w)
         norm_w = np.linalg.norm(w)
         if norm_w == 0.0 or lam <= 0.0:
-            return 0.0
+            return 0.0, v
         v = w / norm_w
         if lam_prev is not None and abs(lam - lam_prev) <= _NORM_RTOL * max(lam, 1e-300):
-            return float(np.sqrt(lam))
+            return float(np.sqrt(lam)), v
         lam_prev = lam
     raise NumericalError(
         f"power iteration did not converge in {_NORM_MAX_ITER} steps; "
@@ -299,7 +434,9 @@ def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
     Coefficients are i.i.d. uniform(-1, 1) on clipped boxes of the given
     radius, drawn from counter streams keyed by (seed, site, lag), then
     all rescaled by target_norm / operator_norm.  A degenerate draw with
-    zero norm is retried with seed+1, at most 5 times.
+    zero norm is retried with seed+1, at most 5 times.  The rescaled
+    norm is checked by power iteration started from the draw's singular
+    vectors, and the field carries it to :func:`simulate_liar`.
 
     Parameters
     ----------
@@ -318,24 +455,32 @@ def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
     """
     if not 0.0 < target_norm < 1.0:
         raise ConfigurationError(f"target_norm must be in (0, 1), got {target_norm}")
-    neighborhoods = box_field(shape, radii)
-    site_ids = np.arange(len(neighborhoods))[:, None]
-    counters = np.arange(max(nb.size for nb in neighborhoods))
+    shape = tuple(int(n) for n in shape)
+    radii = _box_radii(radii, shape)
+    order = _lag_order(order)
+    _, indices, indptr = _box_sites(_grid_centers(shape), shape, radii)
+    sizes = np.diff(indptr)
+    box_radii = np.broadcast_to(np.array(radii, dtype=np.intp), (sizes.size, len(shape)))
+    site_ids = np.arange(sizes.size)[:, None]
+    counters = np.arange(sizes.max())
+    drawn = counters < sizes[:, None]  # each site's counters, box by box
     for attempt in range(6):
         s = seed + attempt
         # (site, lag) streams, each read from counter 0 up to its box size
         keys = rng.derive_key(s, [_CTX_KERNEL, site_ids, np.arange(order)])
         draws = 2.0 * rng.uniforms(keys[:, :, None], counters) - 1.0
-        coeffs = [draws[i, :, : nb.size] for i, nb in enumerate(neighborhoods)]
-        field = KernelField(shape, order, neighborhoods, coeffs)
-        norm = operator_norm(field)
+        field = KernelField._from_arrays(shape, order, indptr, indices,
+                                         [draws[:, p][drawn] for p in range(order)],
+                                         box_radii)
+        norm, vectors = _operator_norm(field)
         if norm > 1e-12:
             scaled = field.scale(target_norm / norm)
-            final = operator_norm(scaled)
+            final, _ = _operator_norm(scaled, vectors)
             if abs(final - target_norm) > 1e-6:
                 raise NumericalError(
                     f"rescaled norm {final} missed target {target_norm}"
                 )
+            scaled._norm = final
             return scaled
     raise NumericalError("kernel draws degenerate (zero norm) after 5 retries")
 
@@ -363,7 +508,7 @@ def simulate_liar(kernels, n_frames, noise, burn_in=500):
         raise ConfigurationError("n_frames must be at least 1")
     if burn_in < 0:
         raise ConfigurationError("burn_in must be nonnegative")
-    norm = operator_norm(kernels)
+    norm = operator_norm(kernels) if kernels._norm is None else kernels._norm
     if norm >= 1.0:
         raise StabilityError(
             f"kernel field has stability norm {norm:.6f} >= 1; "
@@ -403,7 +548,7 @@ def simulate_liar(kernels, n_frames, noise, burn_in=500):
             del state[0]
             if t >= burn_in:
                 out[t - burn_in] = x
-    return GridSeries(kernels.shape, out)
+    return GridSeries._adopt(kernels.shape, out)
 
 
 def kernel_distance(a, b):

@@ -170,6 +170,30 @@ class TestSelect:
         assert run("select", "--input", sim / "series.gts",
                    "--output-dir", tmp_path / "sel") == 2
 
+    def test_candidates_wrong_everywhere_exit_2(self, tmp_path, capsys):
+        series = GridSeries((6, 7), np.random.default_rng(3).normal(size=(60, 42)))
+        write_gts(series, tmp_path / "series.gts")
+        out = tmp_path / "sel"
+        code = run("select", "--input", tmp_path / "series.gts",
+                   "--candidates", "1,1;2,2", "--output-dir", out)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: first candidate must be the bare center, got (1, 1)\n")
+        assert not (out / "selection.json").exists()
+
+    def test_candidates_that_fail_to_nest_at_some_sites_exit_4(self, tmp_path):
+        # on 3 rows, radius (1, 1) nests (2, 0) only at the middle row
+        series = GridSeries((3, 6), np.random.default_rng(5).normal(size=(40, 18)))
+        write_gts(series, tmp_path / "series.gts")
+        out = tmp_path / "sel"
+        code = run("select", "--input", tmp_path / "series.gts",
+                   "--candidates", "0,0;2,0;1,1", "--output-dir", out)
+        assert code == 4
+        report = json.loads((out / "selection.json").read_text())
+        assert sorted(e["center"] for e in report["sites"]) == [[1, j] for j in range(6)]
+        assert len(report["errors"]) == 12
+        assert all("does not nest" in msg for msg in report["errors"].values())
+
 
 class TestSpliar:
     def test_artifacts(self, tmp_path):
@@ -429,3 +453,42 @@ def test_installed_script_reports_version(liar_command):
                           text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+# a child's ru_maxrss starts from the resident set of the process that
+# forked it, so the commands are started from a bare interpreter
+_LAUNCHER = ("import os, subprocess, sys; "
+             "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+             "_, status, usage = os.wait4(proc.pid, 0); "
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+
+def _peak_rss_mib(argv):
+    """Run ``argv`` to completion; its exit code and peak RSS in MiB."""
+    out = subprocess.run([sys.executable, "-c", _LAUNCHER, *map(str, argv)],
+                         capture_output=True, text=True, check=True).stdout.split()
+    return int(out[0]), int(out[1]) / 1024  # ru_maxrss is in KiB on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_simulate_and_forecast_hold_the_series_once(tmp_path, liar_command):
+    # 60x90 sites, 960 frames: a 39.6 MiB series.  Each command may hold
+    # it once plus half again (noise blocks, kernels, the forecast); a
+    # second copy of the series would break the bound
+    payload = 60 * 90 * 960 * 8 / 2**20
+    code, baseline = _peak_rss_mib([sys.executable, "-c", "import liargrid.cli"])
+    assert code == 0
+    sim, fc = tmp_path / "sim", tmp_path / "fc"
+    peaks = {}
+    for name, args in (
+        ("simulate", ["--shape", "60x90", "--T", "960", "--K", "2", "--seed", "1",
+                      "--output-dir", sim]),
+        ("forecast", ["--input", sim / "series.gts", "--kernels", sim / "kernels.json",
+                      "--horizon", "100", "--output-dir", fc]),
+    ):
+        code, peaks[name] = _peak_rss_mib([*liar_command, name, *args])
+        assert code == 0
+    bound = baseline + 1.5 * payload
+    assert max(peaks.values()) <= bound, (
+        f"peak RSS {peaks} MiB against {bound:.1f} MiB "
+        f"(import only {baseline:.1f} MiB, series {payload:.1f} MiB)")

@@ -171,6 +171,45 @@ class TestGtsFormat:
         with pytest.raises(GtsFormatError, match="finite"):
             read_gts(path)
 
+    # 700 frames of a 10x10 grid: 70000 values, past the first 2**16-value
+    # chunk of the finiteness check
+    @pytest.mark.parametrize("position", [0, 2**16 - 1, 2**16, 69000, 69999])
+    def test_non_finite_value_offset_in_any_chunk(self, tmp_path, position):
+        path = tmp_path / "nan.gts"
+        write_gts(GridSeries((10, 10), np.ones((700, 100))), path)
+        raw = bytearray(path.read_bytes())
+        at = 17 + 8 * position  # after the 17-byte header of a 2-axis grid
+        raw[at : at + 8] = struct.pack("<d", np.nan)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(GtsFormatError) as exc:
+            read_gts(path)
+        assert str(exc.value) == (f"non-finite value at position {position} "
+                                  f"(byte offset {at})")
+        assert exc.value.offset == at
+
+    @pytest.mark.parametrize("edit, message, offset", [
+        ("truncated", "payload truncated: expected 560000 bytes, found 559992", 560009),
+        ("trailing", "trailing data after payload", 560017),
+    ])
+    def test_payload_size_errors_keep_their_offsets(self, tmp_path, edit, message,
+                                                    offset):
+        path = tmp_path / "size.gts"
+        write_gts(GridSeries((10, 10), np.ones((700, 100))), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] if edit == "truncated" else raw + b"\x00")
+        with pytest.raises(GtsFormatError) as exc:
+            read_gts(path)
+        assert str(exc.value) == f"{message} (byte offset {offset})"
+        assert exc.value.offset == offset
+
+    def test_read_values_are_read_only(self, tmp_path):
+        path = tmp_path / "ro.gts"
+        write_gts(GridSeries((3, 2), np.arange(24.0).reshape(4, 6)), path)
+        back = read_gts(path)
+        assert back.values.dtype == np.float64 and back.values.flags.c_contiguous
+        with pytest.raises(ValueError):
+            back.values[0, 0] = 1.0
+
 
 class TestCsvImport:
     def test_stacked_frames(self, tmp_path):

@@ -281,10 +281,9 @@ class TestSelectAll:
                 nested_family(site, (3, 6), radii_list=radii)
             assert report.errors[site] == str(exc.value)
             assert "does not nest" in str(exc.value)
-        # candidates invalid everywhere fail every site the same way
-        report = select_all(s, radii_list=[(1, 1), (2, 2)], d0=1.0)
-        assert not report.traces and len(set(report.errors.values())) == 1
-        assert "bare center" in report.errors[(0, 0)]
+        # candidates invalid everywhere are refused once, not per site
+        with pytest.raises(ConfigurationError, match="bare center"):
+            select_all(s, radii_list=[(1, 1), (2, 2)], d0=1.0)
 
     def test_thread_determinism(self):
         shape = (4, 4)

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from liargrid import (
@@ -98,6 +99,46 @@ class TestRandomStableKernels:
                 set_threads(n)
         for a, b in zip(*(field.coeffs for field in fields)):
             assert_array_equal(a, b)
+
+
+class TestCarriedNorm:
+    @staticmethod
+    def _count_matvecs(monkeypatch):
+        calls = []
+        matvec = sp.csr_matrix._matmul_vector
+
+        def counted(self, other):
+            calls.append(other.shape)
+            return matvec(self, other)
+
+        monkeypatch.setattr(sp.csr_matrix, "_matmul_vector", counted)
+        return calls
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_one_power_iteration_per_drawn_field(self, monkeypatch, order):
+        calls = self._count_matvecs(monkeypatch)
+        kern = random_stable_kernels((12, 14), 1, order=order, seed=3)
+        drawn = len(calls)
+        calls.clear()
+        assert abs(operator_norm(kern) - 0.8) <= 1e-6
+        cold = len(calls)
+        # the draw's own iteration, then two warm steps (two matvecs each)
+        # per lag to check the rescaled norm, where a second cold
+        # iteration would cost about as much as the first
+        assert drawn <= cold + 4 * order
+        calls.clear()
+        carried = simulate_liar(kern, 30, NoiseSpec(seed=3), burn_in=20)
+        assert len(calls) == 50 * order  # the recursion only
+        calls.clear()
+        fresh = simulate_liar(kern.scale(1.0), 30, NoiseSpec(seed=3), burn_in=20)
+        assert len(calls) == cold + 50 * order
+        assert carried == fresh
+
+    def test_unstable_field_refused_with_carried_norm(self):
+        kern = random_stable_kernels((5, 5), 1, target_norm=0.9, seed=8)
+        kern._norm = 1.5
+        with pytest.raises(StabilityError, match="1.500000"):
+            simulate_liar(kern, 5, NoiseSpec(seed=0))
 
 
 class TestSimulate:
@@ -238,6 +279,43 @@ class TestKernelField:
         data["sites"][9]["neighborhood"][1] = data["sites"][9]["neighborhood"][0]
         with pytest.raises(ConfigurationError, match="duplicate"):
             KernelField.from_dict(data)
+
+    def test_to_dict_bytes_match_the_per_site_form(self):
+        # interior and clipped radius-1 boxes, a per-axis box and a custom set
+        shape = (5, 6)
+        nbs = box_field(shape, 1)
+        nbs[7] = box_neighborhood((2, 1), shape, (0, 2))
+        nbs[14] = custom_neighborhood((4, 2), shape, [(4, 2), (0, 0), (4, 5)])
+        gen = np.random.default_rng(41)
+        coeffs = [gen.normal(size=(2, nb.size)) for nb in nbs]
+        field = KernelField(shape, 2, nbs, coeffs)
+        per_site = {
+            "shape": list(shape),
+            "P": 2,
+            "sites": [{"center": list(nb.center), "neighborhood": nb.sites.tolist(),
+                       "coeffs": c.tolist()} for nb, c in zip(nbs, coeffs)],
+        }
+        text = json.dumps(field.to_dict())
+        assert text == json.dumps(per_site)
+        back = KernelField.from_dict(json.loads(text))
+        assert kernel_distance(field, back) == 0.0
+        assert [nb.radii for nb in back.neighborhoods] == [nb.radii for nb in nbs]
+        assert [nb.radii for nb in field.neighborhoods] == [nb.radii for nb in nbs]
+        assert list(back.neighborhoods) == nbs
+        for got, want in zip(back.coeffs, coeffs):
+            assert_array_equal(got, want)
+        assert json.dumps(back.to_dict()) == text
+
+    def test_views_are_read_only(self):
+        kern = random_stable_kernels((4, 5), 1, order=2, target_norm=0.5, seed=2)
+        assert len(kern.coeffs) == len(kern.neighborhoods) == 20
+        assert kern.neighborhoods[-1] == kern.neighborhoods[19]
+        with pytest.raises(IndexError):
+            kern.coeffs[20]
+        with pytest.raises(ValueError):
+            kern.coeffs[3][0, 0] = 1.0
+        with pytest.raises(ValueError):
+            kern.operators()[1].data[0] = 1.0
 
     def test_from_dict_rejects_a_site_listed_twice(self):
         shape = (3, 4)
