@@ -421,27 +421,24 @@ def build_parser():
     return parser
 
 
+# (error classes, exit code); the first entry that matches decides
+_EXIT_CODES = (
+    (GtsFormatError, 3),
+    ((StabilityError, NumericalError, UnderdeterminedError, SizeError, StructureError), 4),
+    (ConfigurationError, 2),
+    (LiarError, 1),
+    (OSError, 5),
+)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GtsFormatError,) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (StabilityError, NumericalError, UnderdeterminedError,
-            SizeError, StructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except LiarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 5
+    except (LiarError, OSError) as exc:
+        code = next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
+        print(f"{'i/o error' if code == 5 else 'error'}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -325,19 +325,27 @@ def fit_site(design):
     """Minimize ||z - Y m||^2 for one design block.
 
     Full-rank designs (R diagonal ratio >= 1e-10) solve by back
-    substitution; deficient ones fall back to the minimum-norm solution
-    and set ``cond_flag``.
+    substitution and carry their plug-in standard errors on ``se``, from
+    the same R factor; deficient ones fall back to the minimum-norm
+    solution and set ``cond_flag``.
     """
-    return _fit_design(design, with_se=False)
+    def plan(_):  # read once _solve_sites has checked the lag order
+        return [design.neighborhood], None, (design.y.shape[1] // design.order,)
+
+    done, _ = _solve_sites(plan, lambda *_: np.column_stack((design.y, design.z)),
+                           [[(0, design.site, None)]], design.order, design.y.shape[0],
+                           with_se=True)
+    return done[0][0]
 
 
 def standard_errors(fit, design):
     """Plug-in standard errors sqrt(sigma2 * diag((Y'Y)^-1)).
 
     Returns None with a warning when the design was rank-deficient.
-    The result is also stored on ``fit.se``.  This call factors the
-    design again, at about the cost of :func:`fit_site`; ``fit_all``
-    forms standard errors from the R factor it already has.
+    Returns ``fit.se`` when the fit carries them from its own R factor,
+    as full-rank fits of :func:`fit_site` and ``fit_all`` do; otherwise
+    (a fit kept by selection, or one built by hand) factors ``design``
+    again and stores the result on ``fit.se``.
     """
     if fit.cond_flag:
         warnings.warn(
@@ -345,19 +353,9 @@ def standard_errors(fit, design):
             stacklevel=2,
         )
         return None
-    fit.se = _fit_design(design, with_se=True).se
+    if fit.se is None:
+        fit.se = fit_site(design).se
     return fit.se
-
-
-def _fit_design(design, with_se):
-    """One design block through :func:`_solve_sites`, as a batch of one."""
-    def plan(_):  # read once _solve_sites has checked the lag order
-        return [design.neighborhood], None, (design.y.shape[1] // design.order,)
-
-    done, _ = _solve_sites(plan, lambda *_: np.column_stack((design.y, design.z)),
-                           [[(0, design.site, None)]], design.order, design.y.shape[0],
-                           with_se=with_se)
-    return done[0][0]
 
 
 def _require_complete(shape, n_fitted, errors):

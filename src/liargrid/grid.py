@@ -183,12 +183,13 @@ class GridSeries:
         return self.frames[t]
 
     def slice_time(self, start, stop):
-        """Sub-series of frames [start, stop)."""
+        """Sub-series of frames [start, stop): a read-only view of this
+        series' own rows, neither copied nor checked again."""
         if not 0 <= start < stop <= self.n_frames:
             raise ConfigurationError(
                 f"frame range [{start}, {stop}) invalid for {self.n_frames} frames"
             )
-        return GridSeries(self.shape, self.values[start:stop])
+        return GridSeries._adopt(self.shape, self.values[start:stop], finite=True)
 
     def __eq__(self, other):
         if not isinstance(other, GridSeries):

@@ -433,10 +433,11 @@ def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
 
     Coefficients are i.i.d. uniform(-1, 1) on clipped boxes of the given
     radius, drawn from counter streams keyed by (seed, site, lag), then
-    all rescaled by target_norm / operator_norm.  A degenerate draw with
-    zero norm is retried with seed+1, at most 5 times.  The rescaled
-    norm is checked by power iteration started from the draw's singular
-    vectors, and the field carries it to :func:`simulate_liar`.
+    all rescaled by target_norm / operator_norm.  A draw of norm at most
+    1e-12 needs every coefficient within 1e-12 of 0 (about a 1e-12 chance
+    each) and raises :class:`NumericalError`.  The rescaled norm is
+    checked by power iteration started from the draw's singular vectors,
+    and the field carries it to :func:`simulate_liar`.
 
     Parameters
     ----------
@@ -464,25 +465,21 @@ def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
     site_ids = np.arange(sizes.size)[:, None]
     counters = np.arange(sizes.max())
     drawn = counters < sizes[:, None]  # each site's counters, box by box
-    for attempt in range(6):
-        s = seed + attempt
-        # (site, lag) streams, each read from counter 0 up to its box size
-        keys = rng.derive_key(s, [_CTX_KERNEL, site_ids, np.arange(order)])
-        draws = 2.0 * rng.uniforms(keys[:, :, None], counters) - 1.0
-        field = KernelField._from_arrays(shape, order, indptr, indices,
-                                         [draws[:, p][drawn] for p in range(order)],
-                                         box_radii)
-        norm, vectors = _operator_norm(field)
-        if norm > 1e-12:
-            scaled = field.scale(target_norm / norm)
-            final, _ = _operator_norm(scaled, vectors)
-            if abs(final - target_norm) > 1e-6:
-                raise NumericalError(
-                    f"rescaled norm {final} missed target {target_norm}"
-                )
-            scaled._norm = final
-            return scaled
-    raise NumericalError("kernel draws degenerate (zero norm) after 5 retries")
+    # (site, lag) streams, each read from counter 0 up to its box size
+    keys = rng.derive_key(seed, [_CTX_KERNEL, site_ids, np.arange(order)])
+    draws = 2.0 * rng.uniforms(keys[:, :, None], counters) - 1.0
+    field = KernelField._from_arrays(shape, order, indptr, indices,
+                                     [draws[:, p][drawn] for p in range(order)],
+                                     box_radii)
+    norm, vectors = _operator_norm(field)
+    if not norm > 1e-12:
+        raise NumericalError("kernel draws degenerate (zero norm)")
+    scaled = field.scale(target_norm / norm)
+    final, _ = _operator_norm(scaled, vectors)
+    if abs(final - target_norm) > 1e-6:
+        raise NumericalError(f"rescaled norm {final} missed target {target_norm}")
+    scaled._norm = final
+    return scaled
 
 
 def simulate_liar(kernels, n_frames, noise, burn_in=500):

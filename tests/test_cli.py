@@ -284,6 +284,18 @@ class TestEval:
         assert_allclose(scores["liar_p"], holdout_rmse(series, pix, 20),
                         rtol=1e-10)
 
+    @pytest.mark.parametrize("order,code", [(2, 4), (3, 2)])
+    def test_pixel_baseline_shortage_exits_like_liar(self, tmp_path, order, code):
+        # a 3-frame training prefix: P < T < 2P is underdetermined, T <= P
+        # a configuration error, under --methods liar_p as under liar --K 0
+        gen = np.random.default_rng(25)
+        write_gts(GridSeries((2, 2), gen.normal(size=(4, 4))), tmp_path / "s.gts")
+        codes = [run("eval", "--input", tmp_path / "s.gts", "--P", str(order),
+                     *method, "--output-dir", tmp_path / method[1])
+                 for method in (("--methods", "liar_p"),
+                                ("--methods", "liar", "--K", "0"))]
+        assert codes == [code, code]
+
     def test_bad_train_fraction(self, tmp_path):
         gen = np.random.default_rng(23)
         write_gts(GridSeries((3, 3), gen.normal(size=(40, 9))),

@@ -8,6 +8,7 @@ from liargrid import (
     KernelField,
     NoiseSpec,
     SizeError,
+    UnderdeterminedError,
     autocov,
     baseline_mar_als,
     baseline_pixel_ar,
@@ -22,7 +23,7 @@ from liargrid import (
 )
 import liargrid.evaluate
 from liargrid.grid import linear_to_site, site_to_linear
-from liargrid.neighborhoods import box_neighborhood
+from liargrid.neighborhoods import box_field, box_neighborhood
 
 from _dgp import mar_kernel_field
 
@@ -220,8 +221,21 @@ class TestPixelBaseline:
 
     def test_needs_frames(self):
         s = GridSeries((2, 2), np.ones((2, 4)))
-        with pytest.raises(Exception):
-            baseline_pixel_ar(s, order=1)
+        with pytest.raises(ConfigurationError):
+            baseline_pixel_ar(s, order=2)
+
+    def test_fewer_rows_than_lags_underdetermined(self):
+        s = GridSeries((2, 2), np.random.default_rng(44).normal(size=(3, 4)))
+        with pytest.raises(UnderdeterminedError):
+            baseline_pixel_ar(s, order=2)
+
+    def test_twice_order_frames_fit_like_fit_all(self):
+        shape = (2, 2)
+        s = GridSeries(shape, np.random.default_rng(45).normal(size=(4, 4)))
+        base = baseline_pixel_ar(s, order=2)
+        want = fit_all(s, box_field(shape, 0), order=2).kernels()
+        for i in range(4):
+            assert_array_equal(base.coeffs[i], want.coeffs[i])
 
 
 class TestMarAls:

@@ -160,6 +160,29 @@ class TestStandardErrors:
                    "singular" in str(w.message).lower() or
                    "deficien" in str(w.message).lower() for w in caught)
 
+    def test_fit_site_carries_them_from_one_factor(self, monkeypatch):
+        shape, site = (4, 5), (1, 2)
+        s = _random_series(shape, 60, 8)
+        nb = box_neighborhood(site, shape, 1)
+        want = fit_all(s, [nb], order=2).fit_for(site).se
+        calls, factor = [], liargrid.fit._factor
+        monkeypatch.setattr(liargrid.fit, "_factor",
+                            lambda aug: calls.append(aug.shape) or factor(aug))
+        design = assemble_design(s, site, nb, 2)
+        se = standard_errors(fit_site(design), design)
+        assert len(calls) == 1
+        assert_array_equal(se, want)
+
+    def test_kept_selection_fit(self):
+        shape, site = (4, 4), (2, 1)
+        s = _random_series(shape, 80, 9)
+        fit = select_site(s, nested_family(site, shape, max_radius=1)).fit
+        assert fit.se is None
+        design = assemble_design(s, site, fit.neighborhood, 1)
+        se = standard_errors(fit, design)
+        assert fit.se is se
+        assert_array_equal(se, fit_all(s, [fit.neighborhood]).fit_for(site).se)
+
     def test_empirical_coverage(self):
         # 95% plug-in intervals cover the truth 95% +/- 3% of the time
         shape = (3, 3)

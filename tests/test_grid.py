@@ -84,6 +84,15 @@ class TestGridSeries:
         assert sub.n_frames == 3
         assert_array_equal(sub.values, s.values[1:4])
 
+    def test_slice_time_is_a_read_only_view(self):
+        s = GridSeries((2, 3), np.random.default_rng(2).normal(size=(7, 6)))
+        sub = s.slice_time(2, 6)
+        assert np.shares_memory(sub.values, s.values)
+        assert not sub.values.flags.writeable
+        assert_array_equal(sub.values, s.values[2:6])
+        with pytest.raises((ValueError, RuntimeError)):
+            sub.values[0, 0] = 1.0
+
     def test_rejects_non_finite(self):
         vals = np.zeros((2, 4))
         vals[1, 2] = np.nan
