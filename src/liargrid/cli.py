@@ -20,8 +20,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     ConfigurationError,
@@ -40,7 +38,7 @@ from .evaluate import (
     holdout_rmse,
 )
 from .fit import fit_all, resolve_workers
-from .grid import GridSeries, read_csv_frames, read_gts, write_gts
+from .grid import read_csv_frames, read_gts, write_gts
 from .neighborhoods import box_field
 from .select import default_d0, select_all
 from .separable import fit_spliar
@@ -75,11 +73,7 @@ def _parse_int_list(text):
 
 def _parse_radii_list(text):
     """Semicolon-separated candidate radius tuples: '0,0,0;0,0,1;...'."""
-    out = []
-    for tok in text.split(";"):
-        tok = tok.strip()
-        if tok:
-            out.append(tuple(int(c) for c in tok.split(",")))
+    out = [tuple(_parse_int_list(tok)) for tok in text.split(";") if tok.strip()]
     if not out:
         raise ConfigurationError(f"empty candidate list {text!r}")
     return out
@@ -232,8 +226,7 @@ def cmd_forecast(args):
     series = _load_series(args)
     out = _outdir(args)
     truth = read_gts(args.truth) if args.truth else None
-    result = forecast(series, kernels, args.horizon,
-                      truth=truth.values if truth is not None else None)
+    result = forecast(series, kernels, args.horizon, truth=truth)
     write_gts(result.series, os.path.join(out, "forecast.gts"))
     payload = {"horizon": args.horizon, "rmse": result.rmse}
     if result.per_frame_rmse is not None:

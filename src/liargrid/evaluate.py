@@ -77,7 +77,8 @@ def forecast(series, model, horizon, truth=None):
         Must match the series' grid shape.
     horizon : int
     truth : GridSeries or ndarray, optional
-        Held-out frames to score against ((h, n_sites) or (h, *shape)).
+        Held-out frames to score against: a series on the same grid, or
+        an (h, n_sites) or naturally indexed (h, *shape) array.
 
     Returns
     -------
@@ -101,9 +102,12 @@ def forecast(series, model, horizon, truth=None):
 
     per_frame = overall = None
     if truth is not None:
-        tvals = truth.values if isinstance(truth, GridSeries) else np.asarray(truth, float)
-        if tvals.ndim > 2:
-            tvals = tvals.reshape(tvals.shape[0], -1)
+        tvals = truth.frames if isinstance(truth, GridSeries) else np.asarray(truth, float)
+        if tvals.ndim > 2:  # (h, *shape) frames: flatten each column-major, as values are
+            if tvals.shape[1:] != series.shape:
+                raise ConfigurationError(
+                    f"truth grid {tvals.shape[1:]} does not match series grid {series.shape}")
+            tvals = tvals.reshape(tvals.shape[0], -1, order="F")
         if tvals.shape != preds.shape:
             raise ConfigurationError(
                 f"truth shape {tvals.shape} does not match forecast {preds.shape}"
@@ -188,8 +192,8 @@ def autocov(series, rows, cols=None):
 
 def _site_list_to_linear(series, sites):
     arr = np.asarray(sites)
-    if arr.ndim == 1 and arr.dtype.kind in "iu" and len(series.shape) > 1:
-        # already linear indices
+    if arr.ndim == 1 and arr.dtype.kind in "iu":
+        # already linear indices (on a 1-D grid, a coordinate is its own)
         lin = arr.astype(np.intp)
         if np.any(lin < 0) or np.any(lin >= series.n_sites):
             raise IndexError("linear site index out of range")

@@ -12,11 +12,12 @@ column group per nested level.  Rank deficiency is non-fatal: the
 minimum-norm solution is returned with ``cond_flag`` set.
 
 :func:`_solve_sites` runs the kernel in a thread pool, one task per
-block of consecutive sites: each task gathers and factors its sites
-(``dgeqrf``, which releases the GIL), then scores and solves them, all
-sites with the same column plan at once.  The calling thread only
-submits blocks and merges their results; OpenBLAS runs on one thread
-throughout (:func:`single_threaded_blas`).  Each result is a pure
+block of consecutive sites: each task gathers and factors its sites,
+then scores and solves them, all sites with the same column plan at
+once.  The factorization is scipy's ``lapack.dgeqrf``, whose wrapper
+releases the GIL, so tasks factor in parallel.  The calling thread
+only submits blocks and merges their results; OpenBLAS runs on one
+thread throughout (:func:`single_threaded_blas`).  Each result is a pure
 function of its site's data, the same for any worker count, block or
 BLAS thread setting.  ``fit_site``, ``standard_errors`` and
 ``select_site`` are batches of one.
@@ -29,8 +30,6 @@ Golub, Van Loan (2013), "Matrix Computations", 4th ed., sec. 5.2-5.3.
 import collections
 import contextlib
 import ctypes
-import functools
-import json
 import os
 import threading
 import warnings
@@ -41,7 +40,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
-from .grid import site_to_linear, sites_to_linear
+from .grid import _save_json, site_to_linear, sites_to_linear
 from .simulate import KernelField, _lag_order
 
 _RANK_TOL = 1e-10  # diagonal ratio below which a design counts as rank-deficient
@@ -220,34 +219,12 @@ def _gather(panel, order, groups, target):
     return aug
 
 
-@functools.cache
-def _lapack_geqrf():
-    """scipy's LAPACK dgeqrf through ctypes, which releases the GIL for
-    the call where scipy's own wrapper holds it."""
-    from scipy.linalg import cython_lapack
-
-    capsule, api = cython_lapack.__pyx_capi__["dgeqrf"], ctypes.pythonapi
-    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", api))(capsule)
-    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", api))(capsule, name)
-    return ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 8)(address)
-
-
 def _factor(aug):
-    """R factor of [Y z]: dgeqrf in place on ``aug``, with the workspace
-    ``scipy.linalg.lapack.dgeqrf`` passes (so the same bits).  Returns a
-    copy of the leading square block, R in its upper triangle (nothing
-    reads the reflectors below), so the gathered block can be freed."""
-    aug = np.asfortranarray(aug, dtype=np.float64)
-    rows, n = aug.shape
-    lwork = max(3 * n, 1)
-    ref, c, buf = ctypes.byref, ctypes.c_int, ctypes.c_double
-    # aug.T: the same memory, C-contiguous as from_buffer needs
-    _lapack_geqrf()(ref(c(rows)), ref(c(n)), ref(ctypes.c_char.from_buffer(aug.T)),
-                    ref(c(max(rows, 1))), (buf * min(rows, n))(), (buf * lwork)(),
-                    ref(c(lwork)), ref(c()))
-    return aug[:n].copy()
+    """R factor of [Y z]: a copy of the leading square block of
+    ``scipy.linalg.lapack.dgeqrf``'s output (R in the upper triangle;
+    nothing reads the reflectors below), so the gathered block, factored
+    in place, can be freed.  The wrapper releases the GIL for the call."""
+    return scipy.linalg.lapack.dgeqrf(aug, overwrite_a=True)[0][: aug.shape[1]].copy()
 
 
 def _trsolve(r, b):
@@ -429,8 +406,7 @@ class FitReport:
         }
 
     def save_json(self, path):
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_dict()))
+        _save_json(path, self.to_dict)
 
 
 def _normalize_neighborhood_map(series, neighborhoods):

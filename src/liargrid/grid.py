@@ -10,7 +10,10 @@ d, d u32 extents, one u32 frame count, then the frames as contiguous
 f64 values, time-major with column-major sites within each frame.
 """
 
+import contextlib
 import csv
+import gc
+import json
 import os
 import struct
 
@@ -297,6 +300,34 @@ def read_gts(path):
         raise GtsFormatError(f"non-finite value at position {j}", header_len + 8 * j)
     return GridSeries._adopt(tuple(dims), values.astype(np.float64, copy=False),
                              finite=True)
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Cyclic collector off inside the block, then back as it was: a kernel
+    or report dict holds hundreds of thousands of small lists, which every
+    collection would walk again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _save_json(path, to_dict):
+    """Write ``to_dict()`` to ``path`` as compact JSON, built with the
+    collector paused."""
+    with open(path, "w") as fh, _gc_paused():
+        fh.write(json.dumps(to_dict()))
+
+
+def _load_json(path, from_dict):
+    """``from_dict`` of the JSON in ``path``, parsed with the collector
+    paused."""
+    with open(path) as fh, _gc_paused():
+        return from_dict(json.load(fh))
 
 
 def read_csv_frames(path, shape):

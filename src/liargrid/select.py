@@ -22,14 +22,13 @@ builds each block's families one box level at a time as it submits the
 block.
 """
 
-import json
 import math
 
 import numpy as np
 
 from .errors import ConfigurationError, UnderdeterminedError
 from .fit import _blocks, _check_order, _gather, _kernel_field, _site_major, _solve_sites
-from .grid import site_to_linear
+from .grid import _save_json, site_to_linear
 from .neighborhoods import _candidates, _grid_centers, _nest, interior_mask
 
 _EXACT_FIT_REL = 1e-16  # rss below this times ||z||^2 counts as an exact fit
@@ -293,8 +292,7 @@ class SelectionReport:
         }
 
     def save_json(self, path):
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_dict()))
+        _save_json(path, self.to_dict)
 
     def save_heatmap_csv(self, path):
         """CSV (site_row, site_col, chosen_k), 1-based coordinates; 2-D only."""

@@ -16,7 +16,6 @@ one stream per site, so output is reproducible bit-for-bit regardless of
 scheduling, and a shorter simulation is a prefix of a longer one.
 """
 
-import json
 import operator
 from collections.abc import Sequence
 from itertools import chain
@@ -26,7 +25,7 @@ import scipy.sparse as sp
 
 from . import rng
 from .errors import ConfigurationError, NumericalError, StabilityError
-from .grid import GridSeries, linear_to_site, sites_to_linear
+from .grid import GridSeries, _load_json, _save_json, linear_to_site, sites_to_linear
 from .neighborhoods import Neighborhood, _box_radii, _box_sites, _grid_centers
 
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
@@ -269,17 +268,15 @@ class KernelField:
         return cls._from_arrays(*_field_arrays(data))
 
     def save_json(self, path):
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.to_dict()))
+        _save_json(path, self.to_dict)
 
     @classmethod
     def load_json(cls, path):
         """Read a kernel JSON file; a malformed one raises ConfigurationError."""
-        with open(path) as fh:
-            try:
-                return cls.from_dict(json.load(fh))
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise ConfigurationError(f"malformed kernel file {path}: {exc!r}") from exc
+        try:
+            return _load_json(path, cls.from_dict)
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise ConfigurationError(f"malformed kernel file {path}: {exc!r}") from exc
 
 
 def _field_arrays(data):

@@ -181,6 +181,16 @@ class TestSelect:
             "error: first candidate must be the bare center, got (1, 1)\n")
         assert not (out / "selection.json").exists()
 
+    def test_candidates_not_integers_exit_2(self, tmp_path, capsys):
+        series = GridSeries((6, 7), np.random.default_rng(3).normal(size=(60, 42)))
+        write_gts(series, tmp_path / "series.gts")
+        out = tmp_path / "sel"
+        code = run("select", "--input", tmp_path / "series.gts",
+                   "--candidates", "0,0;1,x", "--output-dir", out)
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot parse integer list '1,x'\n"
+        assert not (out / "selection.json").exists()
+
     def test_candidates_that_fail_to_nest_at_some_sites_exit_4(self, tmp_path):
         # on 3 rows, radius (1, 1) nests (2, 0) only at the middle row
         series = GridSeries((3, 6), np.random.default_rng(5).normal(size=(40, 18)))
@@ -254,6 +264,20 @@ class TestForecast:
         report = json.loads((out / "forecast_report.json").read_text())
         assert report["rmse"] > 0
         assert len(report["per_frame_rmse"]) == 10
+
+    def test_truth_on_another_grid_exit_2(self, tmp_path, capsys):
+        # 5 frames of 3x8 hold as many values as 5 of 4x6
+        gen = np.random.default_rng(23)
+        write_gts(GridSeries((4, 6), gen.normal(size=(30, 24))), tmp_path / "s.gts")
+        write_gts(GridSeries((3, 8), gen.normal(size=(5, 24))), tmp_path / "truth.gts")
+        random_stable_kernels((4, 6), 1, target_norm=0.5, seed=24).save_json(
+            tmp_path / "kernels.json")
+        code = run("forecast", "--input", tmp_path / "s.gts",
+                   "--kernels", tmp_path / "kernels.json", "--horizon", "5",
+                   "--truth", tmp_path / "truth.gts", "--output-dir", tmp_path / "fc")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: truth grid (3, 8) does not match series grid (4, 6)\n")
 
     def test_missing_kernels_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -114,6 +114,18 @@ class TestForecast:
         with pytest.raises(ConfigurationError):
             forecast(s, kern, 1)
 
+    def test_truth_series_frames_or_values_score_alike(self):
+        kern = random_stable_kernels((3, 4), 1, target_norm=0.7, seed=25)
+        s = simulate_liar(kern, 30, NoiseSpec(sigma=1.0, seed=26))
+        history, truth = s.slice_time(0, 25), s.slice_time(25, 30)
+        want = forecast(history, kern, 5, truth=truth.values).per_frame_rmse
+        for same in (truth, truth.frames):
+            assert_array_equal(forecast(history, kern, 5, truth=same).per_frame_rmse, want)
+        other = GridSeries((4, 3), truth.values)
+        for wrong in (other, other.frames):
+            with pytest.raises(ConfigurationError, match=r"truth grid \(4, 3\)"):
+                forecast(history, kern, 5, truth=wrong)
+
     def test_per_frame_rmse(self):
         kern = _self_only((2, 2), 0.0)
         s = GridSeries((2, 2), np.ones((3, 4)))
@@ -186,6 +198,13 @@ class TestAutocov:
         a = autocov(s, [(0, 0), (2, 2)])
         b = autocov(s, [0, site_to_linear((2, 2), (3, 3))])
         assert_array_equal(a.values, b.values)
+
+    def test_one_axis_grid_reads_coordinates_as_linear(self):
+        gen = np.random.default_rng(10)
+        s = GridSeries((5,), gen.normal(size=(40, 5)))
+        est = autocov(s, [0, 1, 2])
+        assert_array_equal(est.values, autocov(s, [(0,), (1,), (2,)]).values)
+        assert_array_equal(est.rows, [0, 1, 2])
 
     def test_matches_definition(self):
         gen = np.random.default_rng(9)

@@ -1,4 +1,6 @@
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -501,3 +503,41 @@ class TestSingleThreadedBlas:
         seen = self._spy(monkeypatch)
         self._run("fit_all", 1)
         assert seen and all(n == [2] * len(_BLAS) for n in seen)
+
+
+class TestFactorReleasesGil:
+    """The pool's speed with workers rests on ``_factor`` releasing the
+    GIL; no result depends on it."""
+
+    def test_python_thread_runs_during_factor(self):
+        gen = np.random.default_rng(21)
+        cols = 400
+        while True:  # widen the block until one factorization takes >= 0.2 s
+            aug = np.asfortranarray(gen.normal(size=(4000, cols)))
+            stamps, stop = [], threading.Event()
+
+            def spin():
+                last = time.perf_counter()
+                while not stop.is_set():
+                    now = time.perf_counter()
+                    if now - last > 1e-3:
+                        stamps.append(now)
+                        last = now
+
+            spinner = threading.Thread(target=spin)
+            spinner.start()
+            try:
+                with liargrid.fit.single_threaded_blas():
+                    start = time.perf_counter()
+                    liargrid.fit._factor(aug)
+                    end = time.perf_counter()
+            finally:
+                stop.set()
+                spinner.join(timeout=10)
+            assert not spinner.is_alive()
+            if end - start >= 0.2 or cols > 1200:
+                break
+            cols = cols * 3 // 2
+        quarter = (end - start) / 4
+        assert end - start >= 0.2
+        assert any(start + quarter <= t <= end - quarter for t in stamps)

@@ -1,3 +1,4 @@
+import gc
 import struct
 
 import numpy as np
@@ -7,14 +8,19 @@ from numpy.testing import assert_array_equal
 from liargrid import (
     GridSeries,
     GtsFormatError,
+    KernelField,
     extract_patch,
+    fit_all,
     linear_to_site,
     read_csv_frames,
+    random_stable_kernels,
     read_gts,
+    select_all,
     site_to_linear,
     sites_to_linear,
     write_gts,
 )
+from liargrid.neighborhoods import box_field
 
 
 class TestIndexing:
@@ -244,3 +250,42 @@ class TestCsvImport:
         path.write_text("1,2,3\n4,5,6\n")
         with pytest.raises(Exception, match="column|width|shape"):
             read_csv_frames(path, (2, 2))
+
+
+class TestJsonFiles:
+    """Kernel and report files are built and parsed with the cyclic
+    collector paused, which is then put back as it was."""
+
+    @pytest.fixture
+    def gc_runs(self):
+        seen = []
+
+        def record(phase, info):
+            if phase == "start":
+                seen.append(info["generation"])
+
+        gc.callbacks.append(record)
+        yield seen
+        gc.callbacks.remove(record)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_no_collection_inside_and_state_restored(self, tmp_path, gc_runs, enabled):
+        shape = (12, 12)
+        series = GridSeries(shape, np.random.default_rng(4).normal(size=(40, 144)))
+        kernels = random_stable_kernels(shape, 1, target_norm=0.5, seed=5)
+        report = fit_all(series, box_field(shape, 1))
+        selection = select_all(series, max_radius=1)
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            gc_runs.clear()
+            kernels.save_json(tmp_path / "kernels.json")
+            back = KernelField.load_json(tmp_path / "kernels.json")
+            report.save_json(tmp_path / "fit_report.json")
+            selection.save_json(tmp_path / "selection.json")
+            assert gc_runs == []
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+        assert back.to_dict() == kernels.to_dict()
+
