@@ -47,36 +47,24 @@ from .simulate import KernelField, NoiseSpec, random_stable_kernels, simulate_li
 _METHODS = ("liar", "liar_p", "spliar", "mar")
 
 
+def _split(text, sep, parse, what):
+    """``parse`` of each ``sep``-separated entry of ``text``; the whole
+    list is refused when an entry is blank or ``parse`` rejects it."""
+    try:
+        entries = [tok.strip() for tok in text.split(sep)]
+        if not all(entries):
+            raise ValueError("blank entry")
+        return [parse(tok) for tok in entries]
+    except ValueError:
+        raise ConfigurationError(f"cannot parse {what} {text!r}")
+
+
 def _parse_shape(text):
     """One grid shape from 'M,N' or 'MxN' (any dimension count)."""
-    sep = "x" if "x" in text else ","
-    try:
-        dims = tuple(int(tok) for tok in text.split(sep) if tok.strip())
-    except ValueError:
-        raise ConfigurationError(f"cannot parse shape {text!r}")
-    if not dims or any(d < 1 for d in dims):
+    dims = tuple(_split(text, "x" if "x" in text else ",", int, "shape"))
+    if any(d < 1 for d in dims):
         raise ConfigurationError(f"invalid shape {text!r}")
     return dims
-
-
-def _parse_shape_list(text):
-    """Comma-separated list of MxN tokens (bench)."""
-    return [_parse_shape(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _parse_int_list(text):
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise ConfigurationError(f"cannot parse integer list {text!r}")
-
-
-def _parse_radii_list(text):
-    """Semicolon-separated candidate radius tuples: '0,0,0;0,0,1;...'."""
-    out = [tuple(_parse_int_list(tok)) for tok in text.split(";") if tok.strip()]
-    if not out:
-        raise ConfigurationError(f"empty candidate list {text!r}")
-    return out
 
 
 def _sha256(path):
@@ -167,13 +155,15 @@ def cmd_fit(args):
 
 def cmd_select(args):
     series = _load_series(args)
-    out = _outdir(args)
-    workers = resolve_workers(args.threads)
-    d0 = args.D0 if args.D0 is not None else default_d0(series.n_frames)
-    radii_list = _parse_radii_list(args.candidates) if args.candidates else None
+    radii_list = None if args.candidates is None else _split(
+        args.candidates, ";", lambda tok: tuple(_split(tok, ",", int, "integer list")),
+        "candidate list")
     max_radius = None if radii_list is not None else args.K0
     if radii_list is None and max_radius is None:
         raise ConfigurationError("--K0 (or --candidates) is required")
+    out = _outdir(args)
+    workers = resolve_workers(args.threads)
+    d0 = args.D0 if args.D0 is not None else default_d0(series.n_frames)
     report = select_all(
         series, max_radius=max_radius, order=args.P, d0=d0,
         radii_list=radii_list, n_workers=workers,
@@ -271,6 +261,7 @@ def _eval_one(method, series, train, n_test, args, workers):
 
 def cmd_eval(args):
     series = _load_series(args)
+    methods = _split(args.methods, ",", str, "method list")
     out = _outdir(args)
     workers = resolve_workers(args.threads)
     frac = args.train_fraction
@@ -284,9 +275,6 @@ def cmd_eval(args):
         )
     train = series.slice_time(0, n_train)
     n_test = series.n_frames - n_train
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    if not methods:
-        raise ConfigurationError("--methods must name at least one method")
     rows = []
     for method in methods:
         score, seconds = _eval_one(method, series, train, n_test, args, workers)
@@ -303,25 +291,27 @@ def cmd_eval(args):
 def cmd_bench(args):
     if args.shape is None or args.T is None:
         raise ConfigurationError("--shape and --T are required for bench")
-    shapes = _parse_shape_list(args.shape)
-    t_values = _parse_int_list(args.T)
+    shapes = _split(args.shape, ",", _parse_shape, "shape list")
+    t_values = _split(args.T, ",", int, "integer list")
+    if min(t_values) < 1:
+        raise ConfigurationError("--T must be a positive frame count")
     if args.K is None:
         raise ConfigurationError("--K is required for bench")
     out = _outdir(args)
     workers = resolve_workers(args.threads)
     rows = []
     for shape in shapes:
+        # each frame count fits a prefix of one simulation (a shorter
+        # simulation is a prefix of a longer one)
+        kernels = random_stable_kernels(shape, args.K, order=args.P,
+                                        target_norm=args.target_norm, seed=args.seed)
+        noise = NoiseSpec(sigma=args.sigma, seed=args.seed)
+        series = simulate_liar(kernels, max(t_values), noise, burn_in=args.burn_in)
+        nbs = box_field(shape, args.K)
         for t in t_values:
-            kernels = random_stable_kernels(
-                shape, args.K, order=args.P,
-                target_norm=args.target_norm, seed=args.seed,
-            )
-            noise = NoiseSpec(sigma=args.sigma, seed=args.seed)
-            series = simulate_liar(kernels, t, noise, burn_in=args.burn_in)
-            nbs = box_field(shape, args.K)
+            prefix = series.slice_time(0, t)
             t0 = time.perf_counter()
-            fit_all(series, nbs, order=args.P, n_workers=workers,
-                    compute_se=False)
+            fit_all(prefix, nbs, order=args.P, n_workers=workers, compute_se=False)
             seconds = time.perf_counter() - t0
             rows.append(("x".join(map(str, shape)), series.n_sites, t,
                          args.K, seconds))

@@ -228,10 +228,9 @@ def _factor(aug):
 
 
 def _trsolve(r, b):
-    """``scipy.linalg.solve_triangular(r, b)``: the same LAPACK call and
-    flags, so the same bits, without the validation around it."""
-    if r.flags.f_contiguous:
-        return scipy.linalg.lapack.dtrtrs(r, b)[0]
+    """``scipy.linalg.solve_triangular(r, b)`` for a C-ordered ``r``: the
+    same LAPACK call and flags, so the same bits (for 1x1, both forms
+    compute b / r), without the validation around it."""
     return scipy.linalg.lapack.dtrtrs(r.T, b, lower=1, trans=1)[0]
 
 
@@ -348,15 +347,6 @@ def _require_complete(shape, n_fitted, errors):
                                  f"a kernel field needs every site")
 
 
-def _kernel_field(shape, order, fits, errors):
-    """KernelField from per-site fits keyed by linear index; every site
-    of the grid must have one (:func:`_require_complete`)."""
-    _require_complete(shape, len(fits), errors)
-    fits = [fits[i] for i in range(len(fits))]
-    return KernelField(shape, order, [f.neighborhood for f in fits],
-                       [f.coeffs_by_lag() for f in fits])
-
-
 class FitReport:
     """Per-site fits in canonical order plus an error manifest.
 
@@ -384,7 +374,10 @@ class FitReport:
 
     def kernels(self):
         """Package the fit as a KernelField (requires full site coverage)."""
-        return _kernel_field(self.shape, self.order, self.fits, self.errors)
+        _require_complete(self.shape, len(self.fits), self.errors)
+        fits = [self.fits[i] for i in range(len(self.fits))]
+        return KernelField(self.shape, self.order, [f.neighborhood for f in fits],
+                           [f.coeffs_by_lag() for f in fits])
 
     def to_dict(self):
         sites = []

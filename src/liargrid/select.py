@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, UnderdeterminedError
-from .fit import _blocks, _check_order, _gather, _kernel_field, _site_major, _solve_sites
+from .fit import FitReport, _blocks, _check_order, _gather, _site_major, _solve_sites
 from .grid import _save_json, site_to_linear
 from .neighborhoods import _candidates, _grid_centers, _nest, interior_mask
 
@@ -196,6 +196,11 @@ def _select_sites(series, panel, blocks, order, d0, keep_fit, n_workers=1):
     return traces, errors
 
 
+def _label_json(label):
+    """A candidate label as JSON takes it: a radius tuple as a list."""
+    return list(label) if isinstance(label, (tuple, list)) else label
+
+
 class SelectionReport:
     """Per-site BIC traces in canonical order plus an error manifest."""
 
@@ -226,15 +231,13 @@ class SelectionReport:
         ]
 
     def success_mask(self, truth):
-        """Boolean array: chosen label equals ``truth`` (tuples compared
-        elementwise)."""
-        truth_t = tuple(truth) if not np.isscalar(truth) else truth
-        return np.array(
-            [
-                (tuple(c) if isinstance(c, (tuple, list)) else c) == truth_t
-                for c in self.chosen_labels()
-            ]
-        )
+        """Boolean array: chosen label equals ``truth``, both compared as
+        per-axis radius tuples (a scalar k is (k,) * d); a failed site
+        never matches."""
+        d = len(self.shape)
+        radii = lambda k: (k,) * d if np.isscalar(k) or k is None else tuple(k)
+        truth = radii(truth)
+        return np.array([radii(c) == truth for c in self.chosen_labels()])
 
     def success_rates(self, truth, radii=None):
         """Overall, interior, and boundary success rates vs a truth label.
@@ -257,28 +260,20 @@ class SelectionReport:
         fits = {lin: trace.fit for lin, trace in self.traces.items()}
         if any(f is None for f in fits.values()):
             raise ConfigurationError("selection was run without kept fits")
-        return _kernel_field(self.shape, self.order, fits, self.errors)
+        return FitReport(self.shape, self.order, fits, self.errors).kernels()
 
     def to_dict(self):
         sites = []
         for trace in self.traces.values():
             entry = {
                 "center": list(trace.site),
-                "k": list(trace.chosen_k)
-                if isinstance(trace.chosen_k, (tuple, list))
-                else trace.chosen_k,
-                "labels": [
-                    list(l) if isinstance(l, (tuple, list)) else l
-                    for l in trace.labels
-                ],
+                "k": _label_json(trace.chosen_k),
+                "labels": [_label_json(l) for l in trace.labels],
                 "sizes": trace.sizes.tolist(),
                 "rss": trace.rss.tolist(),
                 "bic": [None if not np.isfinite(b) else b for b in trace.bic],
                 "saturated": trace.saturated,
-                "dropped": [
-                    list(l) if isinstance(l, (tuple, list)) else l
-                    for l in trace.dropped
-                ],
+                "dropped": [_label_json(l) for l in trace.dropped],
             }
             if trace.fit is not None:
                 entry["sites"] = trace.fit.neighborhood.sites.tolist()

@@ -234,14 +234,16 @@ def fit_spliar(series, radii, order=1, rank=1, n_workers=None):
     raw = fit_all(series, neighborhoods, order=order, n_workers=n_workers,
                   compute_se=False)
 
-    blocks = []
-    coeffs = [np.empty((order, nb.size)) for nb in neighborhoods]
-    for lag in range(1, order + 1):
-        block = assemble_block(raw, radii, lag=lag)
-        projected = truncated_svd(block.data, rank)
-        block = BlockKernelMatrix(shape, radii, lag, projected)
-        blocks.append(block)
-        for i, vec in enumerate(scatter_block(block, neighborhoods)):
-            coeffs[i][lag - 1] = vec
-    kernels = KernelField(shape, order, neighborhoods, coeffs)
+    # CSR rows run site by site, each box in linear order, as _cells does
+    field = raw.kernels()
+    cells, _ = _cells(neighborhoods, radii)
+    blocks, data = [], []
+    for lag, op in enumerate(field.operators(), start=1):
+        dense = np.zeros((shape[0] * b1, shape[1] * b2))
+        dense[cells] = op.data
+        blocks.append(BlockKernelMatrix(shape, radii, lag, truncated_svd(dense, rank)))
+        data.append(blocks[-1].data[cells])
+    op = field.operators()[0]
+    kernels = KernelField._from_arrays(shape, order, op.indptr, op.indices, data,
+                                       field._radii)
     return SeparableFit(shape, order, radii, rank, raw, blocks, kernels)

@@ -359,6 +359,28 @@ class TestBench:
                 best[r[0]] = min(prev, float(r[4]))
         assert best["64x64"] / best["32x32"] <= 4.8
 
+    def test_simulates_once_per_shape(self, tmp_path, monkeypatch):
+        # every frame count fits a prefix of the shape's one simulation
+        lengths = []
+
+        def spy(kernels, n_frames, *args, **kwargs):
+            lengths.append(n_frames)
+            return simulate_liar(kernels, n_frames, *args, **kwargs)
+
+        monkeypatch.setattr("liargrid.cli.simulate_liar", spy)
+        out = tmp_path / "bench"
+        assert run("bench", "--shape", "4x4,5x3", "--T", "60,120", "--K", "1",
+                   "--burn-in", "20", "--threads", "1", "--output-dir", out) == 0
+        assert lengths == [120, 120]
+        _, rows = read_metrics(out / "bench.csv")
+        assert [(r[0], r[2]) for r in rows] == [
+            ("4x4", "60"), ("4x4", "120"), ("5x3", "60"), ("5x3", "120")]
+
+    def test_frame_count_below_one_exit_2(self, tmp_path):
+        assert run("bench", "--shape", "4x4", "--T", "60,0", "--K", "1",
+                   "--output-dir", tmp_path / "bench") == 2
+        assert not (tmp_path / "bench").exists()
+
 
 class TestExitCodes:
     def test_corrupt_gts_exit_3_with_offset(self, tmp_path, capsys):
@@ -378,6 +400,23 @@ class TestExitCodes:
     def test_invalid_shape_exit_2(self, tmp_path):
         assert run("simulate", "--shape", "0,5", "--T", "20", "--K", "1",
                    "--output-dir", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--shape", "4x4", "--T", "1500,,3000", "--K", "1"],
+        ["bench", "--shape", "4x4,", "--T", "60", "--K", "1"],
+        ["select", "--candidates", "0,0;1,,1"],
+        ["select", "--candidates", "0,0;;1,1"],
+        ["eval", "--methods", "liar,,mar", "--K", "1"],
+        ["simulate", "--shape", "4,,4", "--T", "30", "--K", "1"],
+    ], ids=" ".join)
+    def test_blank_list_entry_exit_2(self, tmp_path, capsys, argv):
+        write_gts(GridSeries((4, 4), np.random.default_rng(26).normal(size=(40, 16))),
+                  tmp_path / "s.gts")
+        if argv[0] in ("select", "eval"):
+            argv = [*argv, "--input", tmp_path / "s.gts"]
+        assert run(*argv, "--output-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err.startswith("error: cannot parse ")
+        assert not (tmp_path / "out").exists()
 
     def test_csv_without_shape_exit_2(self, tmp_path):
         (tmp_path / "frames.csv").write_text("1.0,2.0\n3.0,4.0\n")

@@ -312,6 +312,22 @@ class TestSelectAll:
         assert mask.shape == (36,)
         assert rates["overall"] == pytest.approx(mask.mean())
 
+    def test_candidate_labels_scored_per_axis(self):
+        # a scalar truth k is the radius tuple (k, k): a --candidates run
+        # scores the same as the --K0 family with the same boxes
+        shape = (8, 8)
+        kern = random_stable_kernels(shape, 1, target_norm=0.8, seed=5)
+        s = simulate_liar(kern, 600, NoiseSpec(sigma=1.0, seed=5), burn_in=100)
+        family = select_all(s, max_radius=2, order=1)
+        cand = select_all(s, radii_list=[(0, 0), (1, 1), (2, 2)], order=1)
+        expected = np.array([k == 1 for k in family.chosen_labels()])
+        assert expected.any()
+        assert_array_equal([k == (1, 1) for k in cand.chosen_labels()], expected)
+        for report in (family, cand):
+            assert_array_equal(report.success_mask(1), expected)
+            assert_array_equal(report.success_mask((1, 1)), expected)
+        assert cand.success_rates(1) == family.success_rates(1)
+
     def test_json_serializable(self, tmp_path):
         s = GridSeries((3, 3), np.zeros((50, 9)))
         report = select_all(s, max_radius=1, order=1)

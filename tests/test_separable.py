@@ -272,17 +272,20 @@ class TestFitSpliar:
         assert_array_equal(back.frame(0), res.blocks[0].data)
 
     def test_matches_manual_pipeline(self):
-        # fit, assemble, project, scatter by hand and compare
+        # fit, assemble, project, scatter by hand: the same bits at every lag
         shape = (5, 5)
-        kern = random_stable_kernels(shape, 1, target_norm=0.7, seed=38)
-        s = simulate_liar(kern, 500, NoiseSpec(sigma=1.0, seed=39))
-        res = fit_spliar(s, 1, rank=1)
         nbs = [box_neighborhood(linear_to_site(i, shape), shape, 1)
                for i in range(25)]
-        report = fit_all(s, nbs, compute_se=False)
-        block = assemble_block(report, (1, 1))
-        projected = truncated_svd(block.data, 1)
-        block.data[...] = projected
-        vecs = scatter_block(block, nbs)
-        for i in range(25):
-            assert_allclose(res.kernels.coeffs[i][0], vecs[i], atol=1e-12)
+        for order in (1, 2):
+            kern = random_stable_kernels(shape, 1, order=order, target_norm=0.7,
+                                         seed=38)
+            s = simulate_liar(kern, 500, NoiseSpec(sigma=1.0, seed=39))
+            res = fit_spliar(s, 1, order=order, rank=1)
+            report = fit_all(s, nbs, order=order, compute_se=False)
+            for lag in range(1, order + 1):
+                block = assemble_block(report, (1, 1), lag=lag)
+                block.data[...] = truncated_svd(block.data, 1)
+                assert_array_equal(res.blocks[lag - 1].data, block.data)
+                vecs = scatter_block(block, nbs)
+                for i in range(25):
+                    assert_array_equal(res.kernels.coeffs[i][lag - 1], vecs[i])
