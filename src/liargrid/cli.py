@@ -44,7 +44,8 @@ from .select import default_d0, select_all
 from .separable import fit_spliar
 from .simulate import KernelField, NoiseSpec, random_stable_kernels, simulate_liar
 
-_METHODS = ("liar", "liar_p", "spliar", "mar")
+# each eval method and the flags it needs besides --P
+_METHODS = {"liar": ("K",), "liar_p": (), "spliar": ("K", "R"), "mar": ()}
 
 
 def _split(text, sep, parse, what):
@@ -136,8 +137,8 @@ def cmd_fit(args):
     series = _load_series(args)
     if args.K is None:
         raise ConfigurationError("--K (box radius) is required")
-    out = _outdir(args)
     workers = resolve_workers(args.threads)
+    out = _outdir(args)
     t0 = time.perf_counter()
     report = fit_all(series, box_field(series.shape, args.K), order=args.P,
                      n_workers=workers)
@@ -155,17 +156,16 @@ def cmd_fit(args):
 
 def cmd_select(args):
     series = _load_series(args)
+    if (args.K0 is None) == (args.candidates is None):
+        raise ConfigurationError("select needs exactly one of --K0 and --candidates")
     radii_list = None if args.candidates is None else _split(
         args.candidates, ";", lambda tok: tuple(_split(tok, ",", int, "integer list")),
         "candidate list")
-    max_radius = None if radii_list is not None else args.K0
-    if radii_list is None and max_radius is None:
-        raise ConfigurationError("--K0 (or --candidates) is required")
-    out = _outdir(args)
     workers = resolve_workers(args.threads)
+    out = _outdir(args)
     d0 = args.D0 if args.D0 is not None else default_d0(series.n_frames)
     report = select_all(
-        series, max_radius=max_radius, order=args.P, d0=d0,
+        series, max_radius=args.K0, order=args.P, d0=d0,
         radii_list=radii_list, n_workers=workers,
     )
     report.save_json(os.path.join(out, "selection.json"))
@@ -194,8 +194,8 @@ def cmd_spliar(args):
         raise ConfigurationError("--K (box radius) is required")
     if args.R is None:
         raise ConfigurationError("--R (target rank) is required")
-    out = _outdir(args)
     workers = resolve_workers(args.threads)
+    out = _outdir(args)
     result = fit_spliar(series, args.K, order=args.P, rank=args.R,
                         n_workers=workers)
     result.kernels.save_json(os.path.join(out, "kernels.json"))
@@ -237,42 +237,43 @@ def _eval_one(method, series, train, n_test, args, workers):
     predicted from actual history, not from earlier predictions)."""
     t0 = time.perf_counter()
     if method == "liar":
-        if args.K is None:
-            raise ConfigurationError("method liar needs --K")
         report = fit_all(train, box_field(train.shape, args.K), order=args.P,
                          n_workers=workers, compute_se=False)
         model = report.kernels()
     elif method == "liar_p":
         model = baseline_pixel_ar(train, order=args.P, n_workers=workers)
     elif method == "spliar":
-        if args.K is None or args.R is None:
-            raise ConfigurationError("method spliar needs --K and --R")
         model = fit_spliar(train, args.K, order=args.P, rank=args.R,
                            n_workers=workers).kernels
-    elif method == "mar":
+    else:  # mar; cmd_eval refused every other name
         model = baseline_mar_als(train, order=args.P)
-    else:
-        raise ConfigurationError(
-            f"unknown method {method!r}; choose from {', '.join(_METHODS)}"
-        )
     seconds = time.perf_counter() - t0
     return holdout_rmse(series, model, n_test), seconds
 
 
 def cmd_eval(args):
-    series = _load_series(args)
+    # every flag is checked before any method runs or anything is written
     methods = _split(args.methods, ",", str, "method list")
-    out = _outdir(args)
-    workers = resolve_workers(args.threads)
+    for method in methods:
+        if method not in _METHODS:
+            raise ConfigurationError(
+                f"unknown method {method!r}; choose from {', '.join(_METHODS)}"
+            )
+        if any(getattr(args, flag) is None for flag in _METHODS[method]):
+            raise ConfigurationError(f"method {method} needs "
+                                     + " and ".join(f"--{f}" for f in _METHODS[method]))
     frac = args.train_fraction
     if not 0.0 < frac < 1.0:
         raise ConfigurationError(f"--train-fraction must be in (0,1), got {frac}")
+    series = _load_series(args)
     n_train = int(series.n_frames * frac)
     if n_train < 1 or n_train >= series.n_frames:
         raise ConfigurationError(
             f"split {frac} leaves no usable train/test frames for "
             f"T={series.n_frames}"
         )
+    workers = resolve_workers(args.threads)
+    out = _outdir(args)
     train = series.slice_time(0, n_train)
     n_test = series.n_frames - n_train
     rows = []
@@ -297,8 +298,8 @@ def cmd_bench(args):
         raise ConfigurationError("--T must be a positive frame count")
     if args.K is None:
         raise ConfigurationError("--K is required for bench")
-    out = _outdir(args)
     workers = resolve_workers(args.threads)
+    out = _outdir(args)
     rows = []
     for shape in shapes:
         # each frame count fits a prefix of one simulation (a shorter

@@ -6,14 +6,15 @@ goes through one kernel: gather [Y z] (groups of sites, all lags per
 group) and take its R factor once, never the normal equations.  For any
 leading column count, back substitution on the leading block of R gives
 the coefficients, the trailing sum of squares of R's last column the
-RSS, and the row norms of the block's inverse the standard errors.  A
-fixed box is a plan of one level; :mod:`liargrid.select` plans one
-column group per nested level.  Rank deficiency is non-fatal: the
-minimum-norm solution is returned with ``cond_flag`` set.
+RSS, and the row norms of the block's inverse the standard errors.
+Each site brings its nested levels, smallest first: a fixed box is one
+level, :mod:`liargrid.select` brings a family.  Rank deficiency is
+non-fatal: the minimum-norm solution, read off the same R factor, is
+returned with ``cond_flag`` set.
 
 :func:`_solve_sites` runs the kernel in a thread pool, one task per
 block of consecutive sites: each task gathers and factors its sites,
-then scores and solves them, all sites with the same column plan at
+then scores and solves them, all sites with the same level sizes at
 once.  The factorization is scipy's ``lapack.dgeqrf``, whose wrapper
 releases the GIL, so tasks factor in parallel.  The calling thread
 only submits blocks and merges their results; OpenBLAS runs on one
@@ -24,7 +25,7 @@ BLAS thread setting.  ``fit_site``, ``standard_errors`` and
 
 References
 ----------
-Golub, Van Loan (2013), "Matrix Computations", 4th ed., sec. 5.2-5.3.
+Golub, Van Loan (2013), "Matrix Computations", 4th ed., sec. 5.2-5.3, 5.5.
 """
 
 import collections
@@ -41,6 +42,7 @@ import scipy.linalg
 
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
 from .grid import _save_json, site_to_linear, sites_to_linear
+from .neighborhoods import custom_neighborhood
 from .simulate import KernelField, _lag_order
 
 _RANK_TOL = 1e-10  # diagonal ratio below which a design counts as rank-deficient
@@ -117,6 +119,8 @@ def resolve_workers(n_workers=None):
         n = int(n_workers)
     else:
         env = os.environ.get("LIAR_THREADS", "").strip()
+        if env and not env.isdigit():
+            raise ConfigurationError(f"LIAR_THREADS must be a positive integer, got {env!r}")
         n = int(env) if env else (os.cpu_count() or 1)
     if n < 1:
         raise ConfigurationError(f"worker count must be positive, got {n}")
@@ -234,15 +238,14 @@ def _trsolve(r, b):
     return scipy.linalg.lapack.dtrtrs(r.T, b, lower=1, trans=1)[0]
 
 
-def _scan(members, cols, regather):
-    """Stacked R factors of ``members`` (sites of one column plan), the
-    trailing sums of squares of their last columns, summed from the
-    bottom, and the RSS of each leading column count in ``cols``.  R would
-    count a degenerate column's rounding noise as explained variance, so
-    a block failing the rank test takes the explicit RSS of its
-    minimum-norm fit, from a second gather of the site.
-    Returns (R, tail, rss, {(member, level): (coeffs, rss)})."""
-    r = np.stack([item[3] for item in members])
+def _scan(r, cols):
+    """Trailing sums of squares of the last columns of the stacked R
+    factors ``r`` (sites with the same level sizes), summed from the
+    bottom, and the RSS of each leading column count in ``cols``.  A block
+    failing the rank test takes the minimum-norm fit of its leading
+    triangle (Golub & Van Loan, sec. 5.5) and that fit's RSS, as R alone
+    would count a degenerate column's rounding noise as explained variance.
+    Returns (tail, rss, {(member, level): minimum-norm coeffs})."""
     tail = np.zeros((r.shape[0], r.shape[1] + 1))
     tail[:, :-1] = np.cumsum(r[:, ::-1, -1] ** 2, axis=1)[:, ::-1]
     # the rank test: a leading block's diagonal is empty or zero, or its
@@ -251,16 +254,14 @@ def _scan(members, cols, regather):
     top = np.maximum.accumulate(diag, axis=1)[:, cols - 1]
     low = np.minimum.accumulate(diag, axis=1)[:, cols - 1]
     deficient = (cols < 1) | ~((top > 0.0) & (low >= _RANK_TOL * top))
-    rss, lstsq = tail[:, cols], {}
-    for i in np.flatnonzero(deficient.any(axis=1)).tolist():
-        aug = regather(members[i])
-        y, z = aug[:, :-1], aug[:, -1]
-        for lev in np.flatnonzero(deficient[i]).tolist():
-            coeffs = np.linalg.lstsq(y[:, : cols[lev]], z, rcond=_RANK_TOL)[0]
-            resid = z - y[:, : cols[lev]] @ coeffs
-            lstsq[i, lev] = coeffs, float(resid @ resid)
-            rss[i, lev] = lstsq[i, lev][1]
-    return r, tail, rss, lstsq
+    rss, min_norm = tail[:, cols], {}
+    for i, lev in np.argwhere(deficient).tolist():
+        n = int(cols[lev])
+        r11, b = np.triu(r[i, :n, :n]), r[i, :n, -1]  # R, not geqrf's reflectors
+        min_norm[i, lev] = np.linalg.lstsq(r11, b, rcond=_RANK_TOL)[0]
+        resid = b - r11 @ min_norm[i, lev]
+        rss[i, lev] = resid @ resid + tail[i, n]
+    return tail, rss, min_norm
 
 
 def _check_order(order, n_frames):
@@ -298,20 +299,26 @@ def assemble_design(series, site, neighborhood, order=1):
 
 
 def fit_site(design):
-    """Minimize ||z - Y m||^2 for one design block.
+    """Minimize ||z - Y m||^2 for one design block; a block with fewer
+    rows than columns raises :class:`UnderdeterminedError`.
 
     Full-rank designs (R diagonal ratio >= 1e-10) solve by back
     substitution and carry their plug-in standard errors on ``se``, from
-    the same R factor; deficient ones fall back to the minimum-norm
-    solution and set ``cond_flag``.
+    the same R factor; deficient ones take the minimum-norm solution from
+    it and set ``cond_flag``.
     """
-    def plan(_):  # read once _solve_sites has checked the lag order
-        return [design.neighborhood], None, (design.y.shape[1] // design.order,)
-
-    done, _ = _solve_sites(plan, lambda *_: np.column_stack((design.y, design.z)),
-                           [[(0, design.site, None)]], design.order, design.y.shape[0],
-                           with_se=True)
-    return done[0][0]
+    # the block's columns stand in for its sites, so a hand-built block
+    # needs no neighborhood; the solver refuses an order below 1
+    size = design.y.shape[1] // max(design.order, 1)
+    columns = custom_neighborhood(design.site, (size,), np.arange(size)[:, None])
+    done, errors = _solve_sites(lambda *_: np.column_stack((design.y, design.z)),
+                                [[(0, design.site, [columns])]], design.order,
+                                design.y.shape[0], with_se=True)
+    if errors:
+        raise next(iter(errors.values()))
+    fit = done[0][0]
+    fit.neighborhood = design.neighborhood
+    return fit
 
 
 def standard_errors(fit, design):
@@ -466,17 +473,12 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
     order = int(order)
     pairs = _normalize_neighborhood_map(series, neighborhoods)
     panel = _site_major(series)
-
-    def plan(nb):  # a fixed neighborhood is one level of one column group
-        _check_rows(nb.center, series.n_frames, order, nb.size)
-        return [nb], [nb.linear], (nb.size,)
-
-    sites = [(lin, nb.center, nb) for lin, nb in pairs]
+    sites = [(lin, nb.center, [nb]) for lin, nb in pairs]
     done, errors = _solve_sites(
-        plan, lambda lin, groups: _gather(panel, order, groups, lin),
+        lambda lin, groups: _gather(panel, order, groups, lin),
         (sites[a:b] for a, b in _blocks(len(sites))), order, series.n_frames - order,
         with_se=compute_se, n_workers=n_workers)
-    fits = {lin: fit for lin, (fit, _, _) in done.items()}
+    fits = {lin: fit for lin, (fit, *_) in done.items()}
     return FitReport(series.shape, order, fits, errors)
 
 
@@ -485,61 +487,70 @@ def _blocks(n_sites):
     return ((a, min(a + _BLOCK, n_sites)) for a in range(0, n_sites, _BLOCK))
 
 
-def _solve_sites(plan, gather, blocks, order, rows, choose=None, with_se=False,
-                 n_workers=1):
-    """Least squares at each ``(linear, site, arg)`` of ``blocks``, one
+def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_workers=1):
+    """Least squares at each ``(linear, site, levels)`` of ``blocks``, one
     pool task per block (a list of consecutive sites, in canonical order),
     with OpenBLAS on one thread.
 
-    A task takes each site's ``plan(arg)``, a tuple that starts with the
-    candidate levels (neighborhoods), their level-major column groups (as
-    :func:`_gather` takes them) and their sizes, and factors ``gather(
-    linear, groups)``; a :class:`LiarError` from either fails the site.
-    Then, all sites with the same sizes at once, it forms every level's
-    RSS and rank test (:func:`_scan`), keeps level 0 or the level that
+    ``levels`` are the site's nested neighborhoods, smallest first (one
+    for a fixed fit), or the message of the error that failed the site.
+    A task keeps the levels with P*|J| <= ``rows`` (a prefix, as sizes
+    grow), fails the site with :func:`_check_rows` when that leaves none,
+    and factors ``gather(linear, groups)`` of their level-major column
+    groups: level 0's sites, then each level's new ones.  Then, all sites
+    with the same kept sizes at once, it forms every kept level's RSS and
+    rank test (:func:`_scan`), keeps level 0 or the level that
     ``choose(rss, tail, sizes)`` picks (it returns the picks and a record
-    per site), and solves that level: back substitution, or the lstsq fit
-    of a deficient level, with standard errors for full-rank fits when
-    ``with_se``, and the columns put back in lag-major neighborhood order.
+    per site), and solves that level off its R factor in lag-major
+    neighborhood order: back substitution, with standard errors when
+    ``with_se``, or the minimum-norm fit of a deficient level.
 
     The lag order and frame count are checked once, before any block.
     The calling thread keeps at most ``n_workers`` + 1 blocks queued and
-    merges their results in order.  Returns ``{linear: (SiteFit, plan,
-    record)}`` and the error manifest: each :class:`LiarError`, by site.
+    merges their results in order.  Returns ``{linear: (SiteFit, levels,
+    kept sizes, record)}`` and the error manifest: the :class:`LiarError`
+    that failed each site.
     """
     _check_order(order, rows + order)
 
     def solve(block):
         factored, errors = [], {}
-        for lin, site, arg in block:
+        for lin, site, levels in block:
             try:
-                p = plan(arg)
-                factored.append((lin, site, p, _factor(gather(lin, p[1]))))
+                if isinstance(levels, str):
+                    raise ConfigurationError(levels)
+                nbs = list(levels)
+                _check_rows(site, rows + order, order, nbs[0].size)
+                kept = [nb for nb in nbs if order * nb.size <= rows]
+                groups = [kept[0].linear] + [
+                    np.setdiff1d(cur.linear, prev.linear, assume_unique=True)
+                    for prev, cur in zip(kept, kept[1:])]
+                factored.append((tuple(nb.size for nb in kept), lin, site, levels, kept,
+                                 groups, _factor(gather(lin, groups))))
             except LiarError as exc:
                 errors[site] = exc
         done = {}
-        by_sizes = lambda item: item[2][2]
+        by_sizes = lambda item: item[0]
         for sizes, members in groupby(sorted(factored, key=by_sizes), by_sizes):
             members = list(members)
             cols = order * np.array(sizes)
-            r, tail, rss, lstsq = _scan(members, cols,
-                                        lambda item: gather(item[0], item[2][1]))
+            r = np.stack([item[-1] for item in members])
+            tail, rss, min_norm = _scan(r, cols)
             picks, records = (choose(rss, tail, sizes) if choose is not None
                               else ([0] * len(members), [None] * len(members)))
-            for i, ((lin, site, p, _), best) in enumerate(zip(members, picks)):
+            for i, ((_, lin, site, levels, kept, groups, _), best) in enumerate(
+                    zip(members, picks)):
                 best = int(best)
-                nb, n_cols = p[0][best], int(cols[best])
-                flag = (i, best) in lstsq
-                if flag:
-                    coeffs, rss_i = lstsq[i, best]
-                else:
-                    coeffs = _trsolve(r[i, :n_cols, :n_cols], r[i, :n_cols, -1])
-                    rss_i = float(tail[i, n_cols])
+                nb, n_cols = kept[best], int(cols[best])
+                flag = (i, best) in min_norm
+                coeffs = (min_norm[i, best] if flag else
+                          _trsolve(r[i, :n_cols, :n_cols], r[i, :n_cols, -1]))
+                rss_i = float(rss[i, best])
                 sigma2 = rss_i / (rows - n_cols) if rows > n_cols else 0.0
                 if best:  # lag-major neighborhood position of each level-major column
                     dest = np.concatenate([
                         (q - 1) * nb.size + np.searchsorted(nb.linear, group)
-                        for group in p[1][: best + 1] for q in range(1, order + 1)
+                        for group in groups[: best + 1] for q in range(1, order + 1)
                     ])
                     coeffs, level_major = np.empty_like(coeffs), coeffs
                     coeffs[dest] = level_major
@@ -548,8 +559,8 @@ def _solve_sites(plan, gather, blocks, order, rows, choose=None, with_se=False,
                     rinv = _trsolve(r[i, :n_cols, :n_cols], np.eye(n_cols))
                     se = np.sqrt(sigma2 * np.cumsum(rinv * rinv, axis=1)[:, -1])
                 done[lin] = (SiteFit(site, nb, order, coeffs, rss_i, sigma2, flag, se),
-                             p, records[i])
-        return [(item[0], done[item[0]]) for item in factored], errors
+                             levels, sizes, records[i])
+        return [(item[1], done[item[1]]) for item in factored], errors
 
     done, errors = {}, {}
 

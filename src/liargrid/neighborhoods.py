@@ -192,7 +192,7 @@ class NeighborhoodFamily:
     ----------
     center, shape : tuples
     levels : list of Neighborhood
-        Strictly nested after clipping.
+        Strictly nested after clipping; iterating the family yields them.
     labels : list
         Candidate label per kept level: the scalar radius k in the
         default mode, or the radius tuple in explicit-list mode.
@@ -213,6 +213,9 @@ class NeighborhoodFamily:
     @property
     def n_levels(self):
         return len(self.levels)
+
+    def __iter__(self):
+        return iter(self.levels)
 
     def sizes(self):
         return [nb.size for nb in self.levels]

@@ -8,25 +8,25 @@ and the smallest-score level wins, ties to the smallest k.  An exact fit
 (rss numerically zero) scores -inf so the smallest exactly-fitting level
 is chosen.
 
-The scan and the chosen level's fit share one factorization: a site's
-plan orders the design columns level-major (level-0 sites first, then
-each level's new sites, all lags per group), so the R factor of one
-[Y z] from :mod:`liargrid.fit`'s least-squares kernel yields every
-level's RSS as a trailing sum of squares and, by back substitution on
-its leading block, the winning level's coefficients.  A level whose
-leading block fails the kernel's rank test is scored by its minimum-norm
-lstsq fit.  Selection is the fit's block solver with this plan and a
-BIC choice: each pool task gathers, factors, scores and solves a block
-of sites, all sites with the same level sizes at once.  ``select_all``
-builds each block's families one box level at a time as it submits the
-block.
+The scan and the chosen level's fit share one factorization: the
+design columns are ordered level-major (level-0 sites first, then each
+level's new sites, all lags per group), so the R factor of one [Y z]
+from :mod:`liargrid.fit`'s least-squares kernel yields every level's RSS
+as a trailing sum of squares and, by back substitution on its leading
+block, the winning level's coefficients.  A level whose leading block
+fails the kernel's rank test is scored by its minimum-norm fit, read off
+the same R factor.  Selection is the fit's block solver given each
+site's family and a BIC choice: each pool task gathers, factors, scores
+and solves a block of sites, all sites with the same level sizes at
+once.  ``select_all`` builds each block's families one box level at a
+time as it submits the block.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConfigurationError, UnderdeterminedError
+from .errors import ConfigurationError
 from .fit import FitReport, _blocks, _check_order, _gather, _site_major, _solve_sites
 from .grid import _save_json, site_to_linear
 from .neighborhoods import _candidates, _grid_centers, _nest, interior_mask
@@ -145,36 +145,11 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
     return traces[lin]
 
 
-def _scan_plan(family, order, rows):
-    """The column plan of ``family`` (see fit._solve_sites): the levels
-    identifiable from ``rows`` usable rows, their level-major column
-    groups (level 0's sites, then each level's new ones) and their sizes;
-    then their labels, the dropped labels and the saturation flag."""
-    levels = list(zip(family.labels, family.levels))
-    kept = [(label, nb) for label, nb in levels if order * nb.size <= rows]
-    if not kept:
-        raise UnderdeterminedError(
-            f"site {family.center}: no candidate level is identifiable from "
-            f"{rows} usable rows"
-        )
-    groups = [kept[0][1].linear]
-    for (_, prev), (_, cur) in zip(kept, kept[1:]):
-        groups.append(np.setdiff1d(cur.linear, prev.linear, assume_unique=True))
-    dropped = [label for label, nb in levels if order * nb.size > rows]
-    return ([nb for _, nb in kept], groups, tuple(nb.size for _, nb in kept),
-            [label for label, _ in kept], dropped, family.saturated)
-
-
 def _select_sites(series, panel, blocks, order, d0, keep_fit, n_workers=1):
     """BIC selection at each ``(linear, site, family)`` of ``blocks``
     through fit._solve_sites, gathering from ``panel`` (see fit._gather);
     a family may instead be the message of the error that failed it."""
     t, shape = series.n_frames, series.shape
-
-    def plan(family):
-        if isinstance(family, str):
-            raise ConfigurationError(family)
-        return _scan_plan(family, order, t - order)
 
     def choose(rss, tail, sizes):
         exact = rss <= _EXACT_FIT_REL * tail[:, :1]
@@ -185,14 +160,14 @@ def _select_sites(series, panel, blocks, order, d0, keep_fit, n_workers=1):
         picks = np.argmin(bic, axis=1)
         return picks, list(zip(rss, bic, exact, picks.tolist()))
 
-    done, errors = _solve_sites(
-        plan, lambda lin, groups: _gather(panel, order, groups, lin), blocks, order,
-        t - order, choose, n_workers=n_workers)
+    done, errors = _solve_sites(lambda lin, groups: _gather(panel, order, groups, lin),
+                                blocks, order, t - order, choose, n_workers=n_workers)
     traces = {}
-    for lin, (fit, site_plan, (rss, bic, exact, best)) in done.items():
-        sizes, labels, dropped, saturated = site_plan[2:]
-        traces[lin] = BicTrace(fit.site, labels, np.array(sizes), rss, bic, labels[best],
-                               exact, saturated, dropped, fit if keep_fit else None)
+    for lin, (fit, family, sizes, (rss, bic, exact, best)) in done.items():
+        labels, n = family.labels, len(sizes)
+        traces[lin] = BicTrace(fit.site, labels[:n], np.array(sizes), rss, bic,
+                               labels[best], exact, family.saturated, labels[n:],
+                               fit if keep_fit else None)
     return traces, errors
 
 

@@ -30,6 +30,7 @@ from liargrid import (
     simulate_liar,
     write_gts,
 )
+import liargrid.cli
 from liargrid.cli import main
 
 
@@ -191,6 +192,15 @@ class TestSelect:
         assert capsys.readouterr().err == "error: cannot parse integer list '1,x'\n"
         assert not (out / "selection.json").exists()
 
+    def test_k0_with_candidates_exit_2(self, tmp_path):
+        series = GridSeries((6, 7), np.random.default_rng(3).normal(size=(60, 42)))
+        write_gts(series, tmp_path / "series.gts")
+        out = tmp_path / "sel"
+        code = run("select", "--input", tmp_path / "series.gts", "--K0", "1",
+                   "--candidates", "0,0;1,1", "--output-dir", out)
+        assert code == 2
+        assert not out.exists()
+
     def test_candidates_that_fail_to_nest_at_some_sites_exit_4(self, tmp_path):
         # on 3 rows, radius (1, 1) nests (2, 0) only at the middle row
         series = GridSeries((3, 6), np.random.default_rng(5).normal(size=(40, 18)))
@@ -328,6 +338,25 @@ class TestEval:
                    "--train-fraction", "1.5",
                    "--output-dir", tmp_path / "e") == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["--methods", "liar,mar,bogus", "--K", "2"],
+        ["--methods", "mar,liar"],
+        ["--methods", "liar,spliar", "--K", "1"],
+        ["--methods", "mar", "--train-fraction", "1.5"],
+    ], ids=" ".join)
+    def test_flags_refused_before_any_work(self, tmp_path, monkeypatch, argv):
+        calls = []
+        for name in ("fit_all", "baseline_mar_als"):
+            real = getattr(liargrid.cli, name)
+            monkeypatch.setattr(liargrid.cli, name, lambda *a, name=name, real=real, **k:
+                                calls.append(name) or real(*a, **k))
+        gen = np.random.default_rng(24)
+        write_gts(GridSeries((3, 3), gen.normal(size=(40, 9))), tmp_path / "s.gts")
+        assert run("eval", "--input", tmp_path / "s.gts", *argv,
+                   "--output-dir", tmp_path / "e") == 2
+        assert calls == []
+        assert not (tmp_path / "e").exists()
+
     def test_unknown_method(self, tmp_path):
         gen = np.random.default_rng(24)
         write_gts(GridSeries((3, 3), gen.normal(size=(40, 9))),
@@ -416,6 +445,16 @@ class TestExitCodes:
             argv = [*argv, "--input", tmp_path / "s.gts"]
         assert run(*argv, "--output-dir", tmp_path / "out") == 2
         assert capsys.readouterr().err.startswith("error: cannot parse ")
+        assert not (tmp_path / "out").exists()
+
+    def test_liar_threads_not_an_integer_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("LIAR_THREADS", "abc")
+        write_gts(GridSeries((4, 4), np.random.default_rng(27).normal(size=(40, 16))),
+                  tmp_path / "s.gts")
+        assert run("fit", "--input", tmp_path / "s.gts", "--K", "1",
+                   "--output-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            "error: LIAR_THREADS must be a positive integer, got 'abc'\n")
         assert not (tmp_path / "out").exists()
 
     def test_csv_without_shape_exit_2(self, tmp_path):

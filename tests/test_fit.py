@@ -119,6 +119,12 @@ class TestFitSite:
         want = np.linalg.lstsq(y, z, rcond=1e-10)[0]
         assert_allclose(fit.coeffs, want, atol=1e-10)
 
+    def test_fewer_rows_than_columns_refused(self):
+        # the solver's identifiability rule holds for hand-built blocks too
+        block = DesignBlock((0, 0), None, 1, np.ones((3, 4)), np.ones(3))
+        with pytest.raises(UnderdeterminedError, match=r"3 usable rows < 4 unknowns"):
+            fit_site(block)
+
     def test_sigma2_denominator(self):
         gen = np.random.default_rng(9)
         y = gen.normal(size=(20, 3))

@@ -23,6 +23,7 @@ from liargrid import (
     site_to_linear,
 )
 import liargrid.fit
+import liargrid.select
 from liargrid.grid import linear_to_site
 from liargrid.neighborhoods import box_neighborhood
 
@@ -230,6 +231,46 @@ class TestRankDeficient:
             assert_allclose(fit.coeffs, want, rtol=0, atol=1e-10)
             resid = design.z - design.y @ fit.coeffs
             assert_allclose(fit.rss, resid @ resid, rtol=1e-12)
+
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_every_deficient_level_scored_by_its_least_squares_rss(self, order):
+        # every scanned level, chosen or not, whose design lstsq finds
+        # rank-deficient scores the RSS of an explicit least-squares fit
+        # (the RSS does not depend on the column order)
+        s = adversarial_series()
+        report = select_all(s, max_radius=4, order=order, d0=0.0)
+        deficient = 0
+        for trace in report:
+            levels = nested_family(trace.site, s.shape, max_radius=4).levels
+            for k in range(len(trace.labels)):
+                design = assemble_design(s, trace.site, levels[k], order)
+                coeffs, _, rank, _ = np.linalg.lstsq(design.y, design.z)
+                if rank == design.y.shape[1]:
+                    continue
+                deficient += 1
+                resid = design.z - design.y @ coeffs
+                want, tiny = resid @ resid, 1e-16 * (design.z @ design.z)
+                if not (trace.rss[k] < tiny and want < tiny):
+                    assert_allclose(trace.rss[k], want, rtol=1e-12)
+        assert deficient
+
+    def test_deficient_site_gathered_once(self, monkeypatch):
+        # the minimum-norm fit comes off the site's one R factor
+        shape = (3, 3)
+        values = np.random.default_rng(80).normal(size=(60, 9))
+        values[:, site_to_linear((2, 2), shape)] = values[:, 0]
+        s = GridSeries(shape, values)
+        center = site_to_linear((1, 1), shape)
+        calls, gather = [], liargrid.fit._gather
+        spy = lambda *args: calls.append(args[3]) or gather(*args)
+        monkeypatch.setattr(liargrid.fit, "_gather", spy)
+        monkeypatch.setattr(liargrid.select, "_gather", spy)
+        fit = fit_all(s, [box_neighborhood((1, 1), shape, 1)]).fits[center]
+        assert fit.cond_flag and calls == [center]
+        calls.clear()
+        trace = select_site(s, nested_family((1, 1), shape, max_radius=1), d0=0.0)
+        assert trace.fit.cond_flag and calls == [center]
 
 
 class TestSelectAll:
