@@ -13,6 +13,7 @@ JSON file too), 3 malformed GTS file, 4 numerical or stability failure
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -38,11 +39,18 @@ from .evaluate import (
     holdout_rmse,
 )
 from .fit import fit_all, resolve_workers
-from .grid import read_csv_frames, read_gts, write_gts
+from .grid import _read_gts, _write_gts, read_csv_frames, read_gts, write_gts
 from .neighborhoods import box_field
 from .select import default_d0, select_all
 from .separable import fit_spliar
-from .simulate import KernelField, NoiseSpec, random_stable_kernels, simulate_liar
+from .simulate import (
+    KernelField,
+    NoiseSpec,
+    _frame_blocks,
+    _lag_order,
+    random_stable_kernels,
+    simulate_liar,
+)
 
 # each eval method and the flags it needs besides --P
 _METHODS = {"liar": ("K",), "liar_p": (), "spliar": ("K", "R"), "mar": ()}
@@ -76,7 +84,9 @@ def _sha256(path):
     return h.hexdigest()
 
 
-def _load_series(args):
+def _load_series(args, last=None):
+    """The ``--input`` series; of a GTS file only the last ``last`` frames
+    when given, every frame still read and checked."""
     path = args.input
     if path is None:
         raise ConfigurationError("--input is required for this subcommand")
@@ -84,7 +94,7 @@ def _load_series(args):
         if args.shape is None:
             raise ConfigurationError("--shape M,N is required for CSV input")
         return read_csv_frames(path, _parse_shape(args.shape))
-    return read_gts(path)
+    return _read_gts(path, last)
 
 
 def _write_config(args, outdir, extra=None):
@@ -119,14 +129,14 @@ def cmd_simulate(args):
         raise ConfigurationError("--T must be a positive frame count")
     if args.K is None:
         raise ConfigurationError("--K (kernel box radius) is required")
-    out = _outdir(args)
+    noise = NoiseSpec(kind=args.noise, sigma=args.sigma, seed=args.seed)
     kernels = random_stable_kernels(
         shape, args.K, order=args.P, target_norm=args.target_norm, seed=args.seed
     )
-    noise = NoiseSpec(kind=args.noise, sigma=args.sigma, seed=args.seed)
-    series = simulate_liar(kernels, args.T, noise, burn_in=args.burn_in)
-    write_gts(series, os.path.join(out, "series.gts"))
-    del series  # never resident together with the kernel JSON
+    blocks = _frame_blocks(kernels, args.T, noise, args.burn_in)
+    out = _outdir(args)
+    # each block of frames is written as the recursion makes it
+    _write_gts(os.path.join(out, "series.gts"), shape, args.T, blocks)
     kernels.save_json(os.path.join(out, "kernels.json"))
     _write_config(args, out)
     print(f"wrote {args.T} frames on {shape} to {out}/series.gts")
@@ -210,12 +220,12 @@ def cmd_spliar(args):
 def cmd_forecast(args):
     if args.horizon < 1:
         raise ConfigurationError("--horizon must be a positive integer")
-    # the parsed kernel JSON is freed before the series is read, so the
-    # two are never resident together
+    # the parsed kernel JSON is freed before the history is read, and of
+    # the history only the P frames the forecast starts from are kept
     kernels = KernelField.load_json(args.kernels)
-    series = _load_series(args)
-    out = _outdir(args)
+    series = _load_series(args, last=kernels.order)
     truth = read_gts(args.truth) if args.truth else None
+    out = _outdir(args)
     result = forecast(series, kernels, args.horizon, truth=truth)
     write_gts(result.series, os.path.join(out, "forecast.gts"))
     payload = {"horizon": args.horizon, "rmse": result.rmse}
@@ -417,9 +427,15 @@ _EXIT_CODES = (
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    made = not os.path.isdir(args.output_dir)
     try:
+        if "P" in vars(args):  # before any command reads or writes a file
+            _lag_order(args.P)
         return args.func(args)
     except (LiarError, OSError) as exc:
+        if made:  # a refusal met after _outdir leaves no empty directory
+            with contextlib.suppress(OSError):
+                os.rmdir(args.output_dir)
         code = next(code for classes, code in _EXIT_CODES if isinstance(exc, classes))
         print(f"{'i/o error' if code == 5 else 'error'}: {exc}", file=sys.stderr)
         return code

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
-from .grid import _save_json, site_to_linear, sites_to_linear
+from .grid import _JsonArtifact, site_to_linear, sites_to_linear
 from .neighborhoods import custom_neighborhood
 from .simulate import KernelField, _lag_order
 
@@ -354,7 +354,7 @@ def _require_complete(shape, n_fitted, errors):
                                  f"a kernel field needs every site")
 
 
-class FitReport:
+class FitReport(_JsonArtifact):
     """Per-site fits in canonical order plus an error manifest.
 
     ``fits`` maps linear site index -> SiteFit for every site that
@@ -386,27 +386,26 @@ class FitReport:
         return KernelField(self.shape, self.order, [f.neighborhood for f in fits],
                            [f.coeffs_by_lag() for f in fits])
 
-    def to_dict(self):
-        sites = []
-        for fit in self.fits.values():
-            entry = fit.neighborhood.to_dict()
-            entry.update(
-                coeffs=fit.coeffs_by_lag().tolist(),
-                rss=fit.rss,
-                sigma2=fit.sigma2,
-                se=None if fit.se is None else fit.se.tolist(),
-                cond_flag=fit.cond_flag,
-            )
-            sites.append(entry)
+    def _json_fields(self):
         return {
             "shape": list(self.shape),
             "P": self.order,
-            "sites": sites,
+            "sites": map(_fit_entry, self.fits.values()),
             "errors": {",".join(map(str, k)): v for k, v in self.errors.items()},
         }
 
-    def save_json(self, path):
-        _save_json(path, self.to_dict)
+
+def _fit_entry(fit):
+    """A fit's entry in the report file."""
+    entry = fit.neighborhood.to_dict()
+    entry.update(
+        coeffs=fit.coeffs_by_lag().tolist(),
+        rss=fit.rss,
+        sigma2=fit.sigma2,
+        se=None if fit.se is None else fit.se.tolist(),
+        cond_flag=fit.cond_flag,
+    )
+    return entry
 
 
 def _normalize_neighborhood_map(series, neighborhoods):

@@ -16,6 +16,7 @@ import gc
 import json
 import os
 import struct
+from itertools import islice
 
 import numpy as np
 
@@ -25,6 +26,8 @@ _GTS_MAGIC = b"GTS1"
 _MAX_SITES = 2**31  # per-frame site count guard
 _MAX_TOTAL = 2**33  # total value count guard
 _FINITE_CHUNK = 2**16  # values per finiteness check (a 64 KB mask)
+_READ_BLOCK = 2**17  # values per block read_gts reads and checks (1 MB)
+_SAVE_BLOCK = 2**10  # site entries per json.dumps call of _save_json
 
 
 def _check_shape(shape):
@@ -228,25 +231,46 @@ def extract_patch(series, t, sites):
 
 def write_gts(series, path):
     """Write a series to ``path`` in the binary GTS format."""
-    if _first_nonfinite(series.values) >= 0:
-        raise ConfigurationError("refusing to write non-finite values")
-    d = series.ndim_space
-    header = struct.pack(f"<4sB{d}II", _GTS_MAGIC, d, *series.shape, series.n_frames)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(series.values.astype("<f8", copy=False))
+    _write_gts(path, series.shape, series.n_frames, [series.values])
+
+
+def _write_gts(path, shape, n_frames, blocks):
+    """Write ``n_frames`` frames on ``shape`` to ``path`` in the GTS format,
+    each C-contiguous (b, n_sites) block of ``blocks`` as it comes.  A
+    block with a non-finite value is refused; when anything fails, the
+    partial file is removed."""
+    d = len(shape)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            fh.write(struct.pack(f"<4sB{d}II", _GTS_MAGIC, d, *shape, n_frames))
+            for block in blocks:
+                if _first_nonfinite(block) >= 0:
+                    raise ConfigurationError("refusing to write non-finite values")
+                fh.write(block.astype("<f8", copy=False))
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def read_gts(path):
     """Read a binary GTS file, validating layout and finiteness.
 
-    The payload is read straight into the array the series keeps.
+    The payload is read straight into the array the series keeps, a
+    block of frames at a time, each checked as it arrives.
 
     Raises
     ------
     GtsFormatError
         Naming the byte offset of the first problem found.
     """
+    return _read_gts(path)
+
+
+def _read_gts(path, last=None):
+    """:func:`read_gts`, keeping only the last ``last`` frames when given:
+    every frame is still read and checked, through one block-sized
+    buffer, and the same problems are reported at the same offsets."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         head = fh.read(5)
@@ -289,15 +313,25 @@ def read_gts(path):
             )
         if avail > expected:
             raise GtsFormatError("trailing data after payload", header_len + expected)
-        values = np.empty((t, n_sites), dtype="<f8")
-        got = fh.readinto(memoryview(values).cast("B"))
-        if got < expected:  # the file shrank after fstat
-            raise GtsFormatError(
-                f"payload truncated: expected {expected} bytes, found {got}",
-                header_len + got)
-    j = _first_nonfinite(values)
-    if j >= 0:
-        raise GtsFormatError(f"non-finite value at position {j}", header_len + 8 * j)
+        first = 0 if last is None else max(t - last, 0)  # first frame kept
+        values = np.empty((t - first, n_sites), dtype="<f8")
+        step = max(1, _READ_BLOCK // n_sites)  # frames per block
+        buf = np.empty((min(step, t), n_sites), dtype="<f8") if first else None
+        for start in range(0, t, step):
+            stop = min(start + step, t)
+            block = values[start:stop] if buf is None else buf[: stop - start]
+            got = 8 * start * n_sites + fh.readinto(memoryview(block).cast("B"))
+            if got < 8 * stop * n_sites:  # the file shrank after fstat
+                raise GtsFormatError(
+                    f"payload truncated: expected {expected} bytes, found {got}",
+                    header_len + got)
+            j = _first_nonfinite(block)
+            if j >= 0:
+                j += start * n_sites
+                raise GtsFormatError(f"non-finite value at position {j}", header_len + 8 * j)
+            if buf is not None and stop > first:
+                lo = max(start, first)
+                values[lo - first : stop - first] = block[lo - start :]
     return GridSeries._adopt(tuple(dims), values.astype(np.float64, copy=False),
                              finite=True)
 
@@ -316,11 +350,42 @@ def _gc_paused():
             gc.enable()
 
 
-def _save_json(path, to_dict):
-    """Write ``to_dict()`` to ``path`` as compact JSON, built with the
-    collector paused."""
+class _JsonArtifact:
+    """A file of per-site entries.  ``_json_fields()`` gives its top-level
+    fields in order, the "sites" one an iterable of entries made as they
+    are asked for; :meth:`save_json` writes them a block at a time, and
+    :meth:`to_dict` joins them into the dict whose ``json.dumps`` the
+    file holds, byte for byte."""
+
+    __slots__ = ()
+
+    def to_dict(self):
+        fields = self._json_fields()
+        return {**fields, "sites": list(fields["sites"])}
+
+    def save_json(self, path):
+        _save_json(path, self._json_fields())
+
+
+def _save_json(path, fields):
+    """Write the dict ``fields`` to ``path`` as compact JSON, with the
+    collector paused; its "sites" iterable is written
+    ``_SAVE_BLOCK`` entries at a time, so no list of them all is made."""
     with open(path, "w") as fh, _gc_paused():
-        fh.write(json.dumps(to_dict()))
+        sep = "{"
+        for key, value in fields.items():
+            fh.write(f"{sep}{json.dumps(key)}: ")
+            sep = ", "
+            if key != "sites":
+                fh.write(json.dumps(value))
+                continue
+            entries, between = iter(value), ""
+            fh.write("[")
+            while block := list(islice(entries, _SAVE_BLOCK)):
+                fh.write(between + json.dumps(block)[1:-1])  # a list dumps as [a, b]
+                between = ", "
+            fh.write("]")
+        fh.write("}")
 
 
 def _load_json(path, from_dict):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fit import FitReport, _blocks, _check_order, _gather, _site_major, _solve_sites
-from .grid import _save_json, site_to_linear
+from .grid import _JsonArtifact, site_to_linear
 from .neighborhoods import _candidates, _grid_centers, _nest, interior_mask
 
 _EXACT_FIT_REL = 1e-16  # rss below this times ||z||^2 counts as an exact fit
@@ -176,7 +176,24 @@ def _label_json(label):
     return list(label) if isinstance(label, (tuple, list)) else label
 
 
-class SelectionReport:
+def _trace_entry(trace):
+    """A site's entry in the selection file."""
+    entry = {
+        "center": list(trace.site),
+        "k": _label_json(trace.chosen_k),
+        "labels": [_label_json(l) for l in trace.labels],
+        "sizes": trace.sizes.tolist(),
+        "rss": trace.rss.tolist(),
+        "bic": [None if not np.isfinite(b) else b for b in trace.bic],
+        "saturated": trace.saturated,
+        "dropped": [_label_json(l) for l in trace.dropped],
+    }
+    if trace.fit is not None:
+        entry["sites"] = trace.fit.neighborhood.sites.tolist()
+    return entry
+
+
+class SelectionReport(_JsonArtifact):
     """Per-site BIC traces in canonical order plus an error manifest."""
 
     __slots__ = ("shape", "order", "d0", "traces", "errors")
@@ -237,32 +254,14 @@ class SelectionReport:
             raise ConfigurationError("selection was run without kept fits")
         return FitReport(self.shape, self.order, fits, self.errors).kernels()
 
-    def to_dict(self):
-        sites = []
-        for trace in self.traces.values():
-            entry = {
-                "center": list(trace.site),
-                "k": _label_json(trace.chosen_k),
-                "labels": [_label_json(l) for l in trace.labels],
-                "sizes": trace.sizes.tolist(),
-                "rss": trace.rss.tolist(),
-                "bic": [None if not np.isfinite(b) else b for b in trace.bic],
-                "saturated": trace.saturated,
-                "dropped": [_label_json(l) for l in trace.dropped],
-            }
-            if trace.fit is not None:
-                entry["sites"] = trace.fit.neighborhood.sites.tolist()
-            sites.append(entry)
+    def _json_fields(self):
         return {
             "shape": list(self.shape),
             "P": self.order,
             "D0": self.d0,
-            "sites": sites,
+            "sites": map(_trace_entry, self.traces.values()),
             "errors": {",".join(map(str, k)): v for k, v in self.errors.items()},
         }
-
-    def save_json(self, path):
-        _save_json(path, self.to_dict)
 
     def save_heatmap_csv(self, path):
         """CSV (site_row, site_col, chosen_k), 1-based coordinates; 2-D only."""

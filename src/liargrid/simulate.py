@@ -16,8 +16,10 @@ one stream per site, so output is reproducible bit-for-bit regardless of
 scheduling, and a shorter simulation is a prefix of a longer one.
 """
 
+import collections
 import operator
 from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 
 import numpy as np
@@ -25,11 +27,12 @@ import scipy.sparse as sp
 
 from . import rng
 from .errors import ConfigurationError, NumericalError, StabilityError
-from .grid import GridSeries, _load_json, _save_json, linear_to_site, sites_to_linear
+from .grid import GridSeries, _JsonArtifact, _load_json, linear_to_site, sites_to_linear
 from .neighborhoods import Neighborhood, _box_radii, _box_sites, _grid_centers
 
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
-_LOAD_BLOCK = 2**10  # sites flattened at a time by KernelField.from_dict
+_SITE_BLOCK = 2**10  # sites flattened (from_dict) or converted (to JSON) at a time
+_NOISE_AHEAD = 4  # noise blocks queued ahead of the recursion, per noise thread
 _NORM_RTOL = 1e-8  # relative change that ends power iteration
 _NORM_MAX_ITER = 10000
 _CTX_KERNEL = 1
@@ -44,7 +47,7 @@ class NoiseSpec:
     ----------
     kind : {"iid_gaussian", "iid_uniform"}
     sigma : float
-        Per-entry standard deviation, >= 0 (0 means noiseless).
+        Per-entry standard deviation, finite and >= 0 (0 means noiseless).
     seed : int
         Stream seed; all draws are pure functions of (seed, site, frame).
     """
@@ -55,8 +58,8 @@ class NoiseSpec:
         if kind not in ("iid_gaussian", "iid_uniform"):
             raise ConfigurationError(f"unknown noise kind {kind!r}")
         sigma = float(sigma)
-        if not sigma >= 0.0:
-            raise ConfigurationError(f"sigma must be nonnegative, got {sigma}")
+        if not 0.0 <= sigma < np.inf:
+            raise ConfigurationError(f"sigma must be finite and nonnegative, got {sigma}")
         self.kind = kind
         self.sigma = sigma
         self.seed = int(seed)
@@ -94,7 +97,7 @@ def _lag_order(order):
     return order
 
 
-class KernelField:
+class KernelField(_JsonArtifact):
     """Per-site neighborhoods and lagged coefficient vectors.
 
     The field is held as its P per-lag CSR operators on flattened
@@ -238,25 +241,24 @@ class KernelField:
                                         [o.data * factor for o in self._ops],
                                         self._radii)
 
-    def to_dict(self):
+    def _json_fields(self):
+        return {"shape": list(self.shape), "P": self.order, "sites": self._entries()}
+
+    def _entries(self):
+        """Each site's kernel-file entry, converted a block of sites at a time."""
         op = self._ops[0]
-        bounds = op.indptr.tolist()
-        sites = np.stack(np.unravel_index(op.indices, self.shape, order="F"),
-                         axis=1).tolist()
-        values = [o.data.tolist() for o in self._ops]
-        return {
-            "shape": list(self.shape),
-            "P": self.order,
-            "sites": [
-                {
-                    "center": center,
-                    "neighborhood": sites[a:b],
-                    "coeffs": [v[a:b] for v in values],
-                }
-                for center, a, b in zip(_grid_centers(self.shape).tolist(),
-                                        bounds, bounds[1:])
-            ],
-        }
+        centers = _grid_centers(self.shape)
+        for a in range(0, self.n_sites, _SITE_BLOCK):
+            bounds = op.indptr[a : a + _SITE_BLOCK + 1]
+            lo, hi = bounds[0], bounds[-1]
+            sites = np.stack(np.unravel_index(op.indices[lo:hi], self.shape, order="F"),
+                             axis=1).tolist()
+            values = [o.data[lo:hi].tolist() for o in self._ops]
+            bounds = (bounds - lo).tolist()
+            for center, i, j in zip(centers[a : a + _SITE_BLOCK].tolist(), bounds,
+                                    bounds[1:]):
+                yield {"center": center, "neighborhood": sites[i:j],
+                       "coeffs": [v[i:j] for v in values]}
 
     @classmethod
     def from_dict(cls, data):
@@ -266,9 +268,6 @@ class KernelField:
         site's neighborhood too, as long as its coefficient rows follow
         the same order."""
         return cls._from_arrays(*_field_arrays(data))
-
-    def save_json(self, path):
-        _save_json(path, self.to_dict)
 
     @classmethod
     def load_json(cls, path):
@@ -312,8 +311,8 @@ def _field_arrays(data):
     indices = np.empty(indptr[-1], dtype=np.intp)
     values = [np.empty(indptr[-1]) for _ in range(order)]
     radii = np.empty((n_sites, d), dtype=np.intp)
-    for a in range(0, n, _LOAD_BLOCK):
-        block = items[a : a + _LOAD_BLOCK]
+    for a in range(0, n, _SITE_BLOCK):
+        block = items[a : a + _SITE_BLOCK]
         size, center = sizes[a : a + len(block)], centers[a : a + len(block)]
         listed = list(chain.from_iterable(item["neighborhood"] for item in block))
         ragged = np.fromiter(map(len, listed), np.intp, len(listed)) != d
@@ -484,7 +483,9 @@ def simulate_liar(kernels, n_frames, noise, burn_in=500):
 
     Starts from P zero frames, iterates ``burn_in + n_frames`` steps, and
     returns the last ``n_frames``.  Refuses kernel fields whose stability
-    norm is not below 1.
+    norm is not below 1.  The noise is drawn a few blocks ahead of the
+    recursion on ``resolve_workers()`` threads; every draw is addressed
+    by (site, frame), so the series has the same bits for any count.
 
     Parameters
     ----------
@@ -498,6 +499,21 @@ def simulate_liar(kernels, n_frames, noise, burn_in=500):
     -------
     GridSeries
     """
+    blocks = _frame_blocks(kernels, n_frames, noise, burn_in)
+    out = np.empty((n_frames, kernels.n_sites))
+    t = 0
+    for block in blocks:
+        out[t : t + block.shape[0]] = block
+        t += block.shape[0]
+    return GridSeries._adopt(kernels.shape, out)
+
+
+def _frame_blocks(kernels, n_frames, noise, burn_in):
+    """Check :func:`simulate_liar`'s arguments, then return a generator of
+    its ``n_frames`` frames in consecutive C-contiguous (b, n_sites)
+    blocks, each computed when it is asked for."""
+    from .fit import resolve_workers  # fit imports this module
+
     if n_frames < 1:
         raise ConfigurationError("n_frames must be at least 1")
     if burn_in < 0:
@@ -511,38 +527,49 @@ def simulate_liar(kernels, n_frames, noise, burn_in=500):
     total = burn_in + n_frames
     if total >= 2**31:
         raise ConfigurationError("frame count exceeds the counter layout limit")
-    ops = kernels.operators()
-    order = kernels.order
     n = kernels.n_sites
     site_keys = rng.derive_key(noise.seed, [_CTX_NOISE, np.arange(n)])
-
-    out = np.empty((n_frames, n))
-    state = [np.zeros(n) for _ in range(order)]
     # noise is addressed by (site, frame), so the block size never changes
     # the stream; on a 91x181 grid blocks of 2**16 draws ran 1.5x faster
     # than blocks of 2**18 (smaller temporaries)
     chunk = max(1, _NOISE_BLOCK // n)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        frames_idx = np.arange(start, stop)
+    ops = kernels.operators()
+    starts = range(0, total, chunk)
+    workers = resolve_workers()
+    ahead = _NOISE_AHEAD * workers
+
+    def draw(start):
+        frames = np.arange(start, min(start + chunk, total))
         if noise.sigma == 0.0:
-            block = np.zeros((stop - start, n))
-        elif noise.kind == "iid_gaussian":
-            block = rng.frame_gaussians(site_keys, frames_idx)
+            return np.zeros((frames.size, n))
+        if noise.kind == "iid_gaussian":
+            block = rng.frame_gaussians(site_keys, frames)
             block *= noise.sigma
-        else:
-            block = noise.sigma * _SQRT3 * (
-                2.0 * rng.frame_uniforms(site_keys, frames_idx) - 1.0
-            )
-        for local, t in enumerate(range(start, stop)):
-            x = block[local]
-            for p in range(order):
-                x = x + (ops[p] @ state[-1 - p])
-            state.append(x)
-            del state[0]
-            if t >= burn_in:
-                out[t - burn_in] = x
-    return GridSeries._adopt(kernels.shape, out)
+            return block
+        return noise.sigma * _SQRT3 * (2.0 * rng.frame_uniforms(site_keys, frames) - 1.0)
+
+    def recursion():
+        # x_t = sum_p Op_p x_{t-p} + e_t, computed in place on each noise
+        # block while the pool draws the next ones
+        state = [np.zeros(n)] * kernels.order  # x_{t-P}, ..., x_{t-1}
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            queued = collections.deque(pool.submit(draw, s) for s in starts[:ahead])
+            for i, start in enumerate(starts):
+                block = queued.popleft().result()
+                if i + ahead < len(starts):
+                    queued.append(pool.submit(draw, starts[i + ahead]))
+                for x in block:
+                    for p, op in enumerate(ops):
+                        x += op @ state[-1 - p]
+                    state.append(x)
+                    del state[0]
+                if start + block.shape[0] > burn_in:
+                    yield block[max(0, burn_in - start) :]
+        finally:
+            pool.shutdown(cancel_futures=True)
+
+    return recursion()
 
 
 def kernel_distance(a, b):

@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from liargrid import (
     GridSeries,
+    GtsFormatError,
     KernelField,
     NoiseSpec,
     baseline_pixel_ar,
@@ -71,6 +73,26 @@ class TestSimulate:
                    "--burn-in", "10", "--output-dir", out)
         assert code == 0
         assert (out / "config.json").exists()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["--P", "2"], ["--noise", "iid_uniform"], ["--sigma", "0"], ["--burn-in", "0"],
+    ], ids=lambda argv: " ".join(argv) or "defaults")
+    def test_streamed_files_match_the_library(self, tmp_path, argv):
+        # 4096 sites take 16 frames per noise block, so the 100 frames are
+        # written in several blocks
+        out = tmp_path / "run"
+        assert run("simulate", "--shape", "64,64", "--T", "100", "--K", "1",
+                   "--seed", "5", *argv, "--output-dir", out) == 0
+        args = liargrid.cli.build_parser().parse_args(
+            ["simulate", "--shape", "64,64", "--T", "100", "--K", "1", "--seed", "5",
+             *argv, "--output-dir", str(out)])
+        kernels = random_stable_kernels((64, 64), 1, order=args.P, seed=5)
+        series = simulate_liar(kernels, 100, NoiseSpec(args.noise, args.sigma, 5),
+                               burn_in=args.burn_in)
+        write_gts(series, tmp_path / "series.gts")
+        kernels.save_json(tmp_path / "kernels.json")
+        for name in ("series.gts", "kernels.json"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_missing_shape_is_config_error(self, tmp_path, capsys):
         code = run("simulate", "--T", "30", "--K", "1",
@@ -289,6 +311,36 @@ class TestForecast:
         assert capsys.readouterr().err == (
             "error: truth grid (3, 8) does not match series grid (4, 6)\n")
 
+    # 3000 frames of 10x10 are read in three blocks; the forecast keeps
+    # only the last frame, yet a fault anywhere is reported as read_gts does
+    @pytest.mark.parametrize("fault", [0, 150_000, 299_999, "truncated"])
+    @pytest.mark.parametrize("which", ["input", "truth"])
+    def test_bad_history_exit_3_with_read_gts_offset(self, tmp_path, monkeypatch, capsys,
+                                                     fault, which):
+        monkeypatch.setattr(liargrid.cli, "_outdir", lambda args: pytest.fail("made"))
+        good = tmp_path / "good.gts"
+        write_gts(GridSeries((10, 10), np.ones((3000, 100))), good)
+        raw = bytearray(good.read_bytes())
+        if fault == "truncated":
+            raw = raw[:-8]
+        else:
+            raw[17 + 8 * fault : 25 + 8 * fault] = struct.pack("<d", np.nan)
+        bad = tmp_path / "bad.gts"
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(GtsFormatError) as exc:
+            read_gts(bad)
+        random_stable_kernels((10, 10), 1, target_norm=0.5, seed=2).save_json(
+            tmp_path / "kernels.json")
+        files = {"input": good, "truth": None, which: bad}
+        truth = ["--truth", files["truth"]] if files["truth"] else []
+        code = run("forecast", "--input", files["input"], *truth,
+                   "--kernels", tmp_path / "kernels.json", "--horizon", "3000",
+                   "--output-dir", tmp_path / "fc")
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert f"(byte offset {exc.value.offset})" in str(exc.value)
+        assert not (tmp_path / "fc").exists()
+
     def test_missing_kernels_flag_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("forecast", "--input", "x.gts", "--horizon", "3",
@@ -419,6 +471,7 @@ class TestExitCodes:
                    "--output-dir", tmp_path / "out")
         assert code == 3
         assert "byte offset 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_input_file_exit_5(self, tmp_path, capsys):
         code = run("fit", "--input", tmp_path / "absent.gts", "--K", "1",
@@ -429,6 +482,30 @@ class TestExitCodes:
     def test_invalid_shape_exit_2(self, tmp_path):
         assert run("simulate", "--shape", "0,5", "--T", "20", "--K", "1",
                    "--output-dir", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--P", "0"],
+        ["--target-norm", "1.5"],
+        ["--sigma", "inf"],
+        ["--sigma", "-1"],
+        ["--burn-in", "-1"],
+    ], ids=" ".join)
+    def test_invalid_simulate_flag_exit_2(self, tmp_path, monkeypatch, argv):
+        # refused before the output directory is made, not removed after
+        monkeypatch.setattr(liargrid.cli, "_outdir", lambda args: pytest.fail("made"))
+        argv = ["--shape", "4,5", "--T", "20", "--K", "1", *argv]
+        assert run("simulate", *argv, "--output-dir", tmp_path / "out") == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered",
+                                "ignore:invalid value encountered")
+    def test_noise_overflow_exit_2_leaves_no_file(self, tmp_path, capsys):
+        # sigma 1e308 is finite, but most of its draws overflow
+        assert run("simulate", "--shape", "4,5", "--T", "20", "--K", "1",
+                   "--sigma", "1e308", "--output-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: refusing to write non-finite values\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--shape", "4x4", "--T", "1500,,3000", "--K", "1"],
@@ -482,7 +559,8 @@ class TestExitCodes:
         ["select", "--K0", "1", "--P", "0"],
         ["select", "--K0", "1", "--P", "-1"],
         ["eval", "--K", "1", "--P", "0"],
-    ], ids=["fit-P0", "select-P0", "select-P-1", "eval-P0"])
+        ["spliar", "--K", "1", "--R", "1", "--P", "0"],
+    ], ids=["fit-P0", "select-P0", "select-P-1", "eval-P0", "spliar-P0"])
     def test_bad_lag_order_exit_2(self, tmp_path, capsys, argv):
         series = GridSeries((6, 7), np.random.default_rng(61).normal(size=(60, 42)))
         write_gts(series, tmp_path / "series.gts")
@@ -490,6 +568,7 @@ class TestExitCodes:
                    "--output-dir", tmp_path / "out")
         assert code == 2
         assert capsys.readouterr().err == "error: lag order must be at least 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_underdetermined_sites_exit_4_in_every_command(self, tmp_path, capsys):
         # K=3 on 6x6 leaves 12 sites with 30 unknowns: T=30 gives 29 rows,
@@ -606,3 +685,29 @@ def test_simulate_and_forecast_hold_the_series_once(tmp_path, liar_command):
     assert max(peaks.values()) <= bound, (
         f"peak RSS {peaks} MiB against {bound:.1f} MiB "
         f"(import only {baseline:.1f} MiB, series {payload:.1f} MiB)")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_simulate_and_forecast_peaks_do_not_grow_with_the_series(tmp_path, liar_command):
+    # 60x90 sites at 960 and at 2880 frames (39.6 and 118.7 MiB series):
+    # the frames are streamed to the file and the forecast keeps its last
+    # P frames, so tripling T moves neither peak by a quarter of the
+    # shorter series
+    payload = 60 * 90 * 960 * 8 / 2**20
+    peaks = {}
+    for t in (960, 2880):
+        sim, fc = tmp_path / f"sim{t}", tmp_path / f"fc{t}"
+        for name, args in (
+            ("simulate", ["--shape", "60x90", "--T", t, "--K", "2", "--seed", "1",
+                          "--output-dir", sim]),
+            ("forecast", ["--input", sim / "series.gts",
+                          "--kernels", sim / "kernels.json",
+                          "--horizon", "100", "--output-dir", fc]),
+        ):
+            code, peaks[name, t] = _peak_rss_mib([*liar_command, name, *args])
+            assert code == 0
+    for name in ("simulate", "forecast"):
+        grown = peaks[name, 2880] - peaks[name, 960]
+        assert abs(grown) < payload / 4, (
+            f"{name} peak RSS {peaks[name, 960]:.1f} MiB at T=960, "
+            f"{peaks[name, 2880]:.1f} MiB at T=2880 (series {payload:.1f} MiB)")

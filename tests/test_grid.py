@@ -1,11 +1,16 @@
 import gc
+import json
 import struct
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import liargrid.grid
+import liargrid.simulate
+from _dgp import adversarial_series
 from liargrid import (
+    ConfigurationError,
     GridSeries,
     GtsFormatError,
     KernelField,
@@ -20,7 +25,8 @@ from liargrid import (
     sites_to_linear,
     write_gts,
 )
-from liargrid.neighborhoods import box_field
+from liargrid.grid import _read_gts, _write_gts
+from liargrid.neighborhoods import box_field, box_neighborhood, custom_neighborhood
 
 
 class TestIndexing:
@@ -217,6 +223,39 @@ class TestGtsFormat:
         assert str(exc.value) == f"{message} (byte offset {offset})"
         assert exc.value.offset == offset
 
+    @pytest.mark.parametrize("last", [1, 2, 5, 11, 14])
+    def test_last_frames_read_and_checked_like_read_gts(self, tmp_path, monkeypatch,
+                                                        last):
+        # blocks of 2 frames of 6 sites: the kept frames straddle blocks, and
+        # a fault in any block is reported where read_gts reports it
+        monkeypatch.setattr(liargrid.grid, "_READ_BLOCK", 13)
+        path = tmp_path / "s.gts"
+        write_gts(GridSeries((2, 3), np.random.default_rng(8).normal(size=(11, 6))), path)
+        whole = read_gts(path)
+        tail = _read_gts(path, last)
+        assert tail.shape == whole.shape
+        assert_array_equal(tail.values, whole.values[-last:])
+        raw = path.read_bytes()
+        for position in (0, 13, 40, 65):
+            bad = bytearray(raw)
+            bad[17 + 8 * position : 25 + 8 * position] = struct.pack("<d", np.inf)
+            path.write_bytes(bytes(bad))
+            errors = []
+            for read in (read_gts, lambda p: _read_gts(p, last)):
+                with pytest.raises(GtsFormatError) as exc:
+                    read(path)
+                errors.append((str(exc.value), exc.value.offset))
+            assert errors[0] == errors[1] == (
+                f"non-finite value at position {position} "
+                f"(byte offset {17 + 8 * position})", 17 + 8 * position)
+
+    def test_writer_removes_the_file_it_refuses(self, tmp_path):
+        path = tmp_path / "s.gts"
+        blocks = [np.ones((2, 6)), np.array([[1.0] * 5 + [np.nan]])]
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            _write_gts(path, (2, 3), 3, iter(blocks))
+        assert not path.exists()
+
     def test_read_values_are_read_only(self, tmp_path):
         path = tmp_path / "ro.gts"
         write_gts(GridSeries((3, 2), np.arange(24.0).reshape(4, 6)), path)
@@ -288,4 +327,41 @@ class TestJsonFiles:
         finally:
             (gc.enable if was_enabled else gc.disable)()
         assert back.to_dict() == kernels.to_dict()
+
+    @staticmethod
+    def _artifact(kind):
+        shape = (5, 6)
+        if kind == "custom":  # boxes, a per-axis box and two custom sets
+            nbs = box_field(shape, 1)
+            nbs[7] = box_neighborhood((2, 1), shape, (0, 2))
+            nbs[8] = custom_neighborhood((3, 1), shape, nbs[8].sites[1:])
+            nbs[14] = custom_neighborhood((4, 2), shape, [(4, 2), (0, 0), (4, 5)])
+            coeffs = [np.random.default_rng(i).normal(size=(1, nb.size))
+                      for i, nb in enumerate(nbs)]
+            return KernelField(shape, 1, nbs, coeffs)
+        if kind == "box":
+            return random_stable_kernels(shape, 1, target_norm=0.5, seed=9)
+        if kind == "P2":
+            return random_stable_kernels(shape, (1, 2), order=2, target_norm=0.5, seed=9)
+        if kind == "3d":
+            return random_stable_kernels((3, 4, 5), (1, 0, 2), target_norm=0.5, seed=9)
+        if kind == "fit":  # underdetermined interior boxes, deficient ones
+            report = fit_all(adversarial_series(), box_field(shape, 2))
+            assert report.errors and any(fit.se is None for fit in report)
+            return report
+        return select_all(adversarial_series(), max_radius=4)
+
+    @pytest.mark.parametrize("kind", ["box", "custom", "P2", "3d", "fit", "selection"])
+    def test_written_a_block_at_a_time_as_to_dict_dumps(self, tmp_path, monkeypatch,
+                                                        kind):
+        artifact = self._artifact(kind)
+        want = json.dumps(artifact.to_dict())
+        artifact.save_json(tmp_path / "whole.json")
+        # entries made 4 sites at a time, written 3 at a time
+        monkeypatch.setattr(liargrid.simulate, "_SITE_BLOCK", 4)
+        monkeypatch.setattr(liargrid.grid, "_SAVE_BLOCK", 3)
+        artifact.save_json(tmp_path / "blocks.json")
+        assert (tmp_path / "whole.json").read_text() == want
+        assert (tmp_path / "blocks.json").read_text() == want
+        assert json.dumps(artifact.to_dict()) == want
 

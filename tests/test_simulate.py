@@ -216,6 +216,44 @@ class TestSimulate:
             if t >= 2:
                 assert_array_equal(s.values[t - 2], x)
 
+    def test_same_bits_for_any_noise_thread_and_blas_thread_count(self, monkeypatch):
+        # 4096 sites take 16 frames per noise block: 120 frames span 8
+        # blocks, more than one thread queues ahead
+        kern = random_stable_kernels((64, 64), 1, order=2, target_norm=0.7, seed=5)
+        noise = NoiseSpec(sigma=1.0, seed=6)
+        runs = {}
+        controls = _openblas_thread_controls()
+        before = [get() for _, get in controls]
+        try:
+            for blas in (1, 2):
+                for set_threads, _ in controls:
+                    set_threads(blas)
+                for workers in ("1", "2"):
+                    monkeypatch.setenv("LIAR_THREADS", workers)
+                    runs[blas, workers] = simulate_liar(kern, 100, noise, burn_in=20)
+        finally:
+            for (set_threads, _), n in zip(controls, before):
+                set_threads(n)
+        first = runs[1, "1"]
+        for series in runs.values():
+            assert_array_equal(series.values, first.values)
+        monkeypatch.setenv("LIAR_THREADS", "2")
+        short = simulate_liar(kern, 37, noise, burn_in=20)
+        assert_array_equal(short.values, first.values[:37])
+
+    def test_abandoned_simulation_stops_its_noise_threads(self):
+        import threading
+
+        from liargrid.simulate import _frame_blocks
+
+        kern = random_stable_kernels((64, 64), 1, target_norm=0.7, seed=5)
+        before = threading.active_count()
+        blocks = _frame_blocks(kern, 500, NoiseSpec(seed=1), 0)
+        next(blocks)
+        assert threading.active_count() > before
+        blocks.close()
+        assert threading.active_count() == before
+
     def test_multi_lag_recursion_matches_manual(self):
         from liargrid import rng
         from liargrid.simulate import _CTX_NOISE
@@ -232,6 +270,13 @@ class TestSimulate:
             x = ops[0] @ x_prev1 + ops[1] @ x_prev2 + noise[t]
             assert_allclose(s.values[t], x, rtol=0, atol=1e-12)
             x_prev2, x_prev1 = x_prev1, x
+
+
+class TestNoiseSpec:
+    @pytest.mark.parametrize("sigma", [-1.0, np.inf, -np.inf, np.nan])
+    def test_refuses_sigma_not_finite_and_nonnegative(self, sigma):
+        with pytest.raises(ConfigurationError, match="sigma must be finite"):
+            NoiseSpec(sigma=sigma)
 
 
 class TestKernelField:
