@@ -39,10 +39,10 @@ from .evaluate import (
     holdout_rmse,
 )
 from .fit import fit_all, resolve_workers
-from .grid import _read_gts, _write_gts, read_csv_frames, read_gts, write_gts
-from .neighborhoods import box_field
+from .grid import _read_gts, _require_2d, _write_gts, read_csv_frames, read_gts, write_gts
+from .neighborhoods import _box_radii, box_field
 from .select import default_d0, select_all
-from .separable import fit_spliar
+from .separable import _check_separable, fit_spliar
 from .simulate import (
     KernelField,
     NoiseSpec,
@@ -87,14 +87,11 @@ def _sha256(path):
 def _load_series(args, last=None):
     """The ``--input`` series; of a GTS file only the last ``last`` frames
     when given, every frame still read and checked."""
-    path = args.input
-    if path is None:
-        raise ConfigurationError("--input is required for this subcommand")
-    if path.endswith(".csv"):
+    if args.input.endswith(".csv"):
         if args.shape is None:
             raise ConfigurationError("--shape M,N is required for CSV input")
-        return read_csv_frames(path, _parse_shape(args.shape))
-    return _read_gts(path, last)
+        return read_csv_frames(args.input, _parse_shape(args.shape))
+    return _read_gts(args.input, last)
 
 
 def _write_config(args, outdir, extra=None):
@@ -122,13 +119,9 @@ def _outdir(args):
 
 
 def cmd_simulate(args):
-    if args.shape is None:
-        raise ConfigurationError("--shape is required")
     shape = _parse_shape(args.shape)
-    if args.T is None or args.T < 1:
+    if args.T < 1:
         raise ConfigurationError("--T must be a positive frame count")
-    if args.K is None:
-        raise ConfigurationError("--K (kernel box radius) is required")
     noise = NoiseSpec(kind=args.noise, sigma=args.sigma, seed=args.seed)
     kernels = random_stable_kernels(
         shape, args.K, order=args.P, target_norm=args.target_norm, seed=args.seed
@@ -145,13 +138,10 @@ def cmd_simulate(args):
 
 def cmd_fit(args):
     series = _load_series(args)
-    if args.K is None:
-        raise ConfigurationError("--K (box radius) is required")
-    workers = resolve_workers(args.threads)
     out = _outdir(args)
     t0 = time.perf_counter()
     report = fit_all(series, box_field(series.shape, args.K), order=args.P,
-                     n_workers=workers)
+                     n_workers=args.threads)
     seconds = time.perf_counter() - t0
     report.save_json(os.path.join(out, "fit_report.json"))
     if not report.errors:
@@ -171,13 +161,12 @@ def cmd_select(args):
     radii_list = None if args.candidates is None else _split(
         args.candidates, ";", lambda tok: tuple(_split(tok, ",", int, "integer list")),
         "candidate list")
-    workers = resolve_workers(args.threads)
-    out = _outdir(args)
     d0 = args.D0 if args.D0 is not None else default_d0(series.n_frames)
     report = select_all(
         series, max_radius=args.K0, order=args.P, d0=d0,
-        radii_list=radii_list, n_workers=workers,
+        radii_list=radii_list, n_workers=args.threads,
     )
+    out = _outdir(args)
     report.save_json(os.path.join(out, "selection.json"))
     if len(series.shape) == 2:
         report.save_heatmap_csv(os.path.join(out, "selection_heatmap.csv"))
@@ -185,10 +174,9 @@ def cmd_select(args):
     if args.K is not None:
         rates = report.success_rates(args.K)
         summary.update(rates)
-        print(
-            f"success vs truth K={args.K}: overall {rates['overall']:.3f}, "
-            f"interior {rates['interior']:.3f}, boundary {rates['boundary']:.3f}"
-        )
+        print(f"success vs truth K={args.K}: " + ", ".join(
+            f"{part} {'n/a' if rate is None else f'{rate:.3f}'}"
+            for part, rate in rates.items()))
     with open(os.path.join(out, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
     _write_config(args, out)
@@ -200,14 +188,9 @@ def cmd_select(args):
 
 def cmd_spliar(args):
     series = _load_series(args)
-    if args.K is None:
-        raise ConfigurationError("--K (box radius) is required")
-    if args.R is None:
-        raise ConfigurationError("--R (target rank) is required")
-    workers = resolve_workers(args.threads)
     out = _outdir(args)
     result = fit_spliar(series, args.K, order=args.P, rank=args.R,
-                        n_workers=workers)
+                        n_workers=args.threads)
     result.kernels.save_json(os.path.join(out, "kernels.json"))
     result.raw.save_json(os.path.join(out, "fit_report.json"))
     for block in result.blocks:
@@ -241,20 +224,20 @@ def cmd_forecast(args):
     return 0
 
 
-def _eval_one(method, series, train, n_test, args, workers):
+def _eval_one(method, series, train, n_test, args):
     """Fit one method on the training prefix, then score it by
     one-step-ahead prediction over the held-out suffix (each test frame
     predicted from actual history, not from earlier predictions)."""
     t0 = time.perf_counter()
     if method == "liar":
         report = fit_all(train, box_field(train.shape, args.K), order=args.P,
-                         n_workers=workers, compute_se=False)
+                         n_workers=args.threads, compute_se=False)
         model = report.kernels()
     elif method == "liar_p":
-        model = baseline_pixel_ar(train, order=args.P, n_workers=workers)
+        model = baseline_pixel_ar(train, order=args.P, n_workers=args.threads)
     elif method == "spliar":
         model = fit_spliar(train, args.K, order=args.P, rank=args.R,
-                           n_workers=workers).kernels
+                           n_workers=args.threads).kernels
     else:  # mar; cmd_eval refused every other name
         model = baseline_mar_als(train, order=args.P)
     seconds = time.perf_counter() - t0
@@ -282,13 +265,19 @@ def cmd_eval(args):
             f"split {frac} leaves no usable train/test frames for "
             f"T={series.n_frames}"
         )
-    workers = resolve_workers(args.threads)
+    for method in methods:  # what each fit would refuse from its flags and the grid
+        if method == "liar":
+            _box_radii(args.K, series.shape)
+        elif method == "spliar":
+            _check_separable(series.shape, args.K, args.R)
+        elif method == "mar":
+            _require_2d(series.shape, "the matrix AR baseline")
     out = _outdir(args)
     train = series.slice_time(0, n_train)
     n_test = series.n_frames - n_train
     rows = []
     for method in methods:
-        score, seconds = _eval_one(method, series, train, n_test, args, workers)
+        score, seconds = _eval_one(method, series, train, n_test, args)
         rows.append((method, args.seed, series.n_frames, args.K, score, seconds))
         print(f"{method}: rmse {score:.6g}, fit {seconds:.3f}s")
     with open(os.path.join(out, "metrics.csv"), "w", newline="") as fh:
@@ -300,15 +289,10 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
-    if args.shape is None or args.T is None:
-        raise ConfigurationError("--shape and --T are required for bench")
     shapes = _split(args.shape, ",", _parse_shape, "shape list")
     t_values = _split(args.T, ",", int, "integer list")
     if min(t_values) < 1:
         raise ConfigurationError("--T must be a positive frame count")
-    if args.K is None:
-        raise ConfigurationError("--K is required for bench")
-    workers = resolve_workers(args.threads)
     out = _outdir(args)
     rows = []
     for shape in shapes:
@@ -322,7 +306,7 @@ def cmd_bench(args):
         for t in t_values:
             prefix = series.slice_time(0, t)
             t0 = time.perf_counter()
-            fit_all(prefix, nbs, order=args.P, n_workers=workers, compute_se=False)
+            fit_all(prefix, nbs, order=args.P, n_workers=args.threads, compute_se=False)
             seconds = time.perf_counter() - t0
             rows.append(("x".join(map(str, shape)), series.n_sites, t,
                          args.K, seconds))
@@ -338,8 +322,8 @@ def cmd_bench(args):
 # Every flag of the command line; each subcommand declares the ones it reads.
 _OPTIONS = {
     "--input": dict(help="input series (.gts or .csv)"),
-    "--output-dir": dict(required=True, help="run directory"),
-    "--shape": dict(help="grid shape M,N or MxN (required for CSV input)"),
+    "--output-dir": dict(help="run directory"),
+    "--shape": dict(help="grid shape M,N or MxN (a CSV input needs it)"),
     "--T": dict(type=int, help="frame count"),
     "--P": dict(type=int, default=1, help="lag order (default 1)"),
     "--K": dict(type=int, help="box radius"),
@@ -358,35 +342,37 @@ _OPTIONS = {
     "--noise": dict(choices=("iid_gaussian", "iid_uniform"), default="iid_gaussian"),
     "--candidates": dict(
         help="explicit radius tuples '0,0,0;0,0,1;...' (tensor grids)"),
-    "--kernels": dict(required=True, help="kernel JSON file"),
-    "--horizon": dict(type=int, required=True),
+    "--kernels": dict(help="kernel JSON file"),
+    "--horizon": dict(type=int),
     "--truth": dict(help="held-out GTS file to score"),
     "--train-fraction": dict(type=float, default=0.9,
                              help="time-prefix training fraction"),
     "--methods": dict(default="liar", help="comma list from: " + ", ".join(_METHODS)),
 }
 
-# (name, handler, help, flags); a flag may carry overrides of its table entry
+# (name, handler, help, required flags, optional flags); a flag may
+# carry overrides of its table entry
 _COMMANDS = (
     ("simulate", cmd_simulate, "simulate a series with random kernels",
-     ("--output-dir", "--shape", "--T", "--P", "--K", "--sigma", "--target-norm",
-      "--seed", "--burn-in", "--noise")),
+     ("--output-dir", "--shape", "--T", "--K"),
+     ("--P", "--sigma", "--target-norm", "--seed", "--burn-in", "--noise")),
     ("fit", cmd_fit, "fit fixed box neighborhoods at every site",
-     ("--input", "--output-dir", "--shape", "--P", "--K", "--threads")),
+     ("--input", "--output-dir", "--K"), ("--shape", "--P", "--threads")),
     ("select", cmd_select, "BIC neighborhood-size selection",
-     ("--input", "--output-dir", "--shape", "--P", "--K", "--K0", "--D0",
-      "--threads", "--candidates")),
+     ("--input", "--output-dir"),
+     ("--shape", "--P", "--K", "--K0", "--D0", "--threads", "--candidates")),
     ("spliar", cmd_spliar, "separable low-rank projected fit",
-     ("--input", "--output-dir", "--shape", "--P", "--K", "--R", "--threads")),
+     ("--input", "--output-dir", "--K", "--R"), ("--shape", "--P", "--threads")),
     ("forecast", cmd_forecast, "forecast ahead with fitted kernels",
-     ("--input", "--output-dir", "--shape", "--kernels", "--horizon", "--truth")),
+     ("--input", "--output-dir", "--kernels", "--horizon"), ("--shape", "--truth")),
     ("eval", cmd_eval, "train/test comparison of methods",
-     ("--input", "--output-dir", "--shape", "--P", "--K", "--R", "--seed",
-      "--threads", "--train-fraction", "--methods")),
+     ("--input", "--output-dir"),
+     ("--shape", "--P", "--K", "--R", "--seed", "--threads", "--train-fraction",
+      "--methods")),
     ("bench", cmd_bench, "fit wall-time across shapes",
      ("--output-dir", ("--shape", dict(help="comma list of MxN grid shapes")),
-      ("--T", dict(type=str, help="comma list of frame counts")), "--P", "--K",
-      "--sigma", "--target-norm", "--seed", "--burn-in", "--threads")),
+      ("--T", dict(type=str, help="comma list of frame counts")), "--K"),
+     ("--P", "--sigma", "--target-norm", "--seed", "--burn-in", "--threads")),
 )
 
 
@@ -406,11 +392,12 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, text, flags in _COMMANDS:
+    for name, func, text, required, optional in _COMMANDS:
         p = sub.add_parser(name, help=text)
-        for flag in flags:
-            flag, custom = flag if isinstance(flag, tuple) else (flag, {})
-            p.add_argument(flag, **{**_OPTIONS[flag], **custom})
+        for flags, needed in ((required, True), (optional, False)):
+            for flag in flags:
+                flag, custom = flag if isinstance(flag, tuple) else (flag, {})
+                p.add_argument(flag, required=needed, **{**_OPTIONS[flag], **custom})
         p.set_defaults(func=func)
     return parser
 
@@ -431,6 +418,8 @@ def main(argv=None):
     try:
         if "P" in vars(args):  # before any command reads or writes a file
             _lag_order(args.P)
+        if "threads" in vars(args):  # each fit resolves this same count
+            resolve_workers(args.threads)
         return args.func(args)
     except (LiarError, OSError) as exc:
         if made:  # a refusal met after _outdir leaves no empty directory

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, SizeError
 from .fit import _check_order, fit_all
-from .grid import GridSeries, sites_to_linear
+from .grid import GridSeries, _require_2d, sites_to_linear
 from .neighborhoods import box_field
 
 _AUTOCOV_CAP = 4_000_000  # entries in one requested block
@@ -369,8 +369,7 @@ def baseline_mar_als(series, order=1, max_iter=1000, tol=1e-7):
     -------
     MarFit
     """
-    if len(series.shape) != 2:
-        raise ConfigurationError("the matrix AR baseline needs a 2-D grid")
+    _require_2d(series.shape, "the matrix AR baseline")
     if max_iter < 1:
         raise ConfigurationError("max_iter must be at least 1")
     if not tol > 0:

@@ -30,6 +30,12 @@ _READ_BLOCK = 2**17  # values per block read_gts reads and checks (1 MB)
 _SAVE_BLOCK = 2**10  # site entries per json.dumps call of _save_json
 
 
+def _require_2d(shape, what):
+    """Refuse a grid that is not 2-D for ``what``, which needs one."""
+    if len(shape) != 2:
+        raise ConfigurationError(f"{what} needs a 2-D grid")
+
+
 def _check_shape(shape):
     shape = tuple(int(n) for n in shape)
     if len(shape) < 1:
@@ -403,8 +409,7 @@ def read_csv_frames(path, shape):
     shape; the number of data rows must be a multiple of M.
     """
     shape, _ = _check_shape(shape)
-    if len(shape) != 2:
-        raise ConfigurationError("CSV import supports 2-axis grids only")
+    _require_2d(shape, "CSV import")
     m, n = shape
     rows = []
     with open(path, "r", newline="") as fh:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .fit import FitReport, _blocks, _check_order, _gather, _site_major, _solve_sites
-from .grid import _JsonArtifact, site_to_linear
+from .grid import _JsonArtifact, _require_2d, site_to_linear
 from .neighborhoods import _candidates, _grid_centers, _nest, interior_mask
 
 _EXACT_FIT_REL = 1e-16  # rss below this times ||z||^2 counts as an exact fit
@@ -149,6 +149,8 @@ def _select_sites(series, panel, blocks, order, d0, keep_fit, n_workers=1):
     """BIC selection at each ``(linear, site, family)`` of ``blocks``
     through fit._solve_sites, gathering from ``panel`` (see fit._gather);
     a family may instead be the message of the error that failed it."""
+    if not 0.0 <= d0 < math.inf:  # NaN fails both comparisons
+        raise ConfigurationError(f"d0 must be finite and nonnegative, got {d0}")
     t, shape = series.n_frames, series.shape
 
     def choose(rss, tail, sizes):
@@ -232,7 +234,8 @@ class SelectionReport(_JsonArtifact):
         return np.array([radii(c) == truth for c in self.chosen_labels()])
 
     def success_rates(self, truth, radii=None):
-        """Overall, interior, and boundary success rates vs a truth label.
+        """Overall, interior, and boundary success rates vs a truth label;
+        None for a part with no sites.
 
         ``radii`` defaults to the truth itself (scalar or tuple): a site
         is interior when a truth-sized box there is unclipped.
@@ -241,11 +244,9 @@ class SelectionReport(_JsonArtifact):
         if radii is None:
             radii = truth
         inner = interior_mask(self.shape, radii)
-        rates = {"overall": float(np.mean(ok))}
-        rates["interior"] = float(np.mean(ok[inner])) if inner.any() else float("nan")
-        outer = ~inner
-        rates["boundary"] = float(np.mean(ok[outer])) if outer.any() else float("nan")
-        return rates
+        parts = {"overall": np.ones_like(ok), "interior": inner, "boundary": ~inner}
+        return {name: float(np.mean(ok[mask])) if mask.any() else None
+                for name, mask in parts.items()}
 
     def kernels(self):
         """KernelField from the chosen-level fits (full coverage required)."""
@@ -265,8 +266,7 @@ class SelectionReport(_JsonArtifact):
 
     def save_heatmap_csv(self, path):
         """CSV (site_row, site_col, chosen_k), 1-based coordinates; 2-D only."""
-        if len(self.shape) != 2:
-            raise ConfigurationError("the heatmap format is defined for 2-D grids")
+        _require_2d(self.shape, "the heatmap format")
         with open(path, "w") as fh:
             fh.write("site_row,site_col,chosen_k\n")
             for trace in self.traces.values():
@@ -288,7 +288,7 @@ def select_all(series, max_radius=None, order=1, d0=None, radii_list=None,
     order : int
         Lag order P.
     d0 : float, optional
-        Penalty strength; defaults to log log T.
+        Penalty strength, finite and nonnegative; defaults to log log T.
     radii_list : list of tuple, optional
         Explicit candidate radius tuples (see :func:`nested_family`).
     n_workers : int, optional

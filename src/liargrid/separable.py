@@ -17,7 +17,7 @@ import scipy.sparse.linalg
 from . import rng
 from .errors import ConfigurationError, NumericalError, StructureError
 from .fit import FitReport, _require_complete, fit_all
-from .grid import GridSeries
+from .grid import GridSeries, _require_2d
 from .neighborhoods import _box_radii, box_field
 from .simulate import KernelField
 
@@ -202,6 +202,16 @@ class SeparableFit:
         self.kernels = kernels
 
 
+def _check_separable(shape, radii, rank):
+    """Box radii and rank of a separable fit: 2-D, 1 <= rank <= shorter block side."""
+    _require_2d(shape, "separable fitting")
+    radii = _box_radii(radii, shape)
+    rank, top = int(rank), min(2 * r + 1 for r in radii)
+    if not 1 <= rank <= top:
+        raise ConfigurationError(f"rank must lie in 1..{top} for radii {radii}, got {rank}")
+    return radii, rank
+
+
 def fit_spliar(series, radii, order=1, rank=1, n_workers=None):
     """Fit uniform-box kernels, project each lag's block matrix to low rank.
 
@@ -220,15 +230,8 @@ def fit_spliar(series, radii, order=1, rank=1, n_workers=None):
     -------
     SeparableFit
     """
-    if len(series.shape) != 2:
-        raise ConfigurationError("separable fitting is defined for 2-D grids")
-    radii = _box_radii(radii, series.shape)
+    radii, rank = _check_separable(series.shape, radii, rank)
     b1, b2 = 2 * radii[0] + 1, 2 * radii[1] + 1
-    rank = int(rank)
-    if not 1 <= rank <= min(b1, b2):
-        raise ConfigurationError(
-            f"rank must lie in 1..{min(b1, b2)} for radii {radii}, got {rank}"
-        )
     shape = series.shape
     neighborhoods = box_field(shape, radii)
     raw = fit_all(series, neighborhoods, order=order, n_workers=n_workers,

@@ -6,11 +6,14 @@ exercise the ``liar`` script (see ``liar_command`` in conftest.py) and
 ``python -m liargrid``.
 """
 
+import argparse
 import csv
 import hashlib
 import json
 import math
 import os
+import re
+import shutil
 import struct
 import subprocess
 import sys
@@ -44,6 +47,17 @@ def read_metrics(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """The names of the fitting functions the command line calls."""
+    calls = []
+    for name in ("fit_all", "fit_spliar", "baseline_pixel_ar", "baseline_mar_als"):
+        real = getattr(liargrid.cli, name)
+        monkeypatch.setattr(liargrid.cli, name, lambda *a, name=name, real=real, **k:
+                            calls.append(name) or real(*a, **k))
+    return calls
 
 
 class TestSimulate:
@@ -95,9 +109,9 @@ class TestSimulate:
             assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
 
     def test_missing_shape_is_config_error(self, tmp_path, capsys):
-        code = run("simulate", "--T", "30", "--K", "1",
-                   "--output-dir", tmp_path / "x")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            run("simulate", "--T", "30", "--K", "1", "--output-dir", tmp_path / "x")
+        assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
 
@@ -137,8 +151,9 @@ class TestFit:
         sim = tmp_path / "sim"
         run("simulate", "--shape", "4,4", "--T", "40", "--K", "1",
             "--burn-in", "10", "--output-dir", sim)
-        assert run("fit", "--input", sim / "series.gts",
-                   "--output-dir", tmp_path / "fit") == 2
+        with pytest.raises(SystemExit) as exc:
+            run("fit", "--input", sim / "series.gts", "--output-dir", tmp_path / "fit")
+        assert exc.value.code == 2
 
 
 class TestSelect:
@@ -223,6 +238,38 @@ class TestSelect:
         assert code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("d0", ["nan", "inf", "-1"])
+    def test_penalty_not_finite_and_nonnegative_exit_2(self, tmp_path, capsys, d0):
+        series = GridSeries((12, 14), np.random.default_rng(7).normal(size=(60, 168)))
+        write_gts(series, tmp_path / "s.gts")
+        out = tmp_path / "sel"
+        assert run("select", "--input", tmp_path / "s.gts", "--K0", "2", "--D0", d0,
+                   "--output-dir", out) == 2
+        assert capsys.readouterr().err == (
+            f"error: d0 must be finite and nonnegative, got {float(d0)}\n")
+        assert not out.exists()
+
+    # truth radius 7 leaves no interior site on 12x14, so that rate is null
+    @pytest.mark.parametrize("argv", [["--K", "7"], ["--D0", "0", "--K", "1"]],
+                             ids=" ".join)
+    def test_artifacts_are_strict_json(self, tmp_path, argv):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        series = GridSeries((12, 14), np.random.default_rng(7).normal(size=(60, 168)))
+        write_gts(series, tmp_path / "s.gts")
+        out = tmp_path / "sel"
+        assert run("select", "--input", tmp_path / "s.gts", "--K0", "2", *argv,
+                   "--output-dir", out) == 0
+        files = sorted(out.glob("*.json"))
+        assert [f.name for f in files] == ["config.json", "selection.json", "summary.json"]
+        loaded = {f.name: json.loads(f.read_text(), parse_constant=refuse) for f in files}
+        rates = loaded["summary.json"]
+        if argv[1] == "7":
+            assert rates["interior"] is None and rates["boundary"] == rates["overall"]
+        else:
+            assert rates["D0"] == 0.0 and 0.0 <= rates["interior"] <= 1.0
+
     def test_candidates_that_fail_to_nest_at_some_sites_exit_4(self, tmp_path):
         # on 3 rows, radius (1, 1) nests (2, 0) only at the middle row
         series = GridSeries((3, 6), np.random.default_rng(5).normal(size=(40, 18)))
@@ -255,8 +302,10 @@ class TestSpliar:
         sim = tmp_path / "sim"
         run("simulate", "--shape", "4,4", "--T", "80", "--K", "1",
             "--burn-in", "20", "--output-dir", sim)
-        assert run("spliar", "--input", sim / "series.gts", "--K", "1",
-                   "--output-dir", tmp_path / "sp") == 2
+        with pytest.raises(SystemExit) as exc:
+            run("spliar", "--input", sim / "series.gts", "--K", "1",
+                "--output-dir", tmp_path / "sp")
+        assert exc.value.code == 2
 
 
 class TestForecast:
@@ -395,18 +444,32 @@ class TestEval:
         ["--methods", "mar,liar"],
         ["--methods", "liar,spliar", "--K", "1"],
         ["--methods", "mar", "--train-fraction", "1.5"],
+        ["--methods", "liar,spliar", "--K", "1", "--R", "0"],
+        ["--methods", "liar,spliar", "--K", "1", "--R", "9"],
+        ["--methods", "liar_p,liar", "--K", "-1"],
     ], ids=" ".join)
-    def test_flags_refused_before_any_work(self, tmp_path, monkeypatch, argv):
-        calls = []
-        for name in ("fit_all", "baseline_mar_als"):
-            real = getattr(liargrid.cli, name)
-            monkeypatch.setattr(liargrid.cli, name, lambda *a, name=name, real=real, **k:
-                                calls.append(name) or real(*a, **k))
+    def test_flags_refused_before_any_work(self, tmp_path, fit_calls, argv):
         gen = np.random.default_rng(24)
         write_gts(GridSeries((3, 3), gen.normal(size=(40, 9))), tmp_path / "s.gts")
         assert run("eval", "--input", tmp_path / "s.gts", *argv,
                    "--output-dir", tmp_path / "e") == 2
-        assert calls == []
+        assert fit_calls == []
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--methods", "liar,mar", "--K", "1"],
+        ["--methods", "liar,spliar", "--K", "1", "--R", "1"],
+        ["--methods", "liar_p,mar"],
+        ["--methods", "liar_p,spliar", "--K", "1", "--R", "1"],
+    ], ids=" ".join)
+    def test_2d_methods_refuse_a_3d_grid_before_any_work(self, tmp_path, capsys,
+                                                         fit_calls, argv):
+        gen = np.random.default_rng(29)
+        write_gts(GridSeries((4, 5, 6), gen.normal(size=(40, 120))), tmp_path / "s.gts")
+        assert run("eval", "--input", tmp_path / "s.gts", *argv,
+                   "--output-dir", tmp_path / "e") == 2
+        assert capsys.readouterr().err.endswith(" needs a 2-D grid\n")
+        assert fit_calls == []
         assert not (tmp_path / "e").exists()
 
     def test_unknown_method(self, tmp_path):
@@ -423,9 +486,9 @@ class TestBench:
         # doubling each axis quadruples the sites; the fit should cost
         # about 4x.  Grids below 32x32 straddle the L2 boundary and the
         # per-site cost shifts, so the doubling starts at 32x32; the min
-        # over three runs strips scheduler noise from the wall times.
+        # over five runs strips scheduler noise from the wall times.
         best = {}
-        for rep in range(3):
+        for rep in range(5):
             out = tmp_path / f"bench{rep}"
             code = run("bench", "--shape", "32x32,64x64", "--T", "1500",
                        "--K", "1", "--seed", "11", "--burn-in", "50",
@@ -540,13 +603,14 @@ class TestExitCodes:
                    "--output-dir", tmp_path / "out") == 2
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--threads", "2"],
-        ["fit", "--seed", "1"],
-        ["select", "--R", "1"],
-        ["spliar", "--K0", "2"],
-        ["forecast", "--P", "2", "--kernels", "k.json", "--horizon", "3"],
-        ["eval", "--sigma", "2"],
-        ["bench", "--input", "x.gts"],
+        ["simulate", "--threads", "2", "--shape", "4,4", "--T", "30", "--K", "1"],
+        ["fit", "--seed", "1", "--input", "x.gts", "--K", "1"],
+        ["select", "--R", "1", "--input", "x.gts"],
+        ["spliar", "--K0", "2", "--input", "x.gts", "--K", "1", "--R", "1"],
+        ["forecast", "--P", "2", "--kernels", "k.json", "--horizon", "3",
+         "--input", "x.gts"],
+        ["eval", "--sigma", "2", "--input", "x.gts"],
+        ["bench", "--input", "x.gts", "--shape", "4x4", "--T", "30", "--K", "1"],
     ], ids=lambda argv: argv[0])
     def test_unread_flag_is_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -610,6 +674,61 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed kernel file {path}: ")
         assert "Traceback" not in err
+
+
+def _subcommands():
+    """Each subcommand's parser, by name, as ``build_parser`` makes them."""
+    parser = liargrid.cli.build_parser()
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+# a value for every flag that takes no file; eval's methods need no --K or --R
+_FLAG_VALUES = {
+    "--shape": "3x4", "--T": "30", "--P": "1", "--K": "1", "--K0": "1", "--R": "1",
+    "--D0": "1.0", "--sigma": "1", "--target-norm": "0.5", "--seed": "3",
+    "--threads": "1", "--burn-in": "5", "--noise": "iid_uniform",
+    "--candidates": "0,0;1,1", "--horizon": "3", "--train-fraction": "0.5",
+    "--methods": "liar_p,mar",
+}
+
+
+@pytest.mark.parametrize("command", list(_subcommands()))
+def test_usage_marks_required_exactly_the_flags_refused_when_omitted(tmp_path, command):
+    # a flag left out alone is refused when the command exits 2 and makes no
+    # output directory, and that from every full run of the command
+    gen = np.random.default_rng(30)
+    write_gts(GridSeries((3, 4), gen.normal(size=(30, 12))), tmp_path / "s.gts")
+    write_gts(GridSeries((3, 4), gen.normal(size=(3, 12))), tmp_path / "truth.gts")
+    random_stable_kernels((3, 4), 1, target_norm=0.5, seed=0).save_json(
+        tmp_path / "k.json")
+    out = tmp_path / "out"
+    values = {**_FLAG_VALUES, "--input": tmp_path / "s.gts", "--output-dir": out,
+              "--truth": tmp_path / "truth.gts", "--kernels": tmp_path / "k.json"}
+
+    def exit_and_made(flags):
+        try:
+            code = run(command, *(a for f in flags for a in (f, values[f])))
+        except SystemExit as exc:
+            code = exc.code
+        made = out.exists()
+        shutil.rmtree(out, ignore_errors=True)
+        return code, made
+
+    parser = _subcommands()[command]
+    flags = [a.option_strings[0] for a in parser._actions if a.dest != "help"]
+    # select takes exactly one of --K0 and --candidates, so it has two full runs
+    full_runs = [[f for f in flags if f != other]
+                 for other in {"select": ("--candidates", "--K0")}.get(command, (None,))]
+    assert [exit_and_made(full) for full in full_runs] == [(0, True)] * len(full_runs)
+    usage = parser.format_usage()
+    mismatched = [
+        flag for flag in flags
+        if (re.search(rf"\[{re.escape(flag)}[ \]]", usage) is None) != all(
+            exit_and_made([f for f in full if f != flag]) == (2, False)
+            for full in full_runs)
+    ]
+    assert mismatched == [], usage
 
 
 class TestCsvIngestion:

@@ -326,6 +326,19 @@ class TestSelectAll:
         with pytest.raises(ConfigurationError, match="bare center"):
             select_all(s, radii_list=[(1, 1), (2, 2)], d0=1.0)
 
+    @pytest.mark.parametrize("d0", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_penalty_not_finite_and_nonnegative_refused_before_any_fit(self, monkeypatch,
+                                                                       d0):
+        monkeypatch.setattr(liargrid.select, "_solve_sites",
+                            lambda *a, **k: pytest.fail("a site was factored"))
+        s = GridSeries((4, 5), np.random.default_rng(6).normal(size=(40, 20)))
+        family = nested_family((1, 1), s.shape, max_radius=1)
+        for select in (lambda: select_all(s, max_radius=1, d0=d0),
+                       lambda: select_site(s, family, d0=d0)):
+            with pytest.raises(ConfigurationError,
+                               match=f"d0 must be finite and nonnegative, got {d0}"):
+                select()
+
     def test_thread_determinism(self):
         shape = (4, 4)
         kern = random_stable_kernels(shape, 1, target_norm=0.7, seed=72)
