@@ -41,7 +41,7 @@ from .evaluate import (
 from .fit import fit_all, resolve_workers
 from .grid import _read_gts, _require_2d, _write_gts, read_csv_frames, read_gts, write_gts
 from .neighborhoods import _box_radii, box_field
-from .select import default_d0, select_all
+from .select import select_all
 from .separable import _check_separable, fit_spliar
 from .simulate import (
     KernelField,
@@ -161,16 +161,15 @@ def cmd_select(args):
     radii_list = None if args.candidates is None else _split(
         args.candidates, ";", lambda tok: tuple(_split(tok, ",", int, "integer list")),
         "candidate list")
-    d0 = args.D0 if args.D0 is not None else default_d0(series.n_frames)
     report = select_all(
-        series, max_radius=args.K0, order=args.P, d0=d0,
+        series, max_radius=args.K0, order=args.P, d0=args.D0,
         radii_list=radii_list, n_workers=args.threads,
     )
     out = _outdir(args)
     report.save_json(os.path.join(out, "selection.json"))
     if len(series.shape) == 2:
         report.save_heatmap_csv(os.path.join(out, "selection_heatmap.csv"))
-    summary = {"D0": d0}
+    summary = {"D0": report.d0}
     if args.K is not None:
         rates = report.success_rates(args.K)
         summary.update(rates)

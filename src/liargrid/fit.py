@@ -12,7 +12,7 @@ level, :mod:`liargrid.select` brings a family.  Rank deficiency is
 non-fatal: the minimum-norm solution, read off the same R factor, is
 returned with ``cond_flag`` set.
 
-:func:`_solve_sites` runs the kernel in a thread pool, one task per
+:func:`_solve_sites` runs the kernel on an in-order pool, one task per
 block of consecutive sites: each task gathers and factors its sites,
 then scores and solves them, all sites with the same level sizes at
 once.  The factorization is scipy's ``lapack.dgeqrf``, whose wrapper
@@ -28,18 +28,13 @@ References
 Golub, Van Loan (2013), "Matrix Computations", 4th ed., sec. 5.2-5.3, 5.5.
 """
 
-import collections
-import contextlib
-import ctypes
-import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from itertools import groupby
 
 import numpy as np
 import scipy.linalg
 
+from ._threads import _in_order, resolve_workers, single_threaded_blas
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
 from .grid import _JsonArtifact, site_to_linear, sites_to_linear
 from .neighborhoods import custom_neighborhood
@@ -47,84 +42,6 @@ from .simulate import KernelField, _lag_order
 
 _RANK_TOL = 1e-10  # diagonal ratio below which a design counts as rank-deficient
 _BLOCK = 64  # sites per pool task
-
-# (set, get) thread-count symbols of an OpenBLAS build, in the order tried:
-# numpy's 64-bit-integer scipy-openblas, scipy's scipy-openblas, plain OpenBLAS.
-_BLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
-    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
-    ("openblas_set_num_threads", "openblas_get_num_threads"),
-)
-_blas_controls = None  # [(set, get), ...] per loaded build; found on first use
-_blas_lock = threading.Lock()
-_blas_depth = 0  # nesting count of single_threaded_blas across threads
-_blas_saved = []  # thread counts to restore when the outermost block exits
-
-
-def _openblas_thread_controls():
-    """(set, get) thread-count functions of every OpenBLAS build loaded in
-    this process; empty where none is found (e.g. no ``/proc/self/maps``)."""
-    global _blas_controls
-    if _blas_controls is None:
-        try:
-            with open("/proc/self/maps") as fh:
-                paths = {line.split()[-1] for line in fh if ".so" in line}
-        except OSError:
-            paths = set()
-        controls = []
-        for path in sorted(paths):
-            if "openblas" not in os.path.basename(path).lower():
-                continue
-            try:
-                lib = ctypes.CDLL(path)
-            except OSError:
-                continue
-            for set_sym, get_sym in _BLAS_THREAD_SYMBOLS:
-                if hasattr(lib, set_sym) and hasattr(lib, get_sym):
-                    set_threads, get_threads = getattr(lib, set_sym), getattr(lib, get_sym)
-                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-                    controls.append((set_threads, get_threads))
-                    break
-        _blas_controls = controls
-    return _blas_controls
-
-
-@contextlib.contextmanager
-def single_threaded_blas():
-    """Run OpenBLAS on one thread inside the block, then restore each
-    build's previous thread count.  Nested or concurrent blocks restore
-    once, when the last one exits.  Does nothing without OpenBLAS."""
-    global _blas_depth, _blas_saved
-    with _blas_lock:
-        controls = _openblas_thread_controls()
-        if _blas_depth == 0:
-            _blas_saved = [get() for _, get in controls]
-            for set_threads, _ in controls:
-                set_threads(1)
-        _blas_depth += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_depth -= 1
-            if _blas_depth == 0:
-                for (set_threads, _), n in zip(controls, _blas_saved):
-                    set_threads(n)
-
-
-def resolve_workers(n_workers=None):
-    """Worker count: explicit arg, else LIAR_THREADS, else cpu count."""
-    if n_workers is not None:
-        n = int(n_workers)
-    else:
-        env = os.environ.get("LIAR_THREADS", "").strip()
-        if env and not env.isdigit():
-            raise ConfigurationError(f"LIAR_THREADS must be a positive integer, got {env!r}")
-        n = int(env) if env else (os.cpu_count() or 1)
-    if n < 1:
-        raise ConfigurationError(f"worker count must be positive, got {n}")
-    return n
 
 
 class DesignBlock:
@@ -505,7 +422,7 @@ def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_work
     ``with_se``, or the minimum-norm fit of a deficient level.
 
     The lag order and frame count are checked once, before any block.
-    The calling thread keeps at most ``n_workers`` + 1 blocks queued and
+    The calling thread keeps at most ``n_workers`` blocks pending and
     merges their results in order.  Returns ``{linear: (SiteFit, levels,
     kept sizes, record)}`` and the error manifest: the :class:`LiarError`
     that failed each site.
@@ -562,23 +479,11 @@ def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_work
         return [(item[1], done[item[1]]) for item in factored], errors
 
     done, errors = {}, {}
-
-    def merge(result):
-        done.update(result[0])
-        errors.update(result[1])
-
     workers = resolve_workers(n_workers)
     with single_threaded_blas():
-        if workers <= 1:
-            for block in blocks:
-                merge(solve(block))
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                queued = collections.deque()  # at most workers + 1 blocks wait
-                for block in blocks:
-                    queued.append(pool.submit(solve, block))
-                    if len(queued) > workers:
-                        merge(queued.popleft().result())
-                while queued:
-                    merge(queued.popleft().result())
+        # one worker solves here: a pool costs more to start than a small site's fit
+        for found, failed in (map(solve, blocks) if workers <= 1
+                              else _in_order(solve, blocks, workers, workers)):
+            done.update(found)
+            errors.update(failed)
     return done, errors

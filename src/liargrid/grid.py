@@ -376,22 +376,28 @@ class _JsonArtifact:
 def _save_json(path, fields):
     """Write the dict ``fields`` to ``path`` as compact JSON, with the
     collector paused; its "sites" iterable is written
-    ``_SAVE_BLOCK`` entries at a time, so no list of them all is made."""
-    with open(path, "w") as fh, _gc_paused():
-        sep = "{"
-        for key, value in fields.items():
-            fh.write(f"{sep}{json.dumps(key)}: ")
-            sep = ", "
-            if key != "sites":
-                fh.write(json.dumps(value))
-                continue
-            entries, between = iter(value), ""
-            fh.write("[")
-            while block := list(islice(entries, _SAVE_BLOCK)):
-                fh.write(between + json.dumps(block)[1:-1])  # a list dumps as [a, b]
-                between = ", "
-            fh.write("]")
-        fh.write("}")
+    ``_SAVE_BLOCK`` entries at a time, so no list of them all is made.
+    When anything fails, the partial file is removed."""
+    fh = open(path, "w")
+    try:
+        with fh, _gc_paused():
+            sep = "{"
+            for key, value in fields.items():
+                fh.write(f"{sep}{json.dumps(key)}: ")
+                sep = ", "
+                if key != "sites":
+                    fh.write(json.dumps(value))
+                    continue
+                entries, between = iter(value), ""
+                fh.write("[")
+                while block := list(islice(entries, _SAVE_BLOCK)):
+                    fh.write(between + json.dumps(block)[1:-1])  # a list dumps as [a, b]
+                    between = ", "
+                fh.write("]")
+            fh.write("}")
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 def _load_json(path, from_dict):

@@ -10,7 +10,7 @@ wrapped for fitting.
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import sites_to_linear
+from .grid import _check_shape, sites_to_linear
 
 
 class Neighborhood:
@@ -176,7 +176,7 @@ def _grid_centers(shape):
 def box_field(shape, radii):
     """Clipped boxes of the same radii around every site, in canonical
     (linear) site order: the neighborhoods of a fixed-radius fit."""
-    shape = tuple(int(n) for n in shape)
+    shape, _ = _check_shape(shape)
     return _boxes(_grid_centers(shape), shape, _box_radii(radii, shape))
 
 
@@ -327,7 +327,7 @@ def interior_mask(shape, radii):
     -------
     ndarray of bool, length prod(shape)
     """
-    shape = tuple(int(n) for n in shape)
+    shape, _ = _check_shape(shape)
     radii = np.broadcast_to(radii, len(shape))
     centers = _grid_centers(shape)
     return ((centers >= radii) & (centers <= np.array(shape) - 1 - radii)).all(axis=1)

@@ -16,18 +16,19 @@ one stream per site, so output is reproducible bit-for-bit regardless of
 scheduling, and a shorter simulation is a prefix of a longer one.
 """
 
-import collections
+import contextlib
 import operator
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import rng
+from ._threads import _in_order, resolve_workers, single_threaded_blas
 from .errors import ConfigurationError, NumericalError, StabilityError
-from .grid import GridSeries, _JsonArtifact, _load_json, linear_to_site, sites_to_linear
+from .grid import (GridSeries, _JsonArtifact, _check_shape, _load_json, linear_to_site,
+                   sites_to_linear)
 from .neighborhoods import Neighborhood, _box_radii, _box_sites, _grid_centers
 
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
@@ -388,8 +389,6 @@ def _operator_norm(kernels, start=None):
     """:func:`operator_norm` and each lag's converged right singular
     vector; ``start`` holds per-lag starting vectors (a fixed
     pseudo-random one per lag by default)."""
-    from .fit import single_threaded_blas  # fit imports this module
-
     ops = kernels.operators()
     with single_threaded_blas():
         parts = [_spectral_norm(op, v) for op, v in zip(ops, start or [None] * len(ops))]
@@ -452,7 +451,7 @@ def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
     """
     if not 0.0 < target_norm < 1.0:
         raise ConfigurationError(f"target_norm must be in (0, 1), got {target_norm}")
-    shape = tuple(int(n) for n in shape)
+    shape, _ = _check_shape(shape)
     radii = _box_radii(radii, shape)
     order = _lag_order(order)
     _, indices, indptr = _box_sites(_grid_centers(shape), shape, radii)
@@ -512,8 +511,6 @@ def _frame_blocks(kernels, n_frames, noise, burn_in):
     """Check :func:`simulate_liar`'s arguments, then return a generator of
     its ``n_frames`` frames in consecutive C-contiguous (b, n_sites)
     blocks, each computed when it is asked for."""
-    from .fit import resolve_workers  # fit imports this module
-
     if n_frames < 1:
         raise ConfigurationError("n_frames must be at least 1")
     if burn_in < 0:
@@ -549,16 +546,11 @@ def _frame_blocks(kernels, n_frames, noise, burn_in):
         return noise.sigma * _SQRT3 * (2.0 * rng.frame_uniforms(site_keys, frames) - 1.0)
 
     def recursion():
-        # x_t = sum_p Op_p x_{t-p} + e_t, computed in place on each noise
-        # block while the pool draws the next ones
+        # x_t = sum_p Op_p x_{t-p} + e_t, computed in place on each noise block
+        # while the pool draws the next ones (a pool even for one worker)
         state = [np.zeros(n)] * kernels.order  # x_{t-P}, ..., x_{t-1}
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            queued = collections.deque(pool.submit(draw, s) for s in starts[:ahead])
-            for i, start in enumerate(starts):
-                block = queued.popleft().result()
-                if i + ahead < len(starts):
-                    queued.append(pool.submit(draw, starts[i + ahead]))
+        with contextlib.closing(_in_order(draw, starts, workers, ahead)) as blocks:
+            for start, block in zip(starts, blocks):
                 for x in block:
                     for p, op in enumerate(ops):
                         x += op @ state[-1 - p]
@@ -566,8 +558,6 @@ def _frame_blocks(kernels, n_frames, noise, burn_in):
                     del state[0]
                 if start + block.shape[0] > burn_in:
                     yield block[max(0, burn_in - start) :]
-        finally:
-            pool.shutdown(cancel_futures=True)
 
     return recursion()
 

@@ -22,6 +22,7 @@ from liargrid import (
     site_to_linear,
     standard_errors,
 )
+import liargrid._threads
 import liargrid.fit
 from liargrid.fit import DesignBlock
 from liargrid.grid import linear_to_site
@@ -361,7 +362,7 @@ class TestFitAll:
             assert_array_equal(kern.coeffs[i][0], report.fits[i].coeffs)
 
 
-_BLAS = liargrid.fit._openblas_thread_controls()
+_BLAS = liargrid._threads._openblas_thread_controls()
 
 
 class TestOneCheckPerCall:
@@ -502,10 +503,10 @@ class TestSingleThreadedBlas:
                 assert_array_equal(a, b)
 
     def test_no_op_without_set_threads_symbol(self, monkeypatch):
-        monkeypatch.setattr(liargrid.fit, "_BLAS_THREAD_SYMBOLS",
+        monkeypatch.setattr(liargrid._threads, "_BLAS_THREAD_SYMBOLS",
                             (("no_such_set_threads", "no_such_get_threads"),))
-        monkeypatch.setattr(liargrid.fit, "_blas_controls", None)
-        assert liargrid.fit._openblas_thread_controls() == []
+        monkeypatch.setattr(liargrid._threads, "_blas_controls", None)
+        assert liargrid._threads._openblas_thread_controls() == []
         seen = self._spy(monkeypatch)
         self._run("fit_all", 1)
         assert seen and all(n == [2] * len(_BLAS) for n in seen)

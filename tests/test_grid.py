@@ -351,6 +351,23 @@ class TestJsonFiles:
             return report
         return select_all(adversarial_series(), max_radius=4)
 
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        class Failing(liargrid.grid._JsonArtifact):
+            """Entries that fail after the first written block."""
+
+            def _json_fields(self):
+                def sites():
+                    yield from ({"center": [i]} for i in range(liargrid.grid._SAVE_BLOCK))
+                    raise RuntimeError("entry failed")
+
+                return {"shape": [2 * liargrid.grid._SAVE_BLOCK], "sites": sites()}
+
+        path = tmp_path / "kernels.json"
+        path.write_text("{}")
+        with pytest.raises(RuntimeError, match="entry failed"):
+            Failing().save_json(path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("kind", ["box", "custom", "P2", "3d", "fit", "selection"])
     def test_written_a_block_at_a_time_as_to_dict_dumps(self, tmp_path, monkeypatch,
                                                         kind):

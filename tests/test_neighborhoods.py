@@ -10,6 +10,7 @@ from liargrid import (
     interior_mask,
     linear_to_site,
     nested_family,
+    random_stable_kernels,
     site_to_linear,
 )
 from liargrid.neighborhoods import _families, _grid_centers, neighborhood_from_sites
@@ -86,6 +87,13 @@ class TestBoxField:
             assert_array_equal(nb.linear, linear)
             assert not nb.sites.flags.writeable
             assert not nb.linear.flags.writeable
+
+
+@pytest.mark.parametrize("shape", [(0, 5), (3, -2)])
+@pytest.mark.parametrize("build", [box_field, interior_mask, random_stable_kernels])
+def test_grid_builders_refuse_a_nonpositive_extent(build, shape):
+    with pytest.raises(ConfigurationError, match="grid extents must be positive"):
+        build(shape, 1)
 
 
 class TestGridFamilies:

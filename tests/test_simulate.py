@@ -15,7 +15,7 @@ from liargrid import (
     random_stable_kernels,
     simulate_liar,
 )
-from liargrid.fit import _openblas_thread_controls
+from liargrid._threads import _openblas_thread_controls
 from liargrid.neighborhoods import (box_field, box_neighborhood,
                                     custom_neighborhood, neighborhood_from_sites)
 
