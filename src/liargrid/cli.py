@@ -161,6 +161,8 @@ def cmd_select(args):
     radii_list = None if args.candidates is None else _split(
         args.candidates, ";", lambda tok: tuple(_split(tok, ",", int, "integer list")),
         "candidate list")
+    if args.K is not None:  # the truth radius the rates need, before the scan
+        _box_radii(args.K, series.shape)
     report = select_all(
         series, max_radius=args.K0, order=args.P, d0=args.D0,
         radii_list=radii_list, n_workers=args.threads,

@@ -224,10 +224,11 @@ def fit_site(design):
     the same R factor; deficient ones take the minimum-norm solution from
     it and set ``cond_flag``.
     """
-    # the block's columns stand in for its sites, so a hand-built block
-    # needs no neighborhood; the solver refuses an order below 1
+    # the block's columns stand in for its sites, on a line of at least one
+    # site, so a hand-built block needs no neighborhood; the solver refuses
+    # an order below 1
     size = design.y.shape[1] // max(design.order, 1)
-    columns = custom_neighborhood(design.site, (size,), np.arange(size)[:, None])
+    columns = custom_neighborhood(design.site, (max(size, 1),), np.arange(size)[:, None])
     done, errors = _solve_sites(lambda *_: np.column_stack((design.y, design.z)),
                                 [[(0, design.site, [columns])]], design.order,
                                 design.y.shape[0], with_se=True)

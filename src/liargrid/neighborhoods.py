@@ -33,7 +33,7 @@ class Neighborhood:
 
     def __init__(self, center, shape, sites, radii=None):
         self.center = tuple(int(c) for c in center)
-        self.shape = tuple(int(n) for n in shape)
+        self.shape, _ = _check_shape(shape)
         sites = np.asarray(sites, dtype=np.intp)
         if sites.ndim != 2 or sites.shape[1] != len(self.shape):
             raise ConfigurationError(
@@ -154,7 +154,7 @@ def box_neighborhood(center, shape, radii):
         Sites {u : |u_j - center_j| <= radii[j]} clipped to the grid,
         sorted by linear index.
     """
-    shape = tuple(int(n) for n in shape)
+    shape, _ = _check_shape(shape)
     radii = _box_radii(radii, shape)
     return _boxes([_center(center, shape)], shape, radii)[0]
 
@@ -307,7 +307,7 @@ def nested_family(center, shape, max_radius=None, axis_caps=None, radii_list=Non
     -------
     NeighborhoodFamily
     """
-    shape = tuple(int(n) for n in shape)
+    shape, _ = _check_shape(shape)
     family = _families([_center(center, shape)], shape, max_radius, axis_caps,
                        radii_list)[0]
     if isinstance(family, str):
@@ -328,7 +328,7 @@ def interior_mask(shape, radii):
     ndarray of bool, length prod(shape)
     """
     shape, _ = _check_shape(shape)
-    radii = np.broadcast_to(radii, len(shape))
+    radii = np.array(_box_radii(radii, shape))
     centers = _grid_centers(shape)
     return ((centers >= radii) & (centers <= np.array(shape) - 1 - radii)).all(axis=1)
 

@@ -8,8 +8,8 @@ coefficients in its neighborhood's columns.  Simulation iterates
     x_t = sum_p  Op_p @ x_{t-p} + e_t
 
 after a burn-in, starting from zero frames.  Stability is certified by
-the operator norm (sum of per-lag spectral norms when P > 1), estimated
-matrix-free by power iteration.
+the operator norm (sum of per-lag spectral norms when P > 1), computed
+matrix-free by Lanczos to rounding level.
 
 All noise comes from the counter-based streams in :mod:`liargrid.rng`,
 one stream per site, so output is reproducible bit-for-bit regardless of
@@ -23,6 +23,7 @@ from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import rng
 from ._threads import _in_order, resolve_workers, single_threaded_blas
@@ -34,8 +35,7 @@ from .neighborhoods import Neighborhood, _box_radii, _box_sites, _grid_centers
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
 _SITE_BLOCK = 2**10  # sites flattened (from_dict) or converted (to JSON) at a time
 _NOISE_AHEAD = 4  # noise blocks queued ahead of the recursion, per noise thread
-_NORM_RTOL = 1e-8  # relative change that ends power iteration
-_NORM_MAX_ITER = 10000
+_NORM_TOL = 1e-14  # ARPACK's relative tolerance on the top eigenvalue of Op'Op
 _CTX_KERNEL = 1
 _CTX_NOISE = 2
 _SQRT3 = float(np.sqrt(3.0))
@@ -124,9 +124,8 @@ class KernelField(_JsonArtifact):
     __slots__ = ("shape", "order", "_ops", "_radii", "_norm")
 
     def __init__(self, shape, order, neighborhoods, coeffs):
-        shape = tuple(int(n) for n in shape)
+        shape, n_sites = _check_shape(shape)
         order = _lag_order(order)
-        n_sites = int(np.prod(shape))
         if len(neighborhoods) != n_sites or len(coeffs) != n_sites:
             raise ConfigurationError(
                 f"need one neighborhood and coefficient block per site "
@@ -368,59 +367,39 @@ def _field_arrays(data):
 def operator_norm(kernels):
     """Stability norm of a kernel field.
 
-    For P = 1 this is the largest singular value of the induced operator,
-    found by power iteration on M'M with matrix-free products.  For
-    P > 1 the per-lag spectral norms are summed; the sum being below 1
-    certifies a stationary solution and reduces to the P = 1 value when
-    there is one lag.  OpenBLAS runs on one thread for the call: split
-    across threads, its dot products on long vectors (above about 10000
-    sites) round differently, and the norm scales every random field.
+    For P = 1 this is the largest singular value of the induced operator
+    Op: the square root of the largest eigenvalue of Op'Op, found by
+    Lanczos (ARPACK's ``eigsh``) on matrix-free products from a fixed
+    pseudo-random start, to a relative tolerance of 1e-14 on that
+    eigenvalue.  For P > 1 the per-lag spectral norms are summed; the
+    sum being below 1 certifies a stationary solution and reduces to
+    the P = 1 value when there is one lag.  OpenBLAS runs on one thread
+    for the call: split across threads, its dot products on long vectors
+    (above about 10000 sites) round differently, and the norm scales
+    every random field.
 
     Raises
     ------
     NumericalError
-        If power iteration has not converged after 10000 steps (relative
-        tolerance 1e-8); the message reports the last two iterates.
+        If ARPACK fails or does not converge.
     """
-    return _operator_norm(kernels)[0]
-
-
-def _operator_norm(kernels, start=None):
-    """:func:`operator_norm` and each lag's converged right singular
-    vector; ``start`` holds per-lag starting vectors (a fixed
-    pseudo-random one per lag by default)."""
-    ops = kernels.operators()
     with single_threaded_blas():
-        parts = [_spectral_norm(op, v) for op, v in zip(ops, start or [None] * len(ops))]
-    return float(sum(norm for norm, _ in parts)), [v for _, v in parts]
+        return float(sum(_spectral_norm(op) for op in kernels.operators()))
 
 
-def _spectral_norm(op, v=None):
-    if v is None:
-        n = op.shape[0]
-        key = rng.derive_key(0x5EED0FF, [n])
-        v = rng.uniforms(key, np.arange(n)) - 0.5
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            v = np.ones(n)
-            nv = np.linalg.norm(v)
-        v /= nv
+def _spectral_norm(op):
+    n = op.shape[0]
+    if n == 1 or not op.data.any():  # ARPACK needs n >= 2 and a nonzero product
+        return float(np.abs(op.data).max(initial=0.0))
     op_t = op.T.tocsr()
-    lam_prev = None
-    for _ in range(_NORM_MAX_ITER):
-        w = op_t @ (op @ v)
-        lam = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0 or lam <= 0.0:
-            return 0.0, v
-        v = w / norm_w
-        if lam_prev is not None and abs(lam - lam_prev) <= _NORM_RTOL * max(lam, 1e-300):
-            return float(np.sqrt(lam)), v
-        lam_prev = lam
-    raise NumericalError(
-        f"power iteration did not converge in {_NORM_MAX_ITER} steps; "
-        f"last two iterates {lam_prev:.17g}, {lam:.17g}"
-    )
+    gram = LinearOperator((n, n), matvec=lambda v: op_t @ (op @ v), dtype=np.float64)
+    start = rng.uniforms(rng.derive_key(0x5EED0FF, [n]), np.arange(n)) - 0.5
+    try:
+        (lam,) = eigsh(gram, k=1, which="LA", v0=start, tol=_NORM_TOL,
+                       return_eigenvectors=False)
+    except ArpackError as exc:
+        raise NumericalError(f"Lanczos failed on the stability norm: {exc}") from exc
+    return float(np.sqrt(lam))
 
 
 def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
@@ -430,9 +409,10 @@ def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
     radius, drawn from counter streams keyed by (seed, site, lag), then
     all rescaled by target_norm / operator_norm.  A draw of norm at most
     1e-12 needs every coefficient within 1e-12 of 0 (about a 1e-12 chance
-    each) and raises :class:`NumericalError`.  The rescaled norm is
-    checked by power iteration started from the draw's singular vectors,
-    and the field carries it to :func:`simulate_liar`.
+    each) and raises :class:`NumericalError`.  The norm is homogeneous in
+    the coefficients, so each drawn field needs one Lanczos run: the
+    rescaled field carries its norm (the draw's times the factor) to
+    :func:`simulate_liar`.
 
     Parameters
     ----------
@@ -466,14 +446,12 @@ def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
     field = KernelField._from_arrays(shape, order, indptr, indices,
                                      [draws[:, p][drawn] for p in range(order)],
                                      box_radii)
-    norm, vectors = _operator_norm(field)
+    norm = operator_norm(field)
     if not norm > 1e-12:
         raise NumericalError("kernel draws degenerate (zero norm)")
-    scaled = field.scale(target_norm / norm)
-    final, _ = _operator_norm(scaled, vectors)
-    if abs(final - target_norm) > 1e-6:
-        raise NumericalError(f"rescaled norm {final} missed target {target_norm}")
-    scaled._norm = final
+    factor = target_norm / norm
+    scaled = field.scale(factor)
+    scaled._norm = norm * factor  # the norm is homogeneous in the coefficients
     return scaled
 
 
@@ -518,7 +496,7 @@ def _frame_blocks(kernels, n_frames, noise, burn_in):
     norm = operator_norm(kernels) if kernels._norm is None else kernels._norm
     if norm >= 1.0:
         raise StabilityError(
-            f"kernel field has stability norm {norm:.6f} >= 1; "
+            f"kernel field has stability norm {norm!r} >= 1; "
             f"the recursion would not be stationary"
         )
     total = burn_in + n_frames

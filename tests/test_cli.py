@@ -249,6 +249,18 @@ class TestSelect:
             f"error: d0 must be finite and nonnegative, got {float(d0)}\n")
         assert not out.exists()
 
+    def test_negative_truth_radius_exit_2_before_the_scan(self, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(liargrid.cli, "select_all", None)  # never reached
+        series = GridSeries((12, 14), np.random.default_rng(7).normal(size=(60, 168)))
+        write_gts(series, tmp_path / "s.gts")
+        out = tmp_path / "sel"
+        assert run("select", "--input", tmp_path / "s.gts", "--K0", "2", "--K", "-1",
+                   "--output-dir", out) == 2
+        assert capsys.readouterr().err == (
+            "error: radii must be nonnegative, got (-1, -1)\n")
+        assert not out.exists()
+
     # truth radius 7 leaves no interior site on 12x14, so that rate is null
     @pytest.mark.parametrize("argv", [["--K", "7"], ["--D0", "0", "--K", "1"]],
                              ids=" ".join)

@@ -4,6 +4,7 @@ from numpy.testing import assert_array_equal
 
 from liargrid import (
     ConfigurationError,
+    KernelField,
     box_field,
     box_neighborhood,
     custom_neighborhood,
@@ -90,7 +91,15 @@ class TestBoxField:
 
 
 @pytest.mark.parametrize("shape", [(0, 5), (3, -2)])
-@pytest.mark.parametrize("build", [box_field, interior_mask, random_stable_kernels])
+@pytest.mark.parametrize("build", [
+    box_field, interior_mask, random_stable_kernels,
+    pytest.param(lambda shape, k: box_neighborhood((0, 0), shape, k),
+                 id="box_neighborhood"),
+    pytest.param(lambda shape, k: nested_family((0, 0), shape, k), id="nested_family"),
+    pytest.param(lambda shape, k: custom_neighborhood((0, 0), shape, [(0, 0)]),
+                 id="custom_neighborhood"),
+    pytest.param(lambda shape, k: KernelField(shape, k, [], []), id="KernelField"),
+])
 def test_grid_builders_refuse_a_nonpositive_extent(build, shape):
     with pytest.raises(ConfigurationError, match="grid extents must be positive"):
         build(shape, 1)
@@ -193,6 +202,11 @@ class TestInteriorMask:
     def test_tensor(self):
         mask = interior_mask((4, 4, 6), (0, 1, 1))
         assert mask.sum() == 4 * 2 * 4
+
+    @pytest.mark.parametrize("radii", [-1, (1, -1), (1, 2, 3)])
+    def test_bad_radius_refused(self, radii):
+        with pytest.raises(ConfigurationError, match="radii"):
+            interior_mask((4, 4), radii)
 
 
 class TestSerialization:

@@ -1,8 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from numpy.testing import assert_allclose, assert_array_equal
 
 from liargrid import (
@@ -50,6 +52,47 @@ class TestOperatorNorm:
             for op in kern.operators()
         ]
         assert_allclose(operator_norm(kern), sum(parts), rtol=1e-6)
+
+    @pytest.mark.parametrize("field", [
+        lambda: random_stable_kernels((5, 7), 2, target_norm=0.7, seed=6),
+        lambda: random_stable_kernels((5, 7), 2, order=2, target_norm=0.7, seed=6),
+        lambda: random_stable_kernels((4, 3, 5), (1, 0, 2), order=2, seed=6),
+        lambda: random_stable_kernels((9,), 3, order=3, seed=6),
+        # ARPACK takes neither: it needs two sites and a nonzero product
+        lambda: KernelField((1, 1), 2, box_field((1, 1), 0), [np.array([[-0.5], [0.25]])]),
+        lambda: _self_only_kernels((4, 6), 0.0, order=2),
+    ], ids=["clipped-P1", "clipped-P2", "3d-P2", "1d-P3", "one-site", "zero"])
+    def test_matches_dense_two_norm_to_rounding(self, field):
+        kern = field()
+        want = sum(np.linalg.norm(op.toarray(), 2) for op in kern.operators())
+        assert_allclose(operator_norm(kern), want, rtol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def paper_field():
+    """The seed-4 radius-2 field on the paper's 91x181 grid and its
+    norm by ARPACK's SVD."""
+    kern = random_stable_kernels((91, 181), 2, seed=4)
+    op = kern.operators()[0]
+    start = np.linspace(-1.0, 1.0, op.shape[0])
+    (top,) = scipy.sparse.linalg.svds(op, k=1, v0=start, return_singular_vectors=False)
+    return kern, float(top)
+
+
+class TestPaperGridNorm:
+    def test_matches_svds_to_rounding(self, paper_field):
+        kern, top = paper_field
+        assert_allclose(kern._norm, top, rtol=1e-12)
+        assert_allclose(operator_norm(kern), top, rtol=1e-12)
+
+    def test_field_just_above_one_refused_with_its_digits(self, paper_field):
+        kern, top = paper_field
+        over = kern.scale((1.0 + 1e-7) / top)
+        with pytest.raises(StabilityError) as info:
+            simulate_liar(over, 5, NoiseSpec(seed=0), burn_in=0)
+        printed = float(re.search(r"norm (\S+) >= 1", str(info.value)).group(1))
+        assert printed == operator_norm(over)
+        assert_allclose(printed, 1.0 + 1e-7, rtol=1e-12)
 
 
 class TestRandomStableKernels:
@@ -115,17 +158,16 @@ class TestCarriedNorm:
         return calls
 
     @pytest.mark.parametrize("order", [1, 2])
-    def test_one_power_iteration_per_drawn_field(self, monkeypatch, order):
+    def test_one_lanczos_run_per_drawn_field(self, monkeypatch, order):
         calls = self._count_matvecs(monkeypatch)
         kern = random_stable_kernels((12, 14), 1, order=order, seed=3)
         drawn = len(calls)
         calls.clear()
         assert abs(operator_norm(kern) - 0.8) <= 1e-6
         cold = len(calls)
-        # the draw's own iteration, then two warm steps (two matvecs each)
-        # per lag to check the rescaled norm, where a second cold
-        # iteration would cost about as much as the first
-        assert drawn <= cold + 4 * order
+        # one Lanczos run on the draw; the rescaled field carries its norm,
+        # and Lanczos takes the same steps on a field and on its multiple
+        assert drawn == cold
         calls.clear()
         carried = simulate_liar(kern, 30, NoiseSpec(seed=3), burn_in=20)
         assert len(calls) == 50 * order  # the recursion only
@@ -137,7 +179,7 @@ class TestCarriedNorm:
     def test_unstable_field_refused_with_carried_norm(self):
         kern = random_stable_kernels((5, 5), 1, target_norm=0.9, seed=8)
         kern._norm = 1.5
-        with pytest.raises(StabilityError, match="1.500000"):
+        with pytest.raises(StabilityError, match="norm 1.5 >= 1"):
             simulate_liar(kern, 5, NoiseSpec(seed=0))
 
 
