@@ -9,7 +9,8 @@ console summaries use 1-based coordinates.
 
 Exit codes: 0 success, 2 configuration/usage (a malformed CSV or kernel
 JSON file too), 3 malformed GTS file, 4 numerical or stability failure
-(including a non-empty per-site error manifest), 5 I/O failure.
+(including a non-empty per-site error manifest) or out of memory, 5 I/O
+failure.
 """
 
 import argparse
@@ -39,7 +40,8 @@ from .evaluate import (
     holdout_rmse,
 )
 from .fit import fit_all, resolve_workers
-from .grid import _read_gts, _require_2d, _write_gts, read_csv_frames, read_gts, write_gts
+from .grid import (_check_gts_size, _read_gts, _require_2d, _write_gts, read_csv_frames,
+                   read_gts, write_gts)
 from .neighborhoods import _box_radii, box_field
 from .select import select_all
 from .separable import _check_separable, fit_spliar
@@ -120,8 +122,7 @@ def _outdir(args):
 
 def cmd_simulate(args):
     shape = _parse_shape(args.shape)
-    if args.T < 1:
-        raise ConfigurationError("--T must be a positive frame count")
+    _check_gts_size(shape, args.T)  # before the kernels are drawn
     noise = NoiseSpec(kind=args.noise, sigma=args.sigma, seed=args.seed)
     kernels = random_stable_kernels(
         shape, args.K, order=args.P, target_norm=args.target_norm, seed=args.seed
@@ -202,11 +203,10 @@ def cmd_spliar(args):
 
 
 def cmd_forecast(args):
-    if args.horizon < 1:
-        raise ConfigurationError("--horizon must be a positive integer")
     # the parsed kernel JSON is freed before the history is read, and of
     # the history only the P frames the forecast starts from are kept
     kernels = KernelField.load_json(args.kernels)
+    _check_gts_size(kernels.shape, args.horizon)
     series = _load_series(args, last=kernels.order)
     truth = read_gts(args.truth) if args.truth else None
     out = _outdir(args)
@@ -406,7 +406,8 @@ def build_parser():
 # (error classes, exit code); the first entry that matches decides
 _EXIT_CODES = (
     (GtsFormatError, 3),
-    ((StabilityError, NumericalError, UnderdeterminedError, SizeError, StructureError), 4),
+    ((StabilityError, NumericalError, UnderdeterminedError, SizeError, StructureError,
+      MemoryError), 4),
     (ConfigurationError, 2),
     (LiarError, 1),
     (OSError, 5),
@@ -422,7 +423,7 @@ def main(argv=None):
         if "threads" in vars(args):  # each fit resolves this same count
             resolve_workers(args.threads)
         return args.func(args)
-    except (LiarError, OSError) as exc:
+    except (LiarError, OSError, MemoryError) as exc:
         if made:  # a refusal met after _outdir leaves no empty directory
             with contextlib.suppress(OSError):
                 os.rmdir(args.output_dir)

@@ -414,13 +414,15 @@ def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_work
     A task keeps the levels with P*|J| <= ``rows`` (a prefix, as sizes
     grow), fails the site with :func:`_check_rows` when that leaves none,
     and factors ``gather(linear, groups)`` of their level-major column
-    groups: level 0's sites, then each level's new ones.  Then, all sites
-    with the same kept sizes at once, it forms every kept level's RSS and
-    rank test (:func:`_scan`), keeps level 0 or the level that
-    ``choose(rss, tail, sizes)`` picks (it returns the picks and a record
-    per site), and solves that level off its R factor in lag-major
-    neighborhood order: back substitution, with standard errors when
-    ``with_se``, or the minimum-norm fit of a deficient level.
+    groups: level 0's sites, then each level's new ones.  A site with more
+    kept levels than one reads its groups, and the chosen level's column
+    order, off one array: the first kept level holding each site of the
+    largest.  Then, all sites with the same kept sizes at once, it forms
+    every kept level's RSS and rank test (:func:`_scan`), keeps level 0
+    or the level that ``choose(rss, tail, sizes)`` picks (it returns the
+    picks and a record per site), and solves that level off its R factor
+    in lag-major neighborhood order: back substitution, with standard
+    errors when ``with_se``, or the minimum-norm fit of a deficient level.
 
     The lag order and frame count are checked once, before any block.
     The calling thread keeps at most ``n_workers`` blocks pending and
@@ -439,11 +441,15 @@ def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_work
                 nbs = list(levels)
                 _check_rows(site, rows + order, order, nbs[0].size)
                 kept = [nb for nb in nbs if order * nb.size <= rows]
-                groups = [kept[0].linear] + [
-                    np.setdiff1d(cur.linear, prev.linear, assume_unique=True)
-                    for prev, cur in zip(kept, kept[1:])]
+                first, groups = None, [kept[0].linear]
+                if len(kept) > 1:
+                    largest = kept[-1].linear
+                    first = np.full(largest.size, len(kept) - 1)
+                    for j in range(len(kept) - 2, -1, -1):
+                        first[np.searchsorted(largest, kept[j].linear)] = j
+                    groups += [largest[first == j] for j in range(1, len(kept))]
                 factored.append((tuple(nb.size for nb in kept), lin, site, levels, kept,
-                                 groups, _factor(gather(lin, groups))))
+                                 first, _factor(gather(lin, groups))))
             except LiarError as exc:
                 errors[site] = exc
         done = {}
@@ -455,7 +461,7 @@ def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_work
             tail, rss, min_norm = _scan(r, cols)
             picks, records = (choose(rss, tail, sizes) if choose is not None
                               else ([0] * len(members), [None] * len(members)))
-            for i, ((_, lin, site, levels, kept, groups, _), best) in enumerate(
+            for i, ((_, lin, site, levels, kept, first, _), best) in enumerate(
                     zip(members, picks)):
                 best = int(best)
                 nb, n_cols = kept[best], int(cols[best])
@@ -465,9 +471,10 @@ def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_work
                 rss_i = float(rss[i, best])
                 sigma2 = rss_i / (rows - n_cols) if rows > n_cols else 0.0
                 if best:  # lag-major neighborhood position of each level-major column
+                    first_in_nb = first[first <= best]  # in nb.linear's order
                     dest = np.concatenate([
-                        (q - 1) * nb.size + np.searchsorted(nb.linear, group)
-                        for group in groups[: best + 1] for q in range(1, order + 1)
+                        (q - 1) * nb.size + np.flatnonzero(first_in_nb == j)
+                        for j in range(best + 1) for q in range(1, order + 1)
                     ])
                     coeffs, level_major = np.empty_like(coeffs), coeffs
                     coeffs[dest] = level_major

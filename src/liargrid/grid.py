@@ -14,6 +14,7 @@ import contextlib
 import csv
 import gc
 import json
+import math
 import os
 import struct
 from itertools import islice
@@ -28,6 +29,14 @@ _MAX_TOTAL = 2**33  # total value count guard
 _FINITE_CHUNK = 2**16  # values per finiteness check (a 64 KB mask)
 _READ_BLOCK = 2**17  # values per block read_gts reads and checks (1 MB)
 _SAVE_BLOCK = 2**10  # site entries per json.dumps call of _save_json
+
+
+def _check_gts_size(shape, n_frames):
+    """Refuse ``n_frames`` frames on ``shape`` where :func:`read_gts` would:
+    below 1, past the header's u32, or over ``_MAX_TOTAL`` values."""
+    if not 1 <= n_frames < 2**32 or n_frames * math.prod(shape) > _MAX_TOTAL:
+        raise ConfigurationError(f"a GTS file holds 1 to {2**32 - 1} frames and at most "
+                                 f"{_MAX_TOTAL} values, not {n_frames} frames of {shape}")
 
 
 def _require_2d(shape, what):
@@ -78,9 +87,8 @@ def site_to_linear(site, shape):
 def linear_to_site(index, shape):
     """Inverse of :func:`site_to_linear`."""
     shape = tuple(int(n) for n in shape)
-    n_sites = int(np.prod(shape))
     index = int(index)
-    if not 0 <= index < n_sites:
+    if not 0 <= index < math.prod(shape):
         raise IndexError(f"linear index {index} out of range for shape {shape}")
     return tuple(int(c) for c in np.unravel_index(index, shape, order="F"))
 
@@ -245,6 +253,7 @@ def _write_gts(path, shape, n_frames, blocks):
     each C-contiguous (b, n_sites) block of ``blocks`` as it comes.  A
     block with a non-finite value is refused; when anything fails, the
     partial file is removed."""
+    _check_gts_size(shape, n_frames)
     d = len(shape)
     fh = open(path, "wb")
     try:

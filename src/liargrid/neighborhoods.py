@@ -5,7 +5,14 @@ with the grid.  Nested families enumerate growing boxes for selection;
 levels that stop growing because clipping saturated the grid are dropped
 and the family is flagged.  Arbitrary (non-box) site sets can also be
 wrapped for fitting.
+
+A field of neighborhoods is one layout: every site's sorted linear
+indices in one array, an ``indptr`` of offsets and a radii row per site.
+:func:`box_field`, nested-family levels and ``KernelField.neighborhoods``
+are read-only views of one, all made by :func:`_views`.
 """
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -37,8 +44,7 @@ class Neighborhood:
         sites = np.asarray(sites, dtype=np.intp)
         if sites.ndim != 2 or sites.shape[1] != len(self.shape):
             raise ConfigurationError(
-                f"sites must be (s, {len(self.shape)}), got {sites.shape}"
-            )
+                f"sites must be (s, {len(self.shape)}), got {sites.shape}")
         linear = sites_to_linear(sites, self.shape)
         order = np.argsort(linear, kind="stable")
         linear = linear[order]
@@ -50,14 +56,6 @@ class Neighborhood:
         self.sites.setflags(write=False)
         self.linear.setflags(write=False)
 
-    @classmethod
-    def _from_sorted(cls, center, shape, sites, linear, radii):
-        """Adopt already validated, sorted, read-only arrays as they are."""
-        nb = cls.__new__(cls)
-        nb.center, nb.shape, nb.sites, nb.linear, nb.radii = (
-            center, shape, sites, linear, radii)
-        return nb
-
     @property
     def size(self):
         return self.sites.shape[0]
@@ -65,16 +63,11 @@ class Neighborhood:
     def __eq__(self, other):
         if not isinstance(other, Neighborhood):
             return NotImplemented
-        return (
-            self.center == other.center
-            and self.shape == other.shape
-            and np.array_equal(self.linear, other.linear)
-        )
+        return (self.center == other.center and self.shape == other.shape
+                and np.array_equal(self.linear, other.linear))
 
     def __repr__(self):
-        return (
-            f"Neighborhood(center={self.center}, size={self.size}, radii={self.radii})"
-        )
+        return f"Neighborhood(center={self.center}, size={self.size}, radii={self.radii})"
 
     def to_dict(self):
         """JSON-ready mapping {"center": [...], "k": ..., "sites": [[...], ...]}."""
@@ -83,6 +76,48 @@ class Neighborhood:
             rs = set(self.radii)
             out["k"] = self.radii[0] if len(rs) == 1 else list(self.radii)
         return out
+
+
+class _PerSite(Sequence):
+    """Read-only sequence of per-site items, each built when accessed."""
+
+    __slots__ = ("_n", "_item")
+
+    def __init__(self, n, item):
+        self._n, self._item = n, item
+
+    def __len__(self):
+        return self._n
+
+    def __iter__(self):
+        return map(self._item, range(self._n))
+
+    def __getitem__(self, i):
+        sites = range(self._n)[i]  # a list's negative indices, slices and IndexError
+        return list(map(self._item, sites)) if isinstance(i, slice) else self._item(sites)
+
+
+def _views(shape, indptr, linear, radii, centers, sites=None):
+    """:class:`Neighborhood` views of one site layout, built on access:
+    view i holds the sorted linear indices ``linear[indptr[i]:indptr[i + 1]]``
+    (and their rows of ``sites``, else unravelled; both read-only), radii row
+    ``radii[i]`` (-1 first for a custom neighborhood) and center ``centers[i]``."""
+
+    def view(i):
+        a, b = indptr[i], indptr[i + 1]
+        nb = Neighborhood.__new__(Neighborhood)
+        if sites is None:
+            nb.linear = linear[a:b].astype(np.intp)  # scipy's indices may be int32
+            nb.sites = np.stack(np.unravel_index(nb.linear, shape, order="F"), axis=1)
+            nb.linear.flags.writeable = nb.sites.flags.writeable = False
+        else:
+            nb.linear, nb.sites = linear[a:b], sites[a:b]
+        r = radii[i]
+        nb.center, nb.shape = tuple(centers[i]), shape
+        nb.radii = None if r[0] < 0 else tuple(r)
+        return nb
+
+    return _PerSite(len(indptr) - 1, view)
 
 
 def _box_radii(radii, shape):
@@ -108,7 +143,6 @@ def _box_sites(centers, shape, radii):
     sites come out sorted by linear index.
     """
     d = len(shape)
-    centers = np.asarray(centers, dtype=np.intp).reshape(-1, d)
     # offsets beyond n - 1 never land on the grid
     reach = [min(r, n - 1) for r, n in zip(radii, shape)]
     offsets = np.indices([2 * r + 1 for r in reach], dtype=np.intp)
@@ -123,19 +157,15 @@ def _box_sites(centers, shape, radii):
     rising[bounds[1:-1] - 1] = True  # box boundaries
     if not rising.all():
         raise ConfigurationError("box sites out of linear order")
+    sites.flags.writeable = linear.flags.writeable = False  # views share them
     return sites, linear, bounds
 
 
 def _boxes(centers, shape, radii):
-    """:func:`_box_sites` as one :class:`Neighborhood` per center; every
-    neighborhood's arrays are read-only views into one shared array."""
-    centers = np.asarray(centers, dtype=np.intp).reshape(-1, len(shape))
+    """:func:`_views` of :func:`_box_sites`, one per center (an (m, d) array)."""
     sites, linear, bounds = _box_sites(centers, shape, radii)
-    sites.setflags(write=False)
-    linear.setflags(write=False)
-    bounds = bounds.tolist()
-    return [Neighborhood._from_sorted(tuple(c), shape, sites[a:b], linear[a:b], radii)
-            for c, a, b in zip(centers.tolist(), bounds, bounds[1:])]
+    return _views(shape, bounds.tolist(), linear, [radii] * len(centers),
+                  centers.tolist(), sites)
 
 
 def box_neighborhood(center, shape, radii):
@@ -156,7 +186,7 @@ def box_neighborhood(center, shape, radii):
     """
     shape, _ = _check_shape(shape)
     radii = _box_radii(radii, shape)
-    return _boxes([_center(center, shape)], shape, radii)[0]
+    return _boxes(np.array([_center(center, shape)]), shape, radii)[0]
 
 
 def _center(center, shape):
@@ -177,7 +207,7 @@ def box_field(shape, radii):
     """Clipped boxes of the same radii around every site, in canonical
     (linear) site order: the neighborhoods of a fixed-radius fit."""
     shape, _ = _check_shape(shape)
-    return _boxes(_grid_centers(shape), shape, _box_radii(radii, shape))
+    return list(_boxes(_grid_centers(shape), shape, _box_radii(radii, shape)))
 
 
 def custom_neighborhood(center, shape, sites):
@@ -221,10 +251,8 @@ class NeighborhoodFamily:
         return [nb.size for nb in self.levels]
 
     def __repr__(self):
-        return (
-            f"NeighborhoodFamily(center={self.center}, sizes={self.sizes()}, "
-            f"saturated={self.saturated})"
-        )
+        return (f"NeighborhoodFamily(center={self.center}, sizes={self.sizes()}, "
+                f"saturated={self.saturated})")
 
 
 def _candidates(d, max_radius, axis_caps, radii_list):
@@ -242,8 +270,7 @@ def _candidates(d, max_radius, axis_caps, radii_list):
             raise ConfigurationError("radii must be nonnegative")
         if any(r != 0 for r in cand[0]):
             raise ConfigurationError(
-                f"first candidate must be the bare center, got {cand[0]}"
-            )
+                f"first candidate must be the bare center, got {cand[0]}")
     else:
         if max_radius is None or max_radius < 0:
             raise ConfigurationError("max_radius must be a nonnegative integer")
@@ -255,23 +282,14 @@ def _candidates(d, max_radius, axis_caps, radii_list):
     return cand, labels
 
 
-def _families(centers, shape, max_radius, axis_caps, radii_list):
-    """Nested families (see :func:`nested_family`) at in-bounds
-    ``centers``, an (m, d) array; see :func:`_nest`."""
-    return _nest(centers, shape, *_candidates(len(shape), max_radius, axis_caps,
-                                               radii_list))
-
-
 def _nest(centers, shape, cand, labels):
-    """Families of the validated candidates ``cand`` at ``centers``, with
-    one :func:`_boxes` call per candidate level for all of them.
+    """Families of the validated candidates ``cand`` at ``centers``: one
+    :func:`_boxes` layout per candidate level, views built for kept levels.
 
     Boxes compare by their per-axis clipped intervals: a level equal to
     the one before is dropped (saturation), and a site where a level does
     not contain it gets the error message in place of its family.
     """
-    d = len(shape)
-    centers = np.asarray(centers, dtype=np.intp).reshape(-1, d)
     boxes = [_boxes(centers, shape, radii) for radii in cand]
     lo = [np.maximum(centers - radii, 0) for radii in cand]
     hi = [np.minimum(centers + radii, np.array(shape) - 1) for radii in cand]
@@ -308,8 +326,8 @@ def nested_family(center, shape, max_radius=None, axis_caps=None, radii_list=Non
     NeighborhoodFamily
     """
     shape, _ = _check_shape(shape)
-    family = _families([_center(center, shape)], shape, max_radius, axis_caps,
-                       radii_list)[0]
+    family = _nest(np.array([_center(center, shape)]), shape,
+                   *_candidates(len(shape), max_radius, axis_caps, radii_list))[0]
     if isinstance(family, str):
         raise ConfigurationError(family)
     return family

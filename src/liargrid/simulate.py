@@ -17,8 +17,6 @@ scheduling, and a shorter simulation is a prefix of a longer one.
 """
 
 import contextlib
-import operator
-from collections.abc import Sequence
 from itertools import chain
 
 import numpy as np
@@ -30,7 +28,7 @@ from ._threads import _in_order, resolve_workers, single_threaded_blas
 from .errors import ConfigurationError, NumericalError, StabilityError
 from .grid import (GridSeries, _JsonArtifact, _check_shape, _load_json, linear_to_site,
                    sites_to_linear)
-from .neighborhoods import Neighborhood, _box_radii, _box_sites, _grid_centers
+from .neighborhoods import _box_radii, _box_sites, _grid_centers, _PerSite, _views
 
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
 _SITE_BLOCK = 2**10  # sites flattened (from_dict) or converted (to JSON) at a time
@@ -67,27 +65,6 @@ class NoiseSpec:
 
     def __repr__(self):
         return f"NoiseSpec(kind={self.kind!r}, sigma={self.sigma}, seed={self.seed})"
-
-
-class _PerSite(Sequence):
-    """Read-only sequence of per-site items, each built when accessed."""
-
-    __slots__ = ("_n", "_item")
-
-    def __init__(self, n, item):
-        self._n = n
-        self._item = item
-
-    def __len__(self):
-        return self._n
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._item(j) for j in range(*i.indices(self._n))]
-        i = operator.index(i)
-        if not -self._n <= i < self._n:
-            raise IndexError(f"site index {i} out of range for {self._n} sites")
-        return self._item(i % self._n)
 
 
 def _lag_order(order):
@@ -129,26 +106,21 @@ class KernelField(_JsonArtifact):
         if len(neighborhoods) != n_sites or len(coeffs) != n_sites:
             raise ConfigurationError(
                 f"need one neighborhood and coefficient block per site "
-                f"({n_sites}), got {len(neighborhoods)} and {len(coeffs)}"
-            )
+                f"({n_sites}), got {len(neighborhoods)} and {len(coeffs)}")
         centers = np.array([nb.center for nb in neighborhoods], dtype=np.intp)
         stray = np.flatnonzero(sites_to_linear(centers, shape) != np.arange(n_sites))
         if stray.size:
             i = int(stray[0])
-            raise ConfigurationError(
-                f"neighborhood {i} centered at {neighborhoods[i].center} is out of "
-                f"canonical order"
-            )
+            raise ConfigurationError(f"neighborhood {i} centered at "
+                                     f"{neighborhoods[i].center} is out of canonical order")
         fixed = []
         for nb, c in zip(neighborhoods, coeffs):
             c = np.asarray(c, dtype=np.float64)
             if c.ndim == 1:
                 c = c[None, :]
             if c.shape != (order, nb.size):
-                raise ConfigurationError(
-                    f"site {nb.center}: coefficients {c.shape} do not match "
-                    f"(P={order}, |J|={nb.size})"
-                )
+                raise ConfigurationError(f"site {nb.center}: coefficients {c.shape} do not "
+                                         f"match (P={order}, |J|={nb.size})")
             if not np.isfinite(c).all():
                 raise ConfigurationError(f"site {nb.center}: non-finite coefficients")
             fixed.append(c)
@@ -192,23 +164,15 @@ class KernelField(_JsonArtifact):
     @property
     def neighborhoods(self):
         """Per-site :class:`Neighborhood` views, built on access."""
-        return _PerSite(self.n_sites, self._neighborhood)
+        op, n = self._ops[0], self.n_sites
+        return _views(self.shape, op.indptr, op.indices,
+                      _PerSite(n, lambda i: self._radii[i].tolist()),
+                      _PerSite(n, lambda i: linear_to_site(i, self.shape)))
 
     @property
     def coeffs(self):
         """Per-site read-only (P, |J|) coefficient arrays, built on access."""
         return _PerSite(self.n_sites, self._coeffs)
-
-    def _neighborhood(self, i):
-        a, b = self._ops[0].indptr[i : i + 2]
-        linear = self._ops[0].indices[a:b].astype(np.intp)
-        sites = np.stack(np.unravel_index(linear, self.shape, order="F"), axis=1)
-        sites.setflags(write=False)
-        linear.setflags(write=False)
-        radii = self._radii[i].tolist()
-        return Neighborhood._from_sorted(linear_to_site(i, self.shape), self.shape,
-                                         sites, linear,
-                                         None if radii[0] < 0 else tuple(radii))
 
     def _coeffs(self, i):
         a, b = self._ops[0].indptr[i : i + 2]

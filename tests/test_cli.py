@@ -497,19 +497,22 @@ class TestBench:
     def test_doubling_grid_side_time_ratio(self, tmp_path):
         # doubling each axis quadruples the sites; the fit should cost
         # about 4x.  Grids below 32x32 straddle the L2 boundary and the
-        # per-site cost shifts, so the doubling starts at 32x32; the min
-        # over five runs strips scheduler noise from the wall times.
+        # per-site cost shifts, so the doubling starts at 32x32.  Host
+        # load only ever slows a fit, so the min over many fits strips it
+        # from the wall times: nine per grid, three runs each fitting one
+        # simulation three times.
         best = {}
-        for rep in range(5):
+        for rep in range(3):
             out = tmp_path / f"bench{rep}"
-            code = run("bench", "--shape", "32x32,64x64", "--T", "1500",
+            code = run("bench", "--shape", "32x32,64x64", "--T", "1500,1500,1500",
                        "--K", "1", "--seed", "11", "--burn-in", "50",
                        "--threads", "1", "--output-dir", out)
             assert code == 0
             header, rows = read_metrics(out / "bench.csv")
             assert header == ["shape", "sites", "T", "K", "fit_seconds"]
-            assert [r[0] for r in rows] == ["32x32", "64x64"]
-            assert [int(r[1]) for r in rows] == [1024, 4096]
+            assert [r[0] for r in rows] == ["32x32"] * 3 + ["64x64"] * 3
+            assert [int(r[1]) for r in rows] == [1024] * 3 + [4096] * 3
+            assert [int(r[2]) for r in rows] == [1500] * 6
             for r in rows:
                 prev = best.get(r[0], float("inf"))
                 best[r[0]] = min(prev, float(r[4]))
@@ -553,6 +556,39 @@ class TestExitCodes:
                    "--output-dir", tmp_path / "out")
         assert code == 5
         assert "i/o error" in capsys.readouterr().err
+
+    # 2**32 frames overflow the GTS header's u32 frame count, and 2**30
+    # frames of 16 sites exceed its 2**33 values
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--shape", "4,4", "--T", "1073741824", "--K", "1"],
+        ["forecast", "--input", "never-read.gts", "--kernels", "kernels.json",
+         "--horizon", "4294967296"],
+    ], ids=["simulate", "forecast"])
+    def test_frame_count_beyond_the_gts_format_exit_2(self, tmp_path, monkeypatch,
+                                                      capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        random_stable_kernels((4, 4), 1, target_norm=0.5, seed=3).save_json("kernels.json")
+        for name in ("random_stable_kernels", "_load_series"):
+            monkeypatch.setattr(liargrid.cli, name,
+                                lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+        assert run(*argv, "--output-dir", "out") == 2
+        assert "a GTS file holds 1 to 4294967295 frames" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_out_of_memory_exit_4_without_output_dir(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 64.0 GiB")
+
+        write_gts(GridSeries((4, 4), np.ones((30, 16))), tmp_path / "s.gts")
+        random_stable_kernels((4, 4), 1, target_norm=0.5, seed=3).save_json(
+            tmp_path / "kernels.json")
+        monkeypatch.setattr(liargrid.cli, "forecast", exhausted)
+        code = run("forecast", "--input", tmp_path / "s.gts", "--kernels",
+                   tmp_path / "kernels.json", "--horizon", "3",
+                   "--output-dir", tmp_path / "fc")
+        assert code == 4
+        assert capsys.readouterr().err == "error: Unable to allocate 64.0 GiB\n"
+        assert not (tmp_path / "fc").exists()
 
     def test_invalid_shape_exit_2(self, tmp_path):
         assert run("simulate", "--shape", "0,5", "--T", "20", "--K", "1",

@@ -256,6 +256,15 @@ class TestGtsFormat:
             _write_gts(path, (2, 3), 3, iter(blocks))
         assert not path.exists()
 
+    # 2**32 frames overflow the header's u32 frame count, and 2**29 + 1
+    # frames of 16 sites hold more than 2**33 values: read_gts refuses both
+    @pytest.mark.parametrize("n_frames", [2**32, 2**29 + 1, 0])
+    def test_writer_refuses_what_the_reader_would(self, tmp_path, n_frames):
+        path = tmp_path / "s.gts"
+        with pytest.raises(ConfigurationError, match="a GTS file holds"):
+            _write_gts(path, (4, 4), n_frames, iter(()))
+        assert not path.exists()
+
     def test_read_values_are_read_only(self, tmp_path):
         path = tmp_path / "ro.gts"
         write_gts(GridSeries((3, 2), np.arange(24.0).reshape(4, 6)), path)

@@ -14,7 +14,8 @@ from liargrid import (
     random_stable_kernels,
     site_to_linear,
 )
-from liargrid.neighborhoods import _families, _grid_centers, neighborhood_from_sites
+from liargrid.neighborhoods import (_candidates, _grid_centers, _nest,
+                                    neighborhood_from_sites)
 
 
 class TestBoxNeighborhood:
@@ -120,8 +121,9 @@ class TestGridFamilies:
         ((3, 6), dict(radii_list=[(0, 0), (2, 0), (2, 1), (1, 1)])),
     ])
     def test_matches_per_site_families(self, shape, mode):
-        field = _families(_grid_centers(shape), shape, mode.get("max_radius"),
-                          mode.get("axis_caps"), mode.get("radii_list"))
+        field = _nest(_grid_centers(shape), shape, *_candidates(
+            len(shape), mode.get("max_radius"), mode.get("axis_caps"),
+            mode.get("radii_list")))
         assert len(field) == int(np.prod(shape))
         for i, got in enumerate(field):
             center = linear_to_site(i, shape)
@@ -139,7 +141,7 @@ class TestGridFamilies:
 
     def test_invalid_candidates_raise(self):
         with pytest.raises(ConfigurationError, match="bare center"):
-            _families(_grid_centers((4, 4)), (4, 4), None, None, [(1, 1), (2, 2)])
+            _candidates(2, None, None, [(1, 1), (2, 2)])
 
 
 class TestNestedFamily:

@@ -182,25 +182,31 @@ class TestSelectSite:
 
     def test_kept_fit_is_the_chosen_box_fit(self):
         # the chosen level's fit comes off the scan's own factorization,
-        # permuted back to lag-major neighborhood order
-        shape = (6, 6)
-        kern = random_stable_kernels(shape, 1, order=2, target_norm=0.6,
-                                     seed=66)
-        s = simulate_liar(kern, 500, NoiseSpec(sigma=1.0, seed=67))
-        # a light penalty, so that every level wins somewhere
-        report = select_all(s, max_radius=2, order=2, d0=0.2)
-        chosen = {trace.site: trace.fit.neighborhood for trace in report}
-        assert {trace.chosen_k for trace in report} == {0, 1, 2}
-        fits = fit_all(s, chosen, order=2)
-        for lin, trace in report.traces.items():
-            kept, want = trace.fit, fits.fits[lin]
-            assert kept.neighborhood == want.neighborhood
-            assert not kept.cond_flag and kept.se is None
-            err = np.linalg.norm(kept.coeffs - want.coeffs)
-            assert err <= 1e-12 * np.linalg.norm(want.coeffs)
-            assert_allclose(kept.sigma2, want.sigma2, rtol=1e-12)
-            best = trace.labels.index(trace.chosen_k)
-            assert kept.rss == trace.rss[best]
+        # permuted back to lag-major neighborhood order: for the default
+        # family, and for candidates that grow one axis at a time on a grid
+        # where every box clips and some families saturate
+        uneven = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)]
+        for shape, order, family, labels, seed in [
+                ((6, 6), 2, dict(max_radius=2), {0, 1, 2}, 66),
+                ((3, 5), 3, dict(radii_list=uneven), set(uneven), 65)]:
+            kern = random_stable_kernels(shape, 1, order=order, target_norm=0.6,
+                                         seed=seed)
+            s = simulate_liar(kern, 500, NoiseSpec(sigma=1.0, seed=seed + 1))
+            # a light penalty, so that every level wins somewhere
+            report = select_all(s, order=order, d0=0.2, **family)
+            chosen = {trace.site: trace.fit.neighborhood for trace in report}
+            assert {trace.chosen_k for trace in report} == labels
+            assert any(trace.saturated for trace in report) == (order == 3)
+            fits = fit_all(s, chosen, order=order)
+            for lin, trace in report.traces.items():
+                kept, want = trace.fit, fits.fits[lin]
+                assert kept.neighborhood == want.neighborhood
+                assert not kept.cond_flag and kept.se is None
+                err = np.linalg.norm(kept.coeffs - want.coeffs)
+                assert err <= 1e-12 * np.linalg.norm(want.coeffs)
+                assert_allclose(kept.sigma2, want.sigma2, rtol=1e-12)
+                best = trace.labels.index(trace.chosen_k)
+                assert kept.rss == trace.rss[best]
 
 
 class TestRankDeficient:
