@@ -12,6 +12,7 @@ indices in one array, an ``indptr`` of offsets and a radii row per site.
 are read-only views of one, all made by :func:`_views`.
 """
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -146,13 +147,17 @@ def _box_sites(centers, shape, radii):
     # offsets beyond n - 1 never land on the grid
     reach = [min(r, n - 1) for r, n in zip(radii, shape)]
     offsets = np.indices([2 * r + 1 for r in reach], dtype=np.intp)
-    offsets = offsets.reshape(d, -1, order="F").T - np.array(reach)
-    sites = centers[:, None, :] + offsets
-    inside = ((sites >= 0) & (sites < np.array(shape))).all(axis=2)
+    offsets = offsets.reshape(d, -1, order="F") - np.array(reach)[:, None]
+    # per axis, every center's box coordinates, flat; then masked in 1-D
+    axes = [(centers[:, j, None] + offsets[j]).ravel() for j in range(d)]
+    inside = (axes[0] >= 0) & (axes[0] < shape[0])
+    for axis, n in zip(axes[1:], shape[1:]):
+        inside &= (axis >= 0) & (axis < n)
     bounds = np.zeros(len(centers) + 1, dtype=np.intp)
-    np.cumsum(np.count_nonzero(inside, axis=1), out=bounds[1:])
-    sites = sites[inside]
-    linear = np.ravel_multi_index(tuple(sites.T), shape, order="F")
+    np.cumsum(inside.reshape(len(centers), offsets.shape[1]).sum(axis=1), out=bounds[1:])
+    strides = np.array([math.prod(shape[:j]) for j in range(d)])  # column-major
+    linear = ((centers @ strides)[:, None] + strides @ offsets).ravel()[inside]
+    sites = np.stack([axis[inside] for axis in axes], axis=1)
     rising = np.diff(linear) > 0
     rising[bounds[1:-1] - 1] = True  # box boundaries
     if not rising.all():

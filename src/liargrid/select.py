@@ -10,16 +10,22 @@ is chosen.
 
 The scan and the chosen level's fit share one factorization: the
 design columns are ordered level-major (level-0 sites first, then each
-level's new sites, all lags per group), so the R factor of one [Y z]
-from :mod:`liargrid.fit`'s least-squares kernel yields every level's RSS
-as a trailing sum of squares and, by back substitution on its leading
-block, the winning level's coefficients.  A level whose leading block
-fails the kernel's rank test is scored by its minimum-norm fit, read off
-the same R factor.  Selection is the fit's block solver given each
-site's family and a BIC choice: each pool task gathers, factors, scores
-and solves a block of sites, all sites with the same level sizes at
-once.  ``select_all`` builds each block's families one box level at a
-time as it submits the block.
+level's new sites, all lags per group), so one R factor of [Y z] from
+:mod:`liargrid.fit`'s least-squares kernel yields every level's RSS as
+a trailing sum of squares and, by back substitution on its leading
+block, the winning level's coefficients.  That R is the Cholesky factor
+of the site's Gram [Y z]'[Y z], assembled from lag moments that
+neighboring sites share and formed once per call; a site whose factor
+fails the kernel's guard (a rank-deficient, nearly collinear or
+exactly fitting design) is gathered and factored by QR instead, and a
+level whose leading block fails the rank test is scored by its
+minimum-norm fit, read off that QR factor.  Selection is the fit's
+block solver given each site's family and a BIC choice: all sites with
+the same level sizes are factored, scored and solved at once.
+``select_all`` forms the moments of the whole grid, ``select_site``
+those of its site's largest kept box, by the same products, so both
+give a site the same bits; ``select_all`` builds each block's families
+one box level at a time as it reaches the block.
 """
 
 import math
@@ -27,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .fit import FitReport, _blocks, _check_order, _gather, _site_major, _solve_sites
+from .fit import FitReport, _blocks, _check_order, _gather, _solve_sites
 from .grid import _JsonArtifact, _require_2d, site_to_linear
 from .neighborhoods import _candidates, _grid_centers, _nest, interior_mask
 
@@ -130,6 +136,13 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
     Levels too large to identify from T frames are dropped from the scan
     (recorded in ``trace.dropped``); at least one level must remain.
 
+    The site's moments come from the products that :func:`select_all`
+    shares between neighboring sites: one per pair of line tiles (up to
+    128 sites along axis 0) that its largest kept box touches, over all
+    T frames.  So a call costs the same on any grid with the same line
+    length, but on long lines far more than one site's own least
+    squares; scan a whole grid with :func:`select_all`.
+
     Returns
     -------
     BicTrace
@@ -138,17 +151,24 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
         d0 = default_d0(series.n_frames)
     center = tuple(family.center)
     lin = site_to_linear(center, series.shape)
-    traces, errors = _select_sites(series, series.values.T, [[(lin, center, family)]],
-                                   int(order), d0, keep_fit)
+    # moments only as far as the levels that T frames identify
+    order = int(order)
+    kept = [nb for nb in family if order * nb.size <= series.n_frames - order]
+    reach = np.abs(np.concatenate([nb.sites for nb in kept or family]) - center).max(axis=0)
+    traces, errors = _select_sites(series, [[(lin, center, family)]], order, d0,
+                                   keep_fit, reach, [lin])
     if errors:
         raise errors[center]
     return traces[lin]
 
 
-def _select_sites(series, panel, blocks, order, d0, keep_fit, n_workers=1):
+def _select_sites(series, blocks, order, d0, keep_fit, reach, centers, n_workers=1):
     """BIC selection at each ``(linear, site, family)`` of ``blocks``
-    through fit._solve_sites, gathering from ``panel`` (see fit._gather);
-    a family may instead be the message of the error that failed it."""
+    through fit._solve_sites, off the lag moments of boxes of per-axis
+    radii ``reach`` around the linear sites ``centers`` (every site when
+    None), gathering a site the moment path doubts from
+    ``series.values.T``; a family may instead be the message of the error
+    that failed it."""
     if not 0.0 <= d0 < math.inf:  # NaN fails both comparisons
         raise ConfigurationError(f"d0 must be finite and nonnegative, got {d0}")
     t, shape = series.n_frames, series.shape
@@ -162,8 +182,10 @@ def _select_sites(series, panel, blocks, order, d0, keep_fit, n_workers=1):
         picks = np.argmin(bic, axis=1)
         return picks, list(zip(rss, bic, exact, picks.tolist()))
 
+    panel = series.values.T
     done, errors = _solve_sites(lambda lin, groups: _gather(panel, order, groups, lin),
-                                blocks, order, t - order, choose, n_workers=n_workers)
+                                blocks, order, t - order, choose, n_workers=n_workers,
+                                moments=(series, reach, centers))
     traces = {}
     for lin, (fit, family, sizes, (rss, bic, exact, best)) in done.items():
         labels, n = family.labels, len(sizes)
@@ -280,6 +302,11 @@ def select_all(series, max_radius=None, order=1, d0=None, radii_list=None,
                n_workers=None, keep_fit=True):
     """Run :func:`select_site` at every site, in parallel.
 
+    The call holds the grid's lag moments: P^2 (4K+1)^d + P (2K+1)^d + 1
+    doubles per site of a d-axis grid, for K the largest candidate radius
+    that T frames identify at a corner (each 4K+1 and 2K+1 capped at 2n-1
+    on an axis of n sites).
+
     Parameters
     ----------
     series : GridSeries
@@ -317,6 +344,11 @@ def select_all(series, max_radius=None, order=1, d0=None, radii_list=None,
             yield [(a + i, site, family) for i, (site, family) in enumerate(zip(
                 map(tuple, centers[a:b].tolist()), _nest(centers[a:b], shape, *cand)))]
 
-    traces, errors = _select_sites(series, _site_major(series), blocks(), int(order), d0,
-                                   keep_fit, n_workers)
+    # moments only as far as the largest candidate that T frames identify
+    # at some site: its smallest box, at a corner
+    radii = np.array(cand[0])
+    corner = np.prod(np.minimum(radii, np.array(shape) - 1) + 1, axis=1)
+    radii = radii[int(order) * corner <= series.n_frames - int(order)]
+    traces, errors = _select_sites(series, blocks(), int(order), d0, keep_fit,
+                                   radii.max(axis=0, initial=0), None, n_workers)
     return SelectionReport(shape, order, d0, traces, errors)

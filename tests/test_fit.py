@@ -442,17 +442,23 @@ class TestSingleThreadedBlas:
 
     def _spy(self, monkeypatch, fail=False):
         """Record the BLAS thread counts inside every call of the shared
-        least-squares kernel's factorization."""
+        least-squares kernel's factorizations: the QR, and the moment
+        path's products and batched Cholesky."""
         seen = []
-        factor = liargrid.fit._factor
 
-        def spy(aug):
-            seen.append(_blas_threads())
-            if fail:
-                raise RuntimeError("boom")
-            return factor(aug)
+        def spy(name):
+            call = getattr(liargrid.fit, name)
 
-        monkeypatch.setattr(liargrid.fit, "_factor", spy)
+            def spied(*args):
+                seen.append(_blas_threads())
+                if fail:
+                    raise RuntimeError("boom")
+                return call(*args)
+
+            monkeypatch.setattr(liargrid.fit, name, spied)
+
+        for name in ("_factor", "_lag_moments", "_cholesky"):
+            spy(name)
         return seen
 
     @staticmethod

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -423,3 +424,165 @@ class TestSelectAll:
         assert len(report.traces) == 36
         labels = {trace.chosen_k for trace in report.traces.values()}
         assert labels <= {(0, 0, 0), (0, 0, 1), (0, 1, 1)}
+
+
+class TestMomentPath:
+    """The scan runs off the Cholesky factor of each site's Gram, assembled
+    from shared lag moments; a guard sends doubtful sites to the QR path."""
+
+    @staticmethod
+    def _forced_qr(monkeypatch):
+        # no moment factor passes a diagonal-ratio test against infinity
+        monkeypatch.setattr(liargrid.fit, "_GUARD_RATIO", math.inf)
+
+    @pytest.mark.parametrize("shape,order,family,tile,seed", [
+        ((6, 7), 1, dict(max_radius=2), None, 81),
+        ((6, 7), 2, dict(max_radius=2), None, 82),
+        ((4, 5, 3), 1, dict(max_radius=1), None, 83),
+        ((7, 6), 1, dict(radii_list=[(0, 0), (1, 0), (1, 2), (2, 2)]), None, 84),
+        ((10, 10), 1, dict(max_radius=5), None, 85),
+        ((11, 5), 2, dict(max_radius=2), 4, 86),
+    ], ids=["2d", "2d-P2", "3d", "per-axis-radii", "reach-wider-than-grid",
+            "lines-in-tiles"])
+    def test_matches_the_qr_path(self, monkeypatch, shape, order, family, tile, seed):
+        # RSS and BIC within 1e-12, kept coefficients within 1e-11 (relative),
+        # the same chosen labels, and no site of a simulated field guarded
+        if tile is not None:
+            monkeypatch.setattr(liargrid.fit, "_TILE", tile)
+        kern = random_stable_kernels(shape, 1, order=order, target_norm=0.7, seed=seed)
+        s = simulate_liar(kern, 400, NoiseSpec(sigma=1.0, seed=seed + 100))
+        calls, factor = [], liargrid.fit._factor
+        monkeypatch.setattr(liargrid.fit, "_factor",
+                            lambda aug: calls.append(aug.shape) or factor(aug))
+        moments = select_all(s, order=order, d0=0.3, **family)
+        assert not calls
+        self._forced_qr(monkeypatch)
+        qr = select_all(s, order=order, d0=0.3, **family)
+        assert len(calls) == s.n_sites
+        assert not moments.errors and moments.chosen_labels() == qr.chosen_labels()
+        assert len({trace.chosen_k for trace in qr}) > 1
+        for lin, trace in moments.traces.items():
+            want = qr.traces[lin]
+            assert (trace.labels, trace.dropped) == (want.labels, want.dropped)
+            assert_allclose(trace.rss, want.rss, rtol=1e-12)
+            assert_allclose(trace.bic, want.bic, rtol=0, atol=1e-12)
+            err = np.linalg.norm(trace.fit.coeffs - want.fit.coeffs)
+            assert err <= 1e-11 * np.linalg.norm(want.fit.coeffs)
+            assert trace.fit.neighborhood == want.fit.neighborhood
+
+    def test_grams_match_the_gathered_design(self):
+        # every entry of the assembled [Y z]'[Y z], for boxes cut across
+        # tiles, against the gathered block's own product
+        shape, order = (9, 4, 3), 2
+        values = np.random.default_rng(87).normal(size=(50, 108))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(liargrid.fit, "_TILE", 4)
+            table = liargrid.fit._lag_moments(values, shape, order, np.array([2, 1, 1]),
+                                              None, 2)
+        for site in [(0, 0, 0), (4, 2, 1), (8, 3, 2), (3, 0, 2)]:
+            lin = site_to_linear(site, shape)
+            levels = nested_family(site, shape, radii_list=[(0, 0, 0), (2, 1, 1)]).levels
+            inner, outer = levels[0].linear, levels[-1].linear
+            groups = [inner, np.setdiff1d(outer, inner)]
+            aug = liargrid.fit._gather(values.T, order, groups, lin)
+            sites = np.concatenate([np.tile(g, order) for g in groups])
+            lags = np.concatenate([np.repeat(np.arange(1, order + 1), g.size)
+                                   for g in groups])
+            gram = table.grams(np.array([lin]), sites[None], lags)[0]
+            assert_allclose(gram, aug.T @ aug, rtol=1e-12, atol=1e-12)
+
+    def test_single_site_matches_select_all_across_tiles(self, monkeypatch):
+        # each moment entry comes from one fixed product, whoever asks, and
+        # eight workers writing one table lose no entry
+        monkeypatch.setattr(liargrid.fit, "_TILE", 3)
+        kern = random_stable_kernels((8, 5), 1, order=2, target_norm=0.7, seed=88)
+        s = simulate_liar(kern, 300, NoiseSpec(sigma=1.0, seed=89))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches, more interleavings
+        try:
+            report = select_all(s, max_radius=2, order=2, d0=0.3, n_workers=8)
+        finally:
+            sys.setswitchinterval(switch)
+        for lin, trace in report.traces.items():
+            site = linear_to_site(lin, s.shape)
+            solo = select_site(s, nested_family(site, s.shape, max_radius=2), order=2,
+                               d0=0.3)
+            assert trace.chosen_k == solo.chosen_k
+            for got, want in ((trace.rss, solo.rss), (trace.fit.coeffs, solo.fit.coeffs)):
+                assert_array_equal(got, want)
+
+    def test_guard_sends_only_doubtful_sites_to_qr(self, monkeypatch):
+        # an exact and a near-exact fit, a duplicated column and a
+        # near-collinear column: exactly the sites whose largest box holds
+        # one reach the QR factor
+        shape = (8, 8)
+        values = np.random.default_rng(90).normal(size=(200, 64))
+        at = lambda *site: site_to_linear(site, shape)
+        values[1:, at(1, 5)] = 0.5 * values[:-1, at(0, 5)]
+        values[1:, at(6, 2)] = 0.5 * values[:-1, at(6, 3)] + 1e-5 * values[1:, at(0, 0)]
+        values[:, at(3, 1)] = values[:, at(1, 1)]
+        values[:, at(5, 6)] = values[:, at(5, 5)] + 1e-7 * values[:, at(7, 0)]
+        s = GridSeries(shape, values)
+        pairs = [(at(1, 1), at(3, 1)), (at(5, 5), at(5, 6))]
+        want = {at(1, 5), at(6, 2)} | {lin for lin in range(64) for u, v in pairs
+                             if {u, v} <= set(box_neighborhood(linear_to_site(lin, shape),
+                                                               shape, 1).linear.tolist())}
+        gathered, factored = [], []
+        gather, factor = liargrid.select._gather, liargrid.fit._factor
+        monkeypatch.setattr(liargrid.select, "_gather",
+                            lambda *args: gathered.append(args[3]) or gather(*args))
+        monkeypatch.setattr(liargrid.fit, "_factor",
+                            lambda aug: factored.append(aug.shape) or factor(aug))
+        report = select_all(s, max_radius=1)
+        assert not report.errors
+        assert sorted(gathered) == sorted(want) and len(factored) == len(want) == 11
+        assert report.traces[at(1, 5)].exact_fit[1] and not report.traces[at(6, 2)].exact_fit[1]
+        assert report.traces[at(2, 1)].fit.cond_flag == (report.traces[at(2, 1)].chosen_k == 1)
+
+    @pytest.mark.parametrize("n_frames,exact_level", [(10, 1), (2, 0)])
+    def test_level_with_as_many_unknowns_as_rows(self, n_frames, exact_level):
+        # T - P == P*|J| at a kept level: its block is wide, its QR factor
+        # short, and the level fits exactly (RSS 0, scored -inf); the levels
+        # below it keep their least-squares RSS, and a lone site agrees
+        shape = (5, 5)
+        s = GridSeries(shape, np.random.default_rng(92).normal(size=(n_frames, 25)))
+        report = select_all(s, max_radius=1, d0=1.0)
+        assert not report.errors
+        for lin in (0, 6, 12):
+            site = linear_to_site(lin, shape)
+            trace, family = report.traces[lin], nested_family(site, shape, max_radius=1)
+            kept = [nb for nb in family.levels if nb.size <= n_frames - 1]
+            want = [np.sum((s.values[1:, lin] - (y := s.values[:-1, nb.linear])
+                            @ np.linalg.lstsq(y, s.values[1:, lin], rcond=None)[0]) ** 2)
+                    for nb in kept]
+            assert_allclose(trace.rss, want, rtol=1e-9, atol=1e-12)
+            exact = [nb.size == n_frames - 1 for nb in kept]
+            assert list(trace.exact_fit) == exact
+            assert all(trace.rss[exact] == 0.0) and all(trace.bic[exact] == -np.inf)
+            if any(exact):
+                assert trace.chosen_k == trace.labels[exact_level]
+            solo = select_site(s, family, d0=1.0)
+            assert_array_equal(solo.rss, trace.rss)
+            assert_array_equal(solo.fit.coeffs, trace.fit.coeffs)
+
+    def test_moments_reach_only_identifiable_levels(self, monkeypatch):
+        # T=16 leaves 15 rows: no radius-3 box (16 sites at a corner) is
+        # identified anywhere, so the grid's products stop at radius 2, and
+        # the center's at radius 1 (its radius-2 box has 25 sites)
+        reaches, moments = [], liargrid.fit._lag_moments
+        monkeypatch.setattr(liargrid.fit, "_lag_moments", lambda values, shape, order, reach,
+                            *rest: reaches.append(tuple(reach.tolist()))
+                            or moments(values, shape, order, reach, *rest))
+        s = GridSeries((7, 7), np.random.default_rng(93).normal(size=(16, 49)))
+        report = select_all(s, max_radius=3)
+        trace = select_site(s, nested_family((3, 3), s.shape, max_radius=3))
+        assert reaches == [(2, 2), (1, 1)]
+        assert not report.errors and list(report.trace_for((0, 0)).labels) == [0, 1, 2]
+        assert list(trace.dropped) == [2, 3]
+        assert_array_equal(trace.rss, report.trace_for((3, 3)).rss)
+
+    def test_select_all_makes_no_site_major_copy(self, monkeypatch):
+        monkeypatch.setattr(liargrid.fit, "_site_major",
+                            lambda series: pytest.fail("site-major copy made"))
+        s = GridSeries((5, 6), np.random.default_rng(91).normal(size=(60, 30)))
+        assert not select_all(s, max_radius=2).errors
