@@ -27,7 +27,8 @@ truth = random_stable_kernels(shape, true_k, target_norm=0.8, seed=31)
 full = simulate_liar(truth, 8000, NoiseSpec(sigma=1.0, seed=32))
 
 # One site in detail: the scan reuses a single factorization across the
-# nested candidates, so the trace below costs one QR, not four.
+# nested candidates, so the trace below costs one Cholesky factor of the
+# largest box's Gram, not four factorizations.
 family = nested_family((5, 5), shape, max_radius=3)
 trace = select_site(full, family)
 print(f"site (5, 5), candidates radius 0..3, true radius {true_k}")

@@ -39,7 +39,7 @@ from .evaluate import (
     forecast,
     holdout_rmse,
 )
-from .fit import fit_all, resolve_workers
+from .fit import _require_complete, fit_all, resolve_workers
 from .grid import (_check_gts_size, _read_gts, _require_2d, _write_gts, read_csv_frames,
                    read_gts, write_gts)
 from .neighborhoods import _box_radii, box_field
@@ -307,8 +307,11 @@ def cmd_bench(args):
         for t in t_values:
             prefix = series.slice_time(0, t)
             t0 = time.perf_counter()
-            fit_all(prefix, nbs, order=args.P, n_workers=args.threads, compute_se=False)
+            report = fit_all(prefix, nbs, order=args.P, n_workers=args.threads,
+                             compute_se=False)
             seconds = time.perf_counter() - t0
+            # a fit with failed sites is not timed: exit 4, as `liar fit` does
+            _require_complete(shape, len(report), report.errors)
             rows.append(("x".join(map(str, shape)), series.n_sites, t,
                          args.K, seconds))
             print(f"{shape} T={t}: fit {seconds:.3f}s")

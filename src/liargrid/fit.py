@@ -12,28 +12,30 @@ level, :mod:`liargrid.select` brings a family.  Rank deficiency is
 non-fatal: the minimum-norm solution, read off the same R factor, is
 returned with ``cond_flag`` set.
 
-R comes one of two ways.  ``fit_all``, ``fit_site`` and
-``standard_errors`` gather [Y z] and take its QR factor, never the
-normal equations.  Selection takes the Cholesky factor of the Gram
-[Y z]'[Y z], which is R up to row signs: the grid's sample lag moments,
-which neighboring sites share, are formed once (:func:`_lag_moments`),
-each site's Gram is read off them, and all sites with the same level
-sizes are factored in one batched call (the moment form of conditional
-least squares: Brockwell & Davis 1991, sec. 8.1).  That squares the
-design's condition number (Higham 2002, ch. 20), so a guard sends each
-site whose factor it doubts back to QR.
+R comes one of two ways.  Selection, and a ``fit_all`` of box
+neighborhoods at every site of the grid, take the Cholesky factor of
+the Gram [Y z]'[Y z], which is R up to row signs: the grid's sample lag
+moments, which neighboring sites share, are formed once
+(:func:`_lag_moments`), each site's Gram is read off them, and all
+sites with the same level sizes are factored in one batched call (the
+moment form of conditional least squares: Brockwell & Davis 1991, sec.
+8.1).  That squares the design's condition number (Higham 2002, ch.
+20), so a guard sends each site whose factor it doubts back to QR.
+Every other request (some of the grid's sites, a non-box neighborhood,
+``fit_site``, ``standard_errors``) gathers [Y z] and takes its QR
+factor, never the normal equations.
 
-:func:`_solve_sites` runs the kernel on an in-order pool, one task per
-block of consecutive sites: each task gathers and factors its sites,
-then scores and solves them, all sites with the same level sizes at
-once.  The QR factorization is scipy's ``lapack.dgeqrf``, whose wrapper
-releases the GIL, so tasks factor in parallel.  Selection splits the
-moment products across the pool and solves its blocks on the calling
-thread.  OpenBLAS runs on one thread throughout
-(:func:`single_threaded_blas`).  Each result is a pure function of its
-site's data, the same for any worker count, block or BLAS thread
-setting.  ``fit_site``, ``standard_errors`` and ``select_site`` are
-batches of one.
+:func:`_solve_sites` runs the kernel on an in-order pool.  On the QR
+path there is one task per block of consecutive sites: each task
+gathers and factors its sites, then scores and solves them, all sites
+with the same level sizes at once.  The QR factorization is scipy's
+``lapack.dgeqrf``, whose wrapper releases the GIL, so tasks factor in
+parallel.  The moment path splits the moment products across the pool
+and solves its blocks on the calling thread.  OpenBLAS runs on one
+thread throughout (:func:`single_threaded_blas`).  Each result is a
+pure function of its site's data, the same for any worker count, block
+or BLAS thread setting.  ``fit_site``, ``standard_errors`` and
+``select_site`` are batches of one.
 
 References
 ----------
@@ -130,25 +132,9 @@ class SiteFit:
         )
 
 
-def _site_major(series):
-    """The series as a read-only (n_sites, T) copy, one contiguous history
-    per site: :func:`_gather` then reads whole rows, where the time-major
-    values would be read a column at a time with a row stride that, on
-    power-of-two grids, makes the reads alias in cache."""
-    values = series.values
-    panel = np.empty(values.shape[::-1])
-    # 64-frame slabs stay in cache; one whole .T copy took 2.6-3.8x as
-    # long on 32x32 and 64x64 grids with T=1500
-    for t in range(0, values.shape[0], 64):
-        panel[:, t : t + 64] = values[t : t + 64].T
-    panel.setflags(write=False)
-    return panel
-
-
 def _gather(panel, order, groups, target):
-    """Augmented block [Y z] of one site from the site-major ``panel``
-    (:func:`_site_major`, or ``series.values.T`` for a single site or a
-    site that selection's guard sends to QR).
+    """Augmented block [Y z] of one site from ``panel``, the series'
+    ``values.T`` (one row per site).
 
     ``groups`` are arrays of linear site indices; each contributes its
     sites at lags 1..P in turn, so one group gives the lag-major
@@ -561,6 +547,13 @@ def _normalize_neighborhood_map(series, neighborhoods):
 def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
     """Fit every requested site independently, in parallel.
 
+    A request of box neighborhoods (``radii`` set) at every site of the
+    grid is solved off the grid's lag moments: P^2 (4K+1)^d + P (2K+1)^d
+    + 1 doubles per site of a d-axis grid, for K the largest radius, per
+    axis, of a box that T frames identify (each 4K+1 and 2K+1 capped at
+    2n-1 on an axis of n sites).  A site whose Gram factor the guard
+    doubts, and any other request, is gathered and factored by QR.
+
     Parameters
     ----------
     series : GridSeries
@@ -582,12 +575,17 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
     """
     order = int(order)
     pairs = _normalize_neighborhood_map(series, neighborhoods)
-    panel = _site_major(series)
     sites = [(lin, nb.center, [nb]) for lin, nb in pairs]
+    # a whole grid of boxes is solved off moments as far as the boxes that T
+    # frames identify (the others fail unfactored)
+    boxes = len(pairs) == series.n_sites and all(nb.radii is not None for _, nb in pairs)
+    fitted = [nb.radii for _, nb in pairs if order * nb.size <= series.n_frames - order]
+    moments = (series, np.max(fitted, axis=0), None) if boxes and fitted else None
+    panel = series.values.T
     done, errors = _solve_sites(
         lambda lin, groups: _gather(panel, order, groups, lin),
         (sites[a:b] for a, b in _blocks(len(sites))), order, series.n_frames - order,
-        with_se=compute_se, n_workers=n_workers)
+        with_se=compute_se, n_workers=n_workers, moments=moments)
     fits = {lin: fit for lin, (fit, *_) in done.items()}
     return FitReport(series.shape, order, fits, errors)
 

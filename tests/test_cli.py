@@ -535,6 +535,17 @@ class TestBench:
         assert [(r[0], r[2]) for r in rows] == [
             ("4x4", "60"), ("4x4", "120"), ("5x3", "60"), ("5x3", "120")]
 
+    def test_failed_fit_exit_4_without_a_row(self, tmp_path, capsys):
+        # T=3 leaves 2 usable rows, too few for any site's box: the run is
+        # refused with the first failure, and no fit time is written
+        out = tmp_path / "bench"
+        assert run("bench", "--shape", "4x4", "--T", "60,3", "--K", "1",
+                   "--threads", "1", "--output-dir", out) == 4
+        err = capsys.readouterr().err
+        assert ("error: 16 of 16 sites failed; first: site (0, 0): 2 usable rows "
+                "< 4 unknowns (T=3, P=1, |J|=4)") in err
+        assert not out.exists()
+
     def test_frame_count_below_one_exit_2(self, tmp_path):
         assert run("bench", "--shape", "4x4", "--T", "60,0", "--K", "1",
                    "--output-dir", tmp_path / "bench") == 2

@@ -26,7 +26,7 @@ import liargrid._threads
 import liargrid.fit
 from liargrid.fit import DesignBlock
 from liargrid.grid import linear_to_site
-from liargrid.neighborhoods import box_neighborhood, nested_family
+from liargrid.neighborhoods import box_neighborhood, custom_neighborhood, nested_family
 
 from _dgp import adversarial_series
 
@@ -360,6 +360,124 @@ class TestFitAll:
         assert kern.shape == (3, 3)
         for i in range(9):
             assert_array_equal(kern.coeffs[i][0], report.fits[i].coeffs)
+
+
+def _close(got, want, rtol=1e-12):
+    """Within ``rtol`` of ``want``'s largest entry."""
+    assert np.max(np.abs(np.asarray(got) - want)) <= rtol * np.max(np.abs(want))
+
+
+def _spy(monkeypatch, name):
+    """Record the last argument of every call of ``liargrid.fit.<name>``."""
+    calls, call = [], getattr(liargrid.fit, name)
+    monkeypatch.setattr(liargrid.fit, name, lambda *args: calls.append(args[-1]) or call(*args))
+    return calls
+
+
+class TestMomentPath:
+    """A whole-grid fit of boxes factors each site's Gram off the grid's
+    shared lag moments; the guard sends doubtful sites to gather + QR, as
+    every other request goes."""
+
+    @pytest.mark.parametrize("order,radii", [(1, [2]), (2, [(1, 2)]), (1, [1, (2, 1)])],
+                             ids=["P1", "P2-per-axis", "P1-mixed"])
+    def test_matches_fit_site(self, monkeypatch, order, radii):
+        # every box of radius 1 or more is clipped at the grid's edges; a
+        # mixed field's moments reach the per-axis maximum radius
+        shape = (7, 9)
+        kern = random_stable_kernels(shape, 1, order=order, target_norm=0.7, seed=70)
+        s = simulate_liar(kern, 300, NoiseSpec(sigma=1.0, seed=71))
+        nbs = [box_neighborhood(linear_to_site(i, shape), shape, radii[i % len(radii)])
+               for i in range(s.n_sites)]
+        factored = _spy(monkeypatch, "_factor")
+        report = fit_all(s, nbs, order=order)
+        assert not factored and not report.errors  # the guard took every site
+        monkeypatch.undo()
+        for lin, nb in enumerate(nbs):
+            got, want = report.fits[lin], fit_site(assemble_design(s, nb.center, nb, order))
+            assert not got.cond_flag
+            _close(got.coeffs, want.coeffs)
+            _close(got.se, want.se)
+            _close(got.rss, want.rss)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_doubtful_sites_match_a_one_site_fit(self, order):
+        # rank-deficient and exact-fit sites go through gather + QR, as a
+        # one-site request does, so the two agree bitwise
+        s = adversarial_series()
+        nbs = [box_neighborhood(linear_to_site(i, s.shape), s.shape, 1 + (i % 3 == 0))
+               for i in range(s.n_sites)]
+        report = fit_all(s, nbs, order=order)
+        doubtful = [lin for lin, fit in report.fits.items() if fit.cond_flag or fit.rss == 0.0]
+        assert doubtful and any(report.fits[lin].cond_flag for lin in doubtful)
+        for lin in doubtful:
+            got = report.fits[lin]
+            want = fit_all(s, [nbs[lin]], order=order).fits[lin]
+            assert_array_equal(got.coeffs, want.coeffs)
+            assert (got.rss, got.sigma2, got.cond_flag) == (want.rss, want.sigma2,
+                                                            want.cond_flag)
+            assert (got.se is None) == (want.se is None)
+            if got.se is not None:
+                assert_array_equal(got.se, want.se)
+
+    def test_guard_sends_only_doubtful_sites_to_qr(self, monkeypatch):
+        # an exact and a near-exact fit, a duplicated column and a
+        # near-collinear column: exactly the sites whose box holds one are
+        # gathered and factored
+        shape = (8, 8)
+        values = np.random.default_rng(90).normal(size=(200, 64))
+        at = lambda *site: site_to_linear(site, shape)
+        values[1:, at(1, 5)] = 0.5 * values[:-1, at(0, 5)]
+        values[1:, at(6, 2)] = 0.5 * values[:-1, at(6, 3)] + 1e-5 * values[1:, at(0, 0)]
+        values[:, at(3, 1)] = values[:, at(1, 1)]
+        values[:, at(5, 6)] = values[:, at(5, 5)] + 1e-7 * values[:, at(7, 0)]
+        s = GridSeries(shape, values)
+        nbs = [box_neighborhood(linear_to_site(i, shape), shape, 1) for i in range(64)]
+        pairs = [(at(1, 1), at(3, 1)), (at(5, 5), at(5, 6))]
+        want = {at(1, 5), at(6, 2)} | {lin for lin in range(64) for u, v in pairs
+                                       if {u, v} <= set(nbs[lin].linear.tolist())}
+        gathered, factored = _spy(monkeypatch, "_gather"), _spy(monkeypatch, "_factor")
+        report = fit_all(s, nbs)
+        assert not report.errors
+        assert sorted(gathered) == sorted(want) and len(factored) == len(want) == 11
+        assert report.fits[at(1, 5)].rss < 1e-20 < report.fits[at(6, 2)].rss
+        assert report.fits[at(2, 1)].cond_flag
+
+    def test_moments_reach_only_identified_boxes(self, monkeypatch):
+        # T=16 leaves 15 rows: the center's radius-3 box (49 sites) fails
+        # unfactored, so the products stop at the others' radius 1
+        reaches, moments = [], liargrid.fit._lag_moments
+        monkeypatch.setattr(liargrid.fit, "_lag_moments", lambda values, shape, order, reach,
+                            *rest: reaches.append(tuple(reach.tolist()))
+                            or moments(values, shape, order, reach, *rest))
+        shape = (7, 7)
+        s = _random_series(shape, 16, 73)
+        nbs = [box_neighborhood(linear_to_site(i, shape), shape, 3 if i == 24 else 1)
+               for i in range(49)]
+        report = fit_all(s, nbs)
+        assert reaches == [(1, 1)]
+        assert list(report.errors) == [(3, 3)] and len(report) == 48
+
+    @pytest.mark.parametrize("request_kind", ["custom-field", "partial-grid"])
+    def test_other_requests_stay_on_qr(self, monkeypatch, request_kind):
+        # a field whose neighborhoods are not boxes, or a request that
+        # leaves out a site, forms no moments and matches fit_site bitwise
+        shape = (5, 6)
+        s = _random_series(shape, 80, 72)
+        boxes = [box_neighborhood(linear_to_site(i, shape), shape, 1) for i in range(30)]
+        if request_kind == "custom-field":
+            nbs = [custom_neighborhood(nb.center, shape, nb.sites) for nb in boxes]
+        else:
+            nbs = boxes[1:]
+        moments = _spy(monkeypatch, "_lag_moments")
+        report = fit_all(s, nbs, order=2)
+        assert not moments and len(report) == len(nbs)
+        for nb in nbs:
+            got = report.fit_for(nb.center)
+            want = fit_site(assemble_design(s, nb.center, nb, 2))
+            assert_array_equal(got.coeffs, want.coeffs)
+            assert_array_equal(got.se, want.se)
+            assert got.rss == want.rss
 
 
 _BLAS = liargrid._threads._openblas_thread_controls()

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from liargrid import (
 import liargrid.fit
 import liargrid.select
 from liargrid.grid import linear_to_site
-from liargrid.neighborhoods import box_neighborhood
+from liargrid.neighborhoods import box_field, box_neighborhood
 
 from _dgp import adversarial_series
 
@@ -581,8 +582,21 @@ class TestMomentPath:
         assert list(trace.dropped) == [2, 3]
         assert_array_equal(trace.rss, report.trace_for((3, 3)).rss)
 
-    def test_select_all_makes_no_site_major_copy(self, monkeypatch):
-        monkeypatch.setattr(liargrid.fit, "_site_major",
-                            lambda series: pytest.fail("site-major copy made"))
-        s = GridSeries((5, 6), np.random.default_rng(91).normal(size=(60, 30)))
-        assert not select_all(s, max_radius=2).errors
+    @pytest.mark.parametrize("entry", ["fit_all", "select_all"])
+    def test_no_series_sized_copy(self, entry):
+        # a whole-grid call holds the moment table (107 doubles a site here)
+        # and a block's Grams, never a copy of the 6.1 MB series
+        shape = (12, 16)
+        s = GridSeries(shape, np.random.default_rng(91).normal(size=(4000, 192)))
+        nbs = box_field(shape, 2)
+        tracemalloc.start()
+        try:
+            if entry == "fit_all":
+                report = fit_all(s, nbs, n_workers=2)
+            else:
+                report = select_all(s, max_radius=2, n_workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not report.errors
+        assert peak < s.values.nbytes / 2
