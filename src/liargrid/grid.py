@@ -409,13 +409,6 @@ def _save_json(path, fields):
         raise
 
 
-def _load_json(path, from_dict):
-    """``from_dict`` of the JSON in ``path``, parsed with the collector
-    paused."""
-    with open(path) as fh, _gc_paused():
-        return from_dict(json.load(fh))
-
-
 def read_csv_frames(path, shape):
     """Read a d=2 series from CSV: T frames of M rows stacked vertically.
 

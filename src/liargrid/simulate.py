@@ -17,6 +17,8 @@ scheduling, and a shorter simulation is a prefix of a longer one.
 """
 
 import contextlib
+import json
+from array import array
 from itertools import chain
 
 import numpy as np
@@ -26,12 +28,12 @@ from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 from . import rng
 from ._threads import _in_order, resolve_workers, single_threaded_blas
 from .errors import ConfigurationError, NumericalError, StabilityError
-from .grid import (GridSeries, _JsonArtifact, _check_shape, _load_json, linear_to_site,
-                   sites_to_linear)
+from .grid import (GridSeries, _JsonArtifact, _check_shape, _first_nonfinite, _gc_paused,
+                   linear_to_site, sites_to_linear)
 from .neighborhoods import _box_radii, _box_sites, _grid_centers, _PerSite, _views
 
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
-_SITE_BLOCK = 2**10  # sites flattened (from_dict) or converted (to JSON) at a time
+_SITE_BLOCK = 2**10  # site entries converted at a time, to JSON or from it
 _NOISE_AHEAD = 4  # noise blocks queued ahead of the recursion, per noise thread
 _NORM_TOL = 1e-14  # ARPACK's relative tolerance on the top eigenvalue of Op'Op
 _CTX_KERNEL = 1
@@ -231,64 +233,145 @@ class KernelField(_JsonArtifact):
         custom neighborhood.  Sites may be listed in any order, and each
         site's neighborhood too, as long as its coefficient rows follow
         the same order."""
-        return cls._from_arrays(*_field_arrays(data))
+        entries = _Entries()
+        for item in data["sites"]:
+            entries.add(item)
+        return cls._from_arrays(*_field_arrays(data["shape"], data["P"], entries))
 
     @classmethod
     def load_json(cls, path):
-        """Read a kernel JSON file; a malformed one raises ConfigurationError."""
+        """Read a kernel JSON file as :meth:`from_dict` reads its dict, each
+        site entry converted as soon as it is parsed; a malformed file
+        raises ConfigurationError."""
+        entries = _Entries()
         try:
-            return _load_json(path, cls.from_dict)
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            with open(path) as fh, _gc_paused():
+                data = json.load(fh, object_hook=entries.hook)
+            sites = data["sites"]
+            for item in sites:
+                if item is not entries:
+                    entries.add(item)  # raises: the hook took every site entry
+            if len(sites) != len(entries.sizes):
+                raise ConfigurationError("kernel JSON has site entries outside its site list")
+            return cls._from_arrays(*_field_arrays(data["shape"], data["P"], entries))
+        except (ConfigurationError, ValueError, KeyError, IndexError, TypeError,
+                OverflowError) as exc:
             raise ConfigurationError(f"malformed kernel file {path}: {exc!r}") from exc
 
 
-def _field_arrays(data):
-    """(shape, order, indptr, indices, per-lag data, radii) of a kernel
-    dict, for :meth:`KernelField.from_dict`.
+class _Entries:
+    """Kernel-file site entries, each flattened into typed arrays as it is
+    added, so a reader never holds the per-site tree.  Per entry: the
+    center's coordinate count and coordinates, the neighborhood size, the
+    coefficient-row count and each row's width.  Per block of
+    ``_SITE_BLOCK`` entries: the listed sites' coordinates and the rows'
+    values, in arrays of their own (one pair regrown over the whole paper
+    grid left freed copies resident, up to 9 MiB more at the read's
+    peak).  :func:`_field_arrays` checks them."""
 
-    The sites are flattened a block at a time into arrays allocated up
-    front: temporaries over the whole field (about 40 MB for a 91x181
-    radius-2 field) stayed resident on the heap once freed.
+    __slots__ = ("center_dims", "centers", "sizes", "rows", "widths", "coords", "values",
+                 "ragged")
+
+    def __init__(self):
+        self.center_dims, self.centers, self.sizes, self.rows, self.widths = (
+            array("q") for _ in range(5))
+        self.coords, self.values = [], []
+        self.ragged = None  # first listed site with another coordinate count than its center
+
+    def add(self, item):
+        center, sites, coeffs = item["center"], item["neighborhood"], item["coeffs"]
+        if len(self.sizes) % _SITE_BLOCK == 0:
+            self.coords.append(array("q"))
+            self.values.append(array("d"))
+        d = len(center)
+        if list(map(len, sites)).count(d) != len(sites) and self.ragged is None:
+            self.ragged = next(site for site in sites if len(site) != d)
+        try:
+            self.centers.extend(center)
+            self.coords[-1].extend(chain.from_iterable(sites))
+        except (TypeError, OverflowError):
+            raise ConfigurationError(f"site {tuple(center)}: non-integer coordinates") from None
+        self.center_dims.append(d)
+        self.sizes.append(len(sites))
+        self.rows.append(len(coeffs))
+        self.widths.extend(map(len, coeffs))
+        self.values[-1].extend(chain.from_iterable(coeffs))
+
+    def hook(self, obj):
+        """``json.load``'s object_hook: a site entry is added, and this
+        object stands in for it in the parsed tree."""
+        if "neighborhood" not in obj:
+            return obj
+        self.add(obj)
+        return self
+
+
+def _field_arrays(shape, order, entries):
+    """(shape, order, indptr, indices, per-lag data, radii) of a kernel
+    file's shape, lag order and :class:`_Entries`, for
+    :meth:`KernelField.from_dict` and :meth:`KernelField.load_json`.
+
+    The entry count is checked against the grid before anything the size
+    of the grid is made.  The sites are then placed a block at a time into
+    arrays allocated up front, each block freed once placed: temporaries
+    over the whole field would raise the reader's peak.
     """
-    shape = tuple(int(n) for n in data["shape"])
-    order = _lag_order(data["P"])
-    n_sites, d = int(np.prod(shape)), len(shape)
-    items = data["sites"]
-    n = len(items)
-    sizes = np.fromiter((len(item["neighborhood"]) for item in items), np.intp, n)
+    if not (isinstance(shape, (list, tuple)) and all(type(n) is int for n in shape)):
+        raise ConfigurationError(f"kernel JSON shape {shape!r} is not a list of integers")
+    if type(order) is not int:
+        raise ConfigurationError(f"kernel JSON lag order {order!r} is not an integer")
+    shape, n_sites = _check_shape(shape)
+    order = _lag_order(order)
+    d = len(shape)
+    sizes = np.frombuffer(entries.sizes, np.int64)
+    n = sizes.size
     if np.any(sizes == 0):
         raise ConfigurationError("kernel JSON has an empty neighborhood")
-    centers = np.array([item["center"] for item in items], dtype=np.intp)
+    ragged = np.flatnonzero(np.frombuffer(entries.center_dims, np.int64) != d)
+    if ragged.size:
+        i = int(ragged[0])
+        at = sum(entries.center_dims[:i])
+        center = entries.centers[at : at + entries.center_dims[i]].tolist()
+        raise ConfigurationError(f"kernel JSON site {center} does not have {d} coordinates")
+    centers = np.frombuffer(entries.centers, np.int64).reshape(-1, d)
     center_linear = sites_to_linear(centers, shape)
-    entry = np.full(n_sites, -1)  # item index per linear site
-    entry[center_linear] = np.arange(n)
-    missing = int(np.count_nonzero(entry < 0))
+    entry = np.argsort(center_linear, kind="stable")  # item index per linear site
+    ranked = center_linear[entry]
+    again = ranked[1:] == ranked[:-1]
+    missing = n_sites - (n - int(np.count_nonzero(again)))
     if missing:
         raise ConfigurationError(f"kernel JSON is missing {missing} sites")
     if n > n_sites:  # every site is listed, so some site twice
-        first = int(np.flatnonzero(entry[center_linear] != np.arange(n))[0])
+        first = int(entry[:-1][again].min())  # listed first of those listed again later
         raise ConfigurationError(
-            f"kernel JSON lists site {tuple(items[first]['center'])} more than once")
+            f"kernel JSON lists site {tuple(centers[first].tolist())} more than once")
+    if entries.ragged is not None:
+        raise ConfigurationError(f"kernel JSON site {entries.ragged} "
+                                 f"does not have {d} coordinates")
+    bad = np.frombuffer(entries.rows, np.int64) != order
+    if not bad.any():
+        widths = np.frombuffer(entries.widths, np.int64).reshape(-1, order)
+        bad = (widths != sizes[:, None]).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigurationError(f"site {tuple(centers[i].tolist())}: coefficients "
+                                 f"do not match (P={order}, |J|={sizes[i]})")
 
     indptr = np.zeros(n_sites + 1, dtype=np.intp)
     np.cumsum(sizes[entry], out=indptr[1:])
     indices = np.empty(indptr[-1], dtype=np.intp)
     values = [np.empty(indptr[-1]) for _ in range(order)]
     radii = np.empty((n_sites, d), dtype=np.intp)
-    for a in range(0, n, _SITE_BLOCK):
-        block = items[a : a + _SITE_BLOCK]
-        size, center = sizes[a : a + len(block)], centers[a : a + len(block)]
-        listed = list(chain.from_iterable(item["neighborhood"] for item in block))
-        ragged = np.fromiter(map(len, listed), np.intp, len(listed)) != d
-        if np.any(ragged):
-            raise ConfigurationError(f"kernel JSON site {listed[int(np.argmax(ragged))]} "
-                                     f"does not have {d} coordinates")
-        sites = np.fromiter(chain.from_iterable(listed), np.intp, d * len(listed))
-        sites = sites.reshape(-1, d)
+    for b in range(len(entries.coords)):
+        block = slice(b * _SITE_BLOCK, (b + 1) * _SITE_BLOCK)
+        size, center, rows = sizes[block], centers[block], center_linear[block]
+        sites = np.frombuffer(entries.coords[b], np.int64).reshape(-1, d)
+        flat = np.frombuffer(entries.values[b], np.float64)
+        entries.coords[b] = entries.values[b] = None  # freed with the views below
         linear = sites_to_linear(sites, shape)
-        bounds = np.zeros(len(block) + 1, dtype=np.intp)  # item by item, as listed
+        bounds = np.zeros(size.size + 1, dtype=np.intp)  # item by item, as listed
         np.cumsum(size, out=bounds[1:])
-        owner = np.repeat(np.arange(len(block)), size)
+        owner = np.repeat(np.arange(size.size), size)
         perm = np.lexsort((linear, owner))  # each neighborhood in linear order
         linear = linear[perm]
         if np.any((linear[1:] == linear[:-1]) & (owner[1:] == owner[:-1])):
@@ -299,28 +382,16 @@ def _field_arrays(data):
         lo = np.maximum(center - extents, 0)
         hi = np.minimum(center + extents, np.array(shape) - 1)
         boxed = np.prod(hi - lo + 1, axis=1) == size
-        radii[center_linear[a : a + len(block)]] = np.where(boxed[:, None], extents, -1)
-
-        lists = [item["coeffs"] for item in block]
-        bad = np.fromiter(map(len, lists), np.intp, len(lists)) != order
-        if not bad.any():
-            lists = list(chain.from_iterable(lists))
-            widths = np.fromiter(map(len, lists), np.intp, len(lists))
-            bad = (widths.reshape(-1, order) != size[:, None]).any(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ConfigurationError(f"site {tuple(center[i].tolist())}: coefficients "
-                                     f"do not match (P={order}, |J|={size[i]})")
-        flat = np.fromiter(chain.from_iterable(lists), np.float64, order * linear.size)
-        finite = np.isfinite(flat)
-        if not finite.all():
-            i = np.searchsorted(bounds, int(np.argmin(finite)) // order, side="right") - 1
+        radii[rows] = np.where(boxed[:, None], extents, -1)
+        j = _first_nonfinite(flat)
+        if j >= 0:
+            i = np.searchsorted(bounds, j // order, side="right") - 1
             raise ConfigurationError(
                 f"site {tuple(center[i].tolist())}: non-finite coefficients")
         # item i lists lag p's coefficient j at order * bounds[i] + p * size[i] + j
         at = (np.arange(linear.size) + (order - 1) * bounds[owner])[perm]
         step = size[owner][perm]
-        out = np.repeat(indptr[center_linear[a : a + len(block)]] - bounds[:-1], size)
+        out = np.repeat(indptr[rows] - bounds[:-1], size)
         out += np.arange(linear.size)
         indices[out] = linear
         for p, v in enumerate(values):

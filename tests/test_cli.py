@@ -711,7 +711,20 @@ class TestExitCodes:
         assert liar == f"error: {first}26 usable rows < 30 unknowns (T=27, P=1, |J|=30)\n"
         assert err("eval", "--methods", "spliar") == liar
 
-    @pytest.mark.parametrize("edit", ["truncated", "no_order", "off_grid"])
+    # non-integer shapes, lag orders and coordinates are refused, not truncated;
+    # site 5 is (1, 1), its neighborhood [[0, 0], [1, 0], ...]
+    _NOT_INTEGERS = {
+        "shape_3.5": (("shape",), [3.5, 4], "kernel JSON shape [3.5, 4] is not a list"),
+        "extent_0": (("shape",), [0, 4], "grid extents must be positive"),
+        "P_1.5": (("P",), 1.5, "kernel JSON lag order 1.5 is not an integer"),
+        "P_true": (("P",), True, "kernel JSON lag order True is not an integer"),
+        "coordinate_1.5": (("sites", 5, "neighborhood", 1, 0), 1.5,
+                           "site (1, 1): non-integer coordinates"),
+        "coordinate_0.0": (("sites", 5, "neighborhood", 0, 1), 0.0,
+                           "site (1, 1): non-integer coordinates"),
+    }
+
+    @pytest.mark.parametrize("edit", ["truncated", "no_order", "off_grid", *_NOT_INTEGERS])
     def test_malformed_kernel_file_exit_2(self, tmp_path, capsys, edit):
         series = GridSeries((4, 4), np.random.default_rng(63).normal(size=(30, 16)))
         write_gts(series, tmp_path / "series.gts")
@@ -722,8 +735,15 @@ class TestExitCodes:
         elif edit == "no_order":
             del data["P"]
             text = json.dumps(data)
-        else:
+        elif edit == "off_grid":
             data["sites"][-1]["center"] = [9, 9]
+            text = json.dumps(data)
+        else:
+            keys, value, _ = self._NOT_INTEGERS[edit]
+            target = data
+            for key in keys[:-1]:
+                target = target[key]
+            target[keys[-1]] = value
             text = json.dumps(data)
         path = tmp_path / "kernels.json"
         path.write_text(text)
@@ -733,6 +753,8 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: malformed kernel file {path}: ")
         assert "Traceback" not in err
+        if edit in self._NOT_INTEGERS:
+            assert self._NOT_INTEGERS[edit][2] in err
 
 
 def _subcommands():
@@ -863,6 +885,33 @@ def test_simulate_and_forecast_hold_the_series_once(tmp_path, liar_command):
     assert max(peaks.values()) <= bound, (
         f"peak RSS {peaks} MiB against {bound:.1f} MiB "
         f"(import only {baseline:.1f} MiB, series {payload:.1f} MiB)")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_forecast_peak_tracks_the_kernel_file(tmp_path, liar_command):
+    # radius-2 kernels on 91x181 sites: a 13.2 MiB kernels.json.  The history
+    # is read 1 MB at a time, so over a bare import liar forecast holds its
+    # forecast frames and, while parsing the kernel file, its text (twice
+    # while reading it) and the entries converted so far: 1.9x the file
+    # measured.  A reader that builds the whole per-site tree first takes
+    # 5.8x
+    shape, horizon = (91, 181), 10
+    random_stable_kernels(shape, 2, target_norm=0.5, seed=1).save_json(
+        tmp_path / "kernels.json")
+    history = np.random.default_rng(64).normal(size=(20, math.prod(shape)))
+    write_gts(GridSeries(shape, history), tmp_path / "series.gts")
+    text = os.path.getsize(tmp_path / "kernels.json") / 2**20
+    frames = horizon * math.prod(shape) * 8 / 2**20
+    code, baseline = _peak_rss_mib([sys.executable, "-c", "import liargrid.cli"])
+    assert code == 0
+    code, peak = _peak_rss_mib([*liar_command, "forecast", "--input", tmp_path / "series.gts",
+                                "--kernels", tmp_path / "kernels.json", "--horizon", horizon,
+                                "--output-dir", tmp_path / "fc"])
+    assert code == 0
+    bound = baseline + 3 * text + frames
+    assert peak <= bound, (
+        f"peak RSS {peak:.1f} MiB against {bound:.1f} MiB (import only {baseline:.1f} MiB, "
+        f"kernels.json {text:.1f} MiB, forecast frames {frames:.1f} MiB)")
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

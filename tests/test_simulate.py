@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,23 @@ class TestKernelField:
         assert back.neighborhoods[11].radii is None
         assert json.dumps(back.to_dict()) == saved
 
+    def test_declared_grid_is_not_allocated(self, tmp_path):
+        # 12 entries under a declared 4096x4096 grid are refused as missing
+        # sites before anything the size of the grid (128 MiB of int64) is made
+        data = random_stable_kernels((3, 4), 1, target_norm=0.5, seed=6).to_dict()
+        data["shape"] = [4096, 4096]
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(data))
+        for read in (lambda: KernelField.from_dict(data), lambda: KernelField.load_json(path)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConfigurationError, match=f"missing {4096**2 - 12} sites"):
+                    read()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * 2**20
+
     def test_scale(self):
         kern = random_stable_kernels((3, 3), 1, target_norm=0.8, seed=2)
         half = kern.scale(0.5)
@@ -450,3 +468,132 @@ class TestKernelField:
         nb = box_neighborhood((0, 0), (2, 2), 1)
         with pytest.raises(ConfigurationError):
             KernelField((2, 2), 1, [nb] * 4, [np.ones((1, 3))] * 4)
+
+
+def _mixed_field_dict():
+    """``to_dict`` of test_from_dict_mixed_field's field: interior and
+    clipped radius-1 boxes, per-axis boxes, a box minus a site and a set
+    that is no box, with P=2."""
+    shape = (5, 6)
+    nbs = box_field(shape, 1)
+    nbs[7] = box_neighborhood((2, 1), shape, (0, 2))
+    nbs[8] = custom_neighborhood((3, 1), shape, nbs[8].sites[1:])
+    nbs[14] = custom_neighborhood((4, 2), shape, [(4, 2), (0, 0), (4, 5)])
+    nbs[29] = box_neighborhood((4, 5), shape, (4, 0))
+    coeffs = [np.arange(2 * nb.size, dtype=float).reshape(2, nb.size) / 7 for nb in nbs]
+    return KernelField(shape, 2, nbs, coeffs).to_dict()
+
+
+def _set(path, value):
+    """An edit of a kernel dict: the item at ``path`` set to ``value``."""
+    def edit(data):
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+# one fault each; site 9 is (4, 1), its neighborhood [[3, 0], [4, 0], [3, 1], ...]
+_MALFORMED = {
+    "missing_site": lambda data: data["sites"].pop(3),
+    "site_twice": lambda data: data["sites"].append(data["sites"][0]),
+    "repeated_neighbor": _set(["sites", 9, "neighborhood", 1], [3, 0]),
+    "ragged_coordinate": _set(["sites", 9, "neighborhood", 2], [4, 0, 0]),
+    "ragged_center": _set(["sites", 9, "center"], [4]),
+    "coefficient_width": _set(["sites", 9, "coeffs", 1], [0.5]),
+    "coefficient_rows": lambda data: data["sites"][9]["coeffs"].pop(),
+    "nan_coefficient": _set(["sites", 9, "coeffs", 1, 2], float("nan")),
+    "empty_neighborhood": _set(["sites", 9, "neighborhood"], []),
+    "off_grid_site": _set(["sites", 9, "neighborhood", 2], [5, 0]),
+    "off_grid_center": _set(["sites", 9, "center"], [9, 9]),
+    "shape_3.5": _set(["shape"], [3.5, 6]),
+    "extent_0": _set(["shape"], [0, 6]),
+    "extent_-5": _set(["shape"], [-5, 6]),
+    "P_1.5": _set(["P"], 1.5),
+    "P_true": _set(["P"], True),
+    "coordinate_1.5": _set(["sites", 9, "neighborhood", 2, 0], 1.5),
+    "coordinate_0.0": _set(["sites", 9, "neighborhood", 0, 1], 0.0),
+    "center_4.0": _set(["sites", 9, "center", 0], 4.0),
+    "no_coeffs": lambda data: data["sites"][9].pop("coeffs"),
+}
+
+
+class TestKernelReaders:
+    """``KernelField.load_json(path)`` against
+    ``KernelField.from_dict(json.load(...))``."""
+
+    @staticmethod
+    def _shuffled(data, seed):
+        # sites in any order, each neighborhood too, its rows following it
+        gen = np.random.default_rng(seed)
+        items = [data["sites"][i] for i in gen.permutation(len(data["sites"]))]
+        for item in items:
+            perm = gen.permutation(len(item["neighborhood"]))
+            item["neighborhood"] = [item["neighborhood"][j] for j in perm]
+            item["coeffs"] = [[row[j] for j in perm] for row in item["coeffs"]]
+        return {**data, "sites": items}
+
+    @pytest.mark.parametrize("layout", ["as_written", "shuffled"])
+    def test_both_readers_give_the_same_bits(self, tmp_path, layout):
+        data = _mixed_field_dict()
+        if layout == "shuffled":
+            data = self._shuffled(data, 7)
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(data))
+        with open(path) as fh:
+            want = KernelField.from_dict(json.load(fh))
+        got = KernelField.load_json(path)
+        assert (got.shape, got.order) == (want.shape, want.order) == ((5, 6), 2)
+        for a, b in zip(got.operators(), want.operators()):
+            for name in ("indptr", "indices", "data"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert got._radii.tobytes() == want._radii.tobytes()
+        assert [nb.radii for nb in got.neighborhoods][7:9] == [(0, 2), None]
+        assert json.dumps(got.to_dict()) == json.dumps(_mixed_field_dict())
+
+    @pytest.mark.parametrize("edit", list(_MALFORMED))
+    def test_both_readers_refuse_alike(self, tmp_path, edit):
+        # load_json reports what from_dict raises, after the file's name
+        data = _mixed_field_dict()
+        _MALFORMED[edit](data)
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(data))
+        with open(path) as fh:
+            data = json.load(fh)
+        with pytest.raises((ConfigurationError, IndexError, KeyError)) as want:
+            KernelField.from_dict(data)
+        with pytest.raises(ConfigurationError) as got:
+            KernelField.load_json(path)
+        assert str(got.value) == f"malformed kernel file {path}: {want.value!r}"
+        if edit not in ("off_grid_site", "off_grid_center", "no_coeffs"):
+            assert want.type is ConfigurationError
+
+    def test_refusals_name_the_fault(self):
+        # non-integers are refused, not truncated
+        messages = {
+            "ragged_coordinate": "kernel JSON site [4, 0, 0] does not have 2 coordinates",
+            "ragged_center": "kernel JSON site [4] does not have 2 coordinates",
+            "shape_3.5": "kernel JSON shape [3.5, 6] is not a list of integers",
+            "extent_0": "grid extents must be positive, got (0, 6)",
+            "P_1.5": "kernel JSON lag order 1.5 is not an integer",
+            "P_true": "kernel JSON lag order True is not an integer",
+            "coordinate_1.5": "site (4, 1): non-integer coordinates",
+            "coordinate_0.0": "site (4, 1): non-integer coordinates",
+            "center_4.0": "site (4.0, 1): non-integer coordinates",
+        }
+        for edit, message in messages.items():
+            data = _mixed_field_dict()
+            _MALFORMED[edit](data)
+            with pytest.raises(ConfigurationError) as exc:
+                KernelField.from_dict(data)
+            assert str(exc.value) == message
+
+    def test_site_entry_outside_the_site_list_is_refused(self, tmp_path):
+        data = _mixed_field_dict()
+        data["extra"] = data["sites"][0]
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="site entries outside its site list"):
+            KernelField.load_json(path)
