@@ -1,10 +1,16 @@
 """Thread policy: the worker count, OpenBLAS pinned to one thread, and the
 one in-order pool that the least-squares kernel (:mod:`liargrid.fit`)
-and the noise draw-ahead (:mod:`liargrid.simulate`) run on."""
+and the noise draw-ahead (:mod:`liargrid.simulate`) run on.
+
+The pin covers every OpenBLAS build loaded when the outermost block
+opens.  numpy's build loads with numpy; scipy's loads only when scipy is
+first imported, which the fit and selection never do, so code that calls
+scipy's BLAS inside a block imports scipy before entering it."""
 
 import contextlib
 import ctypes
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
@@ -18,17 +24,22 @@ _BLAS_THREAD_SYMBOLS = (
     ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
     ("openblas_set_num_threads", "openblas_get_num_threads"),
 )
-_blas_controls = None  # [(set, get), ...] per loaded build; found on first use
+_blas_controls = None  # [(set, get), ...] per loaded build
+_blas_modules = 0  # len(sys.modules) when _blas_controls was found
 _blas_lock = threading.Lock()
 _blas_depth = 0  # nesting count of single_threaded_blas across threads
-_blas_saved = []  # thread counts to restore when the outermost block exits
+_blas_saved = []  # (set, thread count) to restore when the outermost block exits
 
 
 def _openblas_thread_controls():
     """(set, get) thread-count functions of every OpenBLAS build loaded in
-    this process; empty where none is found (e.g. no ``/proc/self/maps``)."""
-    global _blas_controls
-    if _blas_controls is None:
+    this process; empty where none is found (e.g. no ``/proc/self/maps``).
+    Found again whenever a module was imported since the last search: a
+    build loads with the extension module that links it (scipy's with
+    scipy's first import), and reading the maps costs about 0.3 ms."""
+    global _blas_controls, _blas_modules
+    if _blas_controls is None or len(sys.modules) != _blas_modules:
+        _blas_modules = len(sys.modules)
         try:
             with open("/proc/self/maps") as fh:
                 paths = {line.split()[-1] for line in fh if ".so" in line}
@@ -57,13 +68,15 @@ def _openblas_thread_controls():
 def single_threaded_blas():
     """Run OpenBLAS on one thread inside the block, then restore each
     build's previous thread count.  Nested or concurrent blocks restore
-    once, when the last one exits.  Does nothing without OpenBLAS."""
+    once, when the last one exits.  The outermost block pins the builds
+    loaded as it opens (a build loaded inside the block runs unpinned).
+    Does nothing without OpenBLAS."""
     global _blas_depth, _blas_saved
     with _blas_lock:
-        controls = _openblas_thread_controls()
         if _blas_depth == 0:
-            _blas_saved = [get() for _, get in controls]
-            for set_threads, _ in controls:
+            _blas_saved = [(set_threads, get()) for set_threads, get
+                           in _openblas_thread_controls()]
+            for set_threads, _ in _blas_saved:
                 set_threads(1)
         _blas_depth += 1
     try:
@@ -72,7 +85,7 @@ def single_threaded_blas():
         with _blas_lock:
             _blas_depth -= 1
             if _blas_depth == 0:
-                for (set_threads, _), n in zip(controls, _blas_saved):
+                for set_threads, n in _blas_saved:
                     set_threads(n)
 
 

@@ -17,6 +17,7 @@ from .errors import ConfigurationError, SizeError
 from .fit import _check_order, fit_all
 from .grid import GridSeries, _require_2d, sites_to_linear
 from .neighborhoods import box_field
+from .simulate import _lag_order
 
 _AUTOCOV_CAP = 4_000_000  # entries in one requested block
 _MOMENT_BUDGET = 2**28  # bytes of MAR lag moments, above which ALS sweeps the frames
@@ -374,7 +375,7 @@ def baseline_mar_als(series, order=1, max_iter=1000, tol=1e-7):
         raise ConfigurationError("max_iter must be at least 1")
     if not tol > 0:
         raise ConfigurationError("tol must be positive")
-    p = int(order)
+    p = _lag_order(order)
     frames = series.frames
     t, m, n = frames.shape
     _check_order(p, t)

@@ -28,14 +28,17 @@ factor, never the normal equations.
 :func:`_solve_sites` runs the kernel on an in-order pool.  On the QR
 path there is one task per block of consecutive sites: each task
 gathers and factors its sites, then scores and solves them, all sites
-with the same level sizes at once.  The QR factorization is scipy's
-``lapack.dgeqrf``, whose wrapper releases the GIL, so tasks factor in
-parallel.  The moment path splits the moment products across the pool
-and solves its blocks on the calling thread.  OpenBLAS runs on one
-thread throughout (:func:`single_threaded_blas`).  Each result is a
-pure function of its site's data, the same for any worker count, block
-or BLAS thread setting.  ``fit_site``, ``standard_errors`` and
-``select_site`` are batches of one.
+with the same level sizes at once, and those that keep the same level
+in one batched solve (:func:`_solve_levels`).  Every factorization and
+solve is numpy's LAPACK, whose calls release the GIL, so tasks factor
+in parallel; the module never imports scipy.  The moment path splits
+the moment products across the pool and solves its blocks on the
+calling thread.  OpenBLAS runs on one thread throughout
+(:func:`single_threaded_blas`).  Each result is a pure function of its
+site's data, the same for any worker count, block or BLAS thread
+setting: a batched LAPACK call factors or solves each matrix of its
+stack alone.  ``fit_site``, ``standard_errors`` and ``select_site`` are
+batches of one.
 
 References
 ----------
@@ -49,7 +52,6 @@ import warnings
 from itertools import groupby, product
 
 import numpy as np
-import scipy.linalg
 
 from ._threads import _in_order, resolve_workers, single_threaded_blas
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
@@ -143,7 +145,7 @@ def _gather(panel, order, groups, target):
     """
     t = panel.shape[1]
     cols = order * sum(g.size for g in groups)
-    aug = np.empty((t - order, cols + 1), order="F")  # geqrf factors it in place
+    aug = np.empty((t - order, cols + 1), order="F")  # LAPACK's layout, copied as is
     pos = 0
     for group in groups:
         for p in range(1, order + 1):
@@ -154,18 +156,57 @@ def _gather(panel, order, groups, target):
 
 
 def _factor(aug):
-    """R factor of [Y z]: a copy of the leading square block of
-    ``scipy.linalg.lapack.dgeqrf``'s output (R in the upper triangle;
-    nothing reads the reflectors below), so the gathered block, factored
-    in place, can be freed.  The wrapper releases the GIL for the call."""
-    return scipy.linalg.lapack.dgeqrf(aug, overwrite_a=True)[0][: aug.shape[1]].copy()
+    """R factor of [Y z] (min(rows, cols) rows, zero below the diagonal):
+    LAPACK ``dgeqrf`` through ``np.linalg.qr``, which releases the GIL for
+    the call."""
+    return np.linalg.qr(aug, mode="r")
 
 
-def _trsolve(r, b):
-    """``scipy.linalg.solve_triangular(r, b)`` for a C-ordered ``r``: the
-    same LAPACK call and flags, so the same bits (for 1x1, both forms
-    compute b / r), without the validation around it."""
-    return scipy.linalg.lapack.dtrtrs(r.T, b, lower=1, trans=1)[0]
+def _inverse(tri):
+    """Inverses of the stacked upper triangles ``tri``, a row at a time
+    from the bottom: row i of R^-1 is (e_i - R[i, i+1:] R^-1[i+1:]) /
+    R[i, i] (Golub & Van Loan, sec. 3.1).  A third of the flops of an LU
+    inverse.  The triangles are copied C-ordered, so each matrix's
+    products are fixed by its size alone, whatever the stack's layout."""
+    tri = np.ascontiguousarray(tri)
+    inv = np.zeros_like(tri)
+    neg = -np.diagonal(tri, axis1=1, axis2=2)[:, :, None, None]
+    for i in range(tri.shape[1] - 1, -1, -1):
+        row = inv[:, i, None, i:]  # [-1, R[i, i+1:] R^-1[i+1:]] / -R[i, i]
+        np.matmul(tri[:, i, None, i + 1 :], inv[:, i + 1 :, i + 1 :], out=row[:, :, 1:])
+        row[:, 0, 0] = -1.0
+        row /= neg[:, i]
+    return inv
+
+
+def _solve_levels(r, cols, picks, min_norm, with_se):
+    """Level-major coefficients of each stacked R factor's picked level,
+    and, when ``with_se``, the diagonal of that level's (R'R)^-1 (None for
+    a deficient level or without ``with_se``).  ``r`` are the factors of
+    one size class, ``cols`` the leading column count of each level,
+    ``picks`` the level per member and ``min_norm`` the minimum-norm fits
+    of :func:`_scan`, which deficient levels take.  The members that keep
+    the same full-rank level are solved at once: one batched
+    ``np.linalg.solve`` with their leading triangles and, with
+    ``with_se``, one batched :func:`_inverse`, whose squared row norms are
+    the diagonal."""
+    coeffs, var = [None] * len(r), [None] * len(r)
+    for lev in np.unique(picks).tolist():
+        full = []
+        for i in np.flatnonzero(picks == lev).tolist():
+            if (i, lev) in min_norm:
+                coeffs[i] = min_norm[i, lev]
+            else:
+                full.append(i)
+        if full:
+            n = int(cols[lev])
+            tri = r[full, :n, :n]
+            solved = np.linalg.solve(tri, r[full, :n, -1:])[:, :, 0]
+            sums = (np.cumsum(np.square(_inverse(tri)), axis=2)[:, :, -1] if with_se
+                    else [None] * len(full))
+            for i, c, v in zip(full, solved, sums):
+                coeffs[i], var[i] = c, v
+    return coeffs, var
 
 
 def _scan(r, cols):
@@ -187,7 +228,9 @@ def _scan(r, cols):
     rss, min_norm = tail[:, cols], {}
     for i, lev in np.argwhere(deficient).tolist():
         n = int(cols[lev])
-        r11, b = np.triu(r[i, :n, :n]), r[i, :n, -1]  # R, not geqrf's reflectors
+        # a C-ordered copy: the moment path's factors are transposed views,
+        # and a matrix product rounds by its operand's layout
+        r11, b = np.triu(r[i, :n, :n]), r[i, :n, -1]
         min_norm[i, lev] = np.linalg.lstsq(r11, b, rcond=_RANK_TOL)[0]
         resid = b - r11 @ min_norm[i, lev]
         rss[i, lev] = resid @ resid + tail[i, n]
@@ -386,7 +429,7 @@ def assemble_design(series, site, neighborhood, order=1):
     Requires T - P >= P*s usable rows; fewer raises
     :class:`UnderdeterminedError` naming the counts.
     """
-    order = int(order)
+    order = _lag_order(order)
     target = site_to_linear(site, series.shape)
     _check_order(order, series.n_frames)
     _check_rows(site, series.n_frames, order, neighborhood.size)
@@ -463,7 +506,7 @@ class FitReport(_JsonArtifact):
 
     def __init__(self, shape, order, fits, errors):
         self.shape = tuple(shape)
-        self.order = int(order)
+        self.order = _lag_order(order)
         self.fits = fits
         self.errors = {site: str(err) for site, err in errors.items()}
 
@@ -573,7 +616,7 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
         Successful fits in canonical order; per-site failures collected
         in ``report.errors`` rather than raised.
     """
-    order = int(order)
+    order = _lag_order(order)
     pairs = _normalize_neighborhood_map(series, neighborhoods)
     sites = [(lin, nb.center, [nb]) for lin, nb in pairs]
     # a whole grid of boxes is solved off moments as far as the boxes that T
@@ -613,8 +656,9 @@ def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_work
     level's RSS and rank test (:func:`_scan`), keeps level 0 or the level
     that ``choose(rss, tail, sizes)`` picks (it returns the picks and a
     record per site), and solves that level off its R factor in lag-major
-    neighborhood order: back substitution, with standard errors when
-    ``with_se``, or the minimum-norm fit of a deficient level.
+    neighborhood order (:func:`_solve_levels`): a batched solve per kept
+    level, with standard errors when ``with_se``, or the minimum-norm fit
+    of a deficient level.
 
     R is the QR factor of ``gather(linear, groups)`` (:func:`_factor`),
     unless ``moments`` is given: ``(series, reach, centers)``, whose
@@ -686,14 +730,12 @@ def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_work
                  else np.stack([item[-1] for item in members]))
             tail, rss, min_norm = _scan(r, cols)
             picks, records = (choose(rss, tail, sizes) if choose is not None
-                              else ([0] * len(members), [None] * len(members)))
-            for i, ((_, lin, site, levels, kept, first, _), best) in enumerate(
-                    zip(members, picks)):
-                best = int(best)
+                              else (np.zeros(len(members), dtype=int), [None] * len(members)))
+            solved, var = _solve_levels(r, cols, picks, min_norm, with_se)
+            for i, ((_, lin, site, levels, kept, first, _), best, coeffs, v) in enumerate(
+                    zip(members, picks.tolist(), solved, var)):
                 nb, n_cols = kept[best], int(cols[best])
                 flag = (i, best) in min_norm
-                coeffs = (min_norm[i, best] if flag else
-                          _trsolve(r[i, :n_cols, :n_cols], r[i, :n_cols, -1]))
                 rss_i = float(rss[i, best])
                 sigma2 = rss_i / (rows - n_cols) if rows > n_cols else 0.0
                 if best:  # lag-major neighborhood position of each level-major column
@@ -701,10 +743,7 @@ def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_work
                     at = np.argsort(first[first <= best], kind="stable")
                     coeffs, level_major = np.empty_like(coeffs), coeffs
                     coeffs[(lags[:n_cols] - 1) * nb.size + at[pos[:n_cols]]] = level_major
-                se = None
-                if with_se and not flag:  # sqrt(sigma2) * row norms of R's inverse
-                    rinv = _trsolve(r[i, :n_cols, :n_cols], np.eye(n_cols))
-                    se = np.sqrt(sigma2 * np.cumsum(rinv * rinv, axis=1)[:, -1])
+                se = None if v is None else np.sqrt(sigma2 * v)
                 done[lin] = (SiteFit(site, nb, order, coeffs, rss_i, sigma2, flag, se),
                              levels, sizes, records[i])
         return [(item[1], done[item[1]]) for item in planned], errors

@@ -45,8 +45,16 @@ def _require_2d(shape, what):
         raise ConfigurationError(f"{what} needs a 2-D grid")
 
 
+def _integer(value, what):
+    """``value`` (a Python or numpy integer) as an int; a bool, a float or
+    anything else is refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_shape(shape):
-    shape = tuple(int(n) for n in shape)
+    shape = tuple(_integer(n, "a grid extent") for n in shape)
     if len(shape) < 1:
         raise ConfigurationError("grid shape needs at least one axis")
     if any(n < 1 for n in shape):

@@ -36,6 +36,7 @@ from .errors import ConfigurationError
 from .fit import FitReport, _blocks, _check_order, _gather, _solve_sites
 from .grid import _JsonArtifact, _require_2d, site_to_linear
 from .neighborhoods import _candidates, _grid_centers, _nest, interior_mask
+from .simulate import _lag_order
 
 _EXACT_FIT_REL = 1e-16  # rss below this times ||z||^2 counts as an exact fit
 
@@ -152,7 +153,7 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
     center = tuple(family.center)
     lin = site_to_linear(center, series.shape)
     # moments only as far as the levels that T frames identify
-    order = int(order)
+    order = _lag_order(order)
     kept = [nb for nb in family if order * nb.size <= series.n_frames - order]
     reach = np.abs(np.concatenate([nb.sites for nb in kept or family]) - center).max(axis=0)
     traces, errors = _select_sites(series, [[(lin, center, family)]], order, d0,
@@ -224,7 +225,7 @@ class SelectionReport(_JsonArtifact):
 
     def __init__(self, shape, order, d0, traces, errors):
         self.shape = tuple(shape)
-        self.order = int(order)
+        self.order = _lag_order(order)
         self.d0 = float(d0)
         self.traces = traces
         self.errors = {site: str(err) for site, err in errors.items()}
@@ -330,6 +331,7 @@ def select_all(series, max_radius=None, order=1, d0=None, radii_list=None,
     """
     if max_radius is None and radii_list is None:
         raise ConfigurationError("pass either max_radius or radii_list")
+    order = _lag_order(order)
     if d0 is None:
         d0 = default_d0(series.n_frames)
     shape = series.shape
@@ -348,7 +350,7 @@ def select_all(series, max_radius=None, order=1, d0=None, radii_list=None,
     # at some site: its smallest box, at a corner
     radii = np.array(cand[0])
     corner = np.prod(np.minimum(radii, np.array(shape) - 1) + 1, axis=1)
-    radii = radii[int(order) * corner <= series.n_frames - int(order)]
-    traces, errors = _select_sites(series, blocks(), int(order), d0, keep_fit,
+    radii = radii[order * corner <= series.n_frames - order]
+    traces, errors = _select_sites(series, blocks(), order, d0, keep_fit,
                                    radii.max(axis=0, initial=0), None, n_workers)
     return SelectionReport(shape, order, d0, traces, errors)

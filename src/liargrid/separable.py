@@ -12,7 +12,6 @@ class.  Outputs are always whole kernels or blocks, never split factors.
 import warnings
 
 import numpy as np
-import scipy.sparse.linalg
 
 from . import rng
 from .errors import ConfigurationError, NumericalError, StructureError
@@ -169,8 +168,10 @@ def truncated_svd(mat, rank):
     else:
         v0 = rng.uniforms(rng.derive_key(0x51D5, [min(mat.shape)]),
                           np.arange(min(mat.shape))) - 0.5
+        from scipy.sparse.linalg import svds
+
         try:
-            u, s, vt = scipy.sparse.linalg.svds(mat, k=rank, v0=v0)
+            u, s, vt = svds(mat, k=rank, v0=v0)
         except Exception as exc:  # ARPACK failures surface as various types
             raise NumericalError(f"subspace SVD failed: {exc}") from exc
         order = np.argsort(s)[::-1]
@@ -241,12 +242,11 @@ def fit_spliar(series, radii, order=1, rank=1, n_workers=None):
     field = raw.kernels()
     cells, _ = _cells(neighborhoods, radii)
     blocks, data = [], []
-    for lag, op in enumerate(field.operators(), start=1):
+    for lag, values in enumerate(field._data, start=1):
         dense = np.zeros((shape[0] * b1, shape[1] * b2))
-        dense[cells] = op.data
+        dense[cells] = values
         blocks.append(BlockKernelMatrix(shape, radii, lag, truncated_svd(dense, rank)))
         data.append(blocks[-1].data[cells])
-    op = field.operators()[0]
-    kernels = KernelField._from_arrays(shape, order, op.indptr, op.indices, data,
+    kernels = KernelField._from_arrays(shape, order, field._indptr, field._indices, data,
                                        field._radii)
     return SeparableFit(shape, order, radii, rank, raw, blocks, kernels)

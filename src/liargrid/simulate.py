@@ -9,7 +9,9 @@ coefficients in its neighborhood's columns.  Simulation iterates
 
 after a burn-in, starting from zero frames.  Stability is certified by
 the operator norm (sum of per-lag spectral norms when P > 1), computed
-matrix-free by Lanczos to rounding level.
+matrix-free by Lanczos to rounding level.  scipy, whose CSR products and
+ARPACK run the recursion and the norm, is imported only by the calls
+that use it, so a field that is fitted and written never loads it.
 
 All noise comes from the counter-based streams in :mod:`liargrid.rng`,
 one stream per site, so output is reproducible bit-for-bit regardless of
@@ -22,14 +24,12 @@ from array import array
 from itertools import chain
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from . import rng
 from ._threads import _in_order, resolve_workers, single_threaded_blas
 from .errors import ConfigurationError, NumericalError, StabilityError
 from .grid import (GridSeries, _JsonArtifact, _check_shape, _first_nonfinite, _gc_paused,
-                   linear_to_site, sites_to_linear)
+                   _integer, linear_to_site, sites_to_linear)
 from .neighborhoods import _box_radii, _box_sites, _grid_centers, _PerSite, _views
 
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
@@ -70,8 +70,8 @@ class NoiseSpec:
 
 
 def _lag_order(order):
-    """``order`` as an int, refused below 1."""
-    order = int(order)
+    """``order`` as an int, refused unless an integer of at least 1."""
+    order = _integer(order, "lag order")
     if order < 1:
         raise ConfigurationError("lag order must be at least 1")
     return order
@@ -80,12 +80,12 @@ def _lag_order(order):
 class KernelField(_JsonArtifact):
     """Per-site neighborhoods and lagged coefficient vectors.
 
-    The field is held as its P per-lag CSR operators on flattened
-    frames: row i holds site i's lag-p coefficients on the linear indices
-    of its neighborhood, in increasing order.  The operators share one
-    ``indptr``/``indices`` pair and each has its own read-only ``data``
-    array.  Each site also keeps its box radii, or none for a custom
-    neighborhood.
+    The field is held as the CSR arrays of its P per-lag operators on
+    flattened frames: row i holds site i's lag-p coefficients on the
+    linear indices of its neighborhood, in increasing order.  The lags
+    share one read-only ``indptr``/``indices`` pair and each has its own
+    read-only ``data`` array.  Each site also keeps its box radii, or
+    none for a custom neighborhood.
 
     Parameters
     ----------
@@ -100,7 +100,8 @@ class KernelField(_JsonArtifact):
         lag-p coefficients aligned to the neighborhood's site order.
     """
 
-    __slots__ = ("shape", "order", "_ops", "_radii", "_norm")
+    __slots__ = ("shape", "order", "_indptr", "_indices", "_data", "_radii", "_ops",
+                 "_norm")
 
     def __init__(self, shape, order, neighborhoods, coeffs):
         shape, n_sites = _check_shape(shape)
@@ -144,30 +145,24 @@ class KernelField(_JsonArtifact):
         return field
 
     def _own(self, shape, order, indptr, indices, data, radii):
-        n = indptr.size - 1
-        ops = []
-        for values in data:
-            values.setflags(write=False)
-            ops.append(sp.csr_matrix((values, indices, indptr), shape=(n, n)))
-            # scipy's index dtype, shared by every lag
-            indptr, indices = ops[0].indptr, ops[0].indices
-        for arr in (indptr, indices, radii):
+        for arr in (indptr, indices, radii, *data):
             arr.setflags(write=False)
         self.shape = shape
         self.order = order
-        self._ops = ops
+        self._indptr, self._indices, self._data = indptr, indices, list(data)
         self._radii = radii
+        self._ops = None  # the scipy CSR matrices, built by operators()
         self._norm = None  # stability norm, carried when already known
 
     @property
     def n_sites(self):
-        return self._ops[0].shape[0]
+        return self._indptr.size - 1
 
     @property
     def neighborhoods(self):
         """Per-site :class:`Neighborhood` views, built on access."""
-        op, n = self._ops[0], self.n_sites
-        return _views(self.shape, op.indptr, op.indices,
+        n = self.n_sites
+        return _views(self.shape, self._indptr, self._indices,
                       _PerSite(n, lambda i: self._radii[i].tolist()),
                       _PerSite(n, lambda i: linear_to_site(i, self.shape)))
 
@@ -177,14 +172,27 @@ class KernelField(_JsonArtifact):
         return _PerSite(self.n_sites, self._coeffs)
 
     def _coeffs(self, i):
-        a, b = self._ops[0].indptr[i : i + 2]
-        c = np.stack([op.data[a:b] for op in self._ops])
+        a, b = self._indptr[i : i + 2]
+        c = np.stack([v[a:b] for v in self._data])
         c.setflags(write=False)
         return c
 
     def operators(self):
-        """Per-lag linear operators on flattened frames: the P CSR
-        matrices the field is held as."""
+        """Per-lag linear operators on flattened frames: P scipy CSR
+        matrices over the field's arrays, built on the first call."""
+        if self._ops is None:
+            import scipy.sparse
+
+            n, ops = self.n_sites, []
+            for values in self._data:
+                ops.append(scipy.sparse.csr_matrix((values, self._indices, self._indptr),
+                                                   shape=(n, n)))
+                # scipy's index dtype from here on, shared by every lag and
+                # by the fields made from this one
+                self._indptr, self._indices = ops[0].indptr, ops[0].indices
+            self._indptr.setflags(write=False)
+            self._indices.setflags(write=False)
+            self._ops = ops
         return self._ops
 
     def predict(self, lagged):
@@ -202,24 +210,21 @@ class KernelField(_JsonArtifact):
 
     def scale(self, factor):
         """New field with every coefficient multiplied by ``factor``."""
-        op = self._ops[0]
-        return KernelField._from_arrays(self.shape, self.order, op.indptr, op.indices,
-                                        [o.data * factor for o in self._ops],
-                                        self._radii)
+        return KernelField._from_arrays(self.shape, self.order, self._indptr, self._indices,
+                                        [v * factor for v in self._data], self._radii)
 
     def _json_fields(self):
         return {"shape": list(self.shape), "P": self.order, "sites": self._entries()}
 
     def _entries(self):
         """Each site's kernel-file entry, converted a block of sites at a time."""
-        op = self._ops[0]
         centers = _grid_centers(self.shape)
         for a in range(0, self.n_sites, _SITE_BLOCK):
-            bounds = op.indptr[a : a + _SITE_BLOCK + 1]
+            bounds = self._indptr[a : a + _SITE_BLOCK + 1]
             lo, hi = bounds[0], bounds[-1]
-            sites = np.stack(np.unravel_index(op.indices[lo:hi], self.shape, order="F"),
+            sites = np.stack(np.unravel_index(self._indices[lo:hi], self.shape, order="F"),
                              axis=1).tolist()
-            values = [o.data[lo:hi].tolist() for o in self._ops]
+            values = [v[lo:hi].tolist() for v in self._data]
             bounds = (bounds - lo).tolist()
             for center, i, j in zip(centers[a : a + _SITE_BLOCK].tolist(), bounds,
                                     bounds[1:]):
@@ -411,18 +416,24 @@ def operator_norm(kernels):
     the P = 1 value when there is one lag.  OpenBLAS runs on one thread
     for the call: split across threads, its dot products on long vectors
     (above about 10000 sites) round differently, and the norm scales
-    every random field.
+    every random field.  So scipy, and with it the OpenBLAS build that
+    ARPACK calls, is imported before the pin, which covers the builds
+    loaded as it starts.
 
     Raises
     ------
     NumericalError
         If ARPACK fails or does not converge.
     """
+    import scipy.sparse.linalg  # noqa: F401  (loads scipy's OpenBLAS)
+
     with single_threaded_blas():
         return float(sum(_spectral_norm(op) for op in kernels.operators()))
 
 
 def _spectral_norm(op):
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
     n = op.shape[0]
     if n == 1 or not op.data.any():  # ARPACK needs n >= 2 and a nonzero product
         return float(np.abs(op.data).max(initial=0.0))

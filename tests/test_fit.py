@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -13,6 +14,7 @@ from liargrid import (
     NoiseSpec,
     UnderdeterminedError,
     assemble_design,
+    baseline_mar_als,
     fit_all,
     fit_site,
     random_stable_kernels,
@@ -504,6 +506,35 @@ class TestOneCheckPerCall:
         with pytest.raises(ConfigurationError, match="lag order must be at least 1"):
             calls[entry]()
 
+    @pytest.mark.parametrize("order", [1.5, 2.0, True, np.float64(1.0), "1"])
+    @pytest.mark.parametrize("entry", ["fit_all", "select_all", "select_site",
+                                       "assemble_design", "random_stable_kernels",
+                                       "baseline_mar_als"])
+    def test_non_integer_lag_order_refused(self, entry, order):
+        s = _random_series((3, 4), 30, 40)
+        nb = box_neighborhood((1, 1), (3, 4), 1)
+        calls = {
+            "fit_all": lambda: fit_all(s, [nb], order=order, n_workers=1),
+            "select_all": lambda: select_all(s, max_radius=1, order=order, d0=1.0),
+            "select_site": lambda: select_site(s, nested_family((1, 1), (3, 4), 1),
+                                               order=order, d0=1.0),
+            "assemble_design": lambda: assemble_design(s, (1, 1), nb, order),
+            "random_stable_kernels": lambda: random_stable_kernels((3, 4), 1, order=order),
+            "baseline_mar_als": lambda: baseline_mar_als(s, order=order),
+        }
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"lag order must be an integer, got {order!r}")):
+            calls[entry]()
+
+    @pytest.mark.parametrize("order", [np.int64(2), np.int32(2)])
+    def test_numpy_integer_lag_order_accepted(self, order):
+        s = _random_series((3, 4), 30, 40)
+        nbs = [box_neighborhood(linear_to_site(i, (3, 4)), (3, 4), 1) for i in range(12)]
+        got, want = fit_all(s, nbs, order=order), fit_all(s, nbs, order=2)
+        assert type(got.order) is int and got.order == 2
+        for lin, fit in want.fits.items():
+            assert_array_equal(got.fits[lin].coeffs, fit.coeffs)
+
     @pytest.mark.parametrize("entry", ["fit_all", "select_all"])
     def test_too_few_frames_refused(self, entry):
         s = _random_series((3, 4), 2, 41)
@@ -634,6 +665,56 @@ class TestSingleThreadedBlas:
         seen = self._spy(monkeypatch)
         self._run("fit_all", 1)
         assert seen and all(n == [2] * len(_BLAS) for n in seen)
+
+
+class TestSolveLevels:
+    """One size class's members are solved in batches by level; each
+    member's coefficients and inverse diagonal have the same bits in any
+    stack, and from the transposed stacks the moment path holds."""
+
+    @staticmethod
+    def _class(n, gen, m=12):
+        """R factors of ``m`` random [Y z] blocks with ``n`` regressors,
+        member 3's first two columns equal (a zero column when n = 1)."""
+        aug = gen.normal(size=(m, n + 30, n + 1))
+        aug[3, :, 0] = aug[3, :, 1] if n > 1 else 0.0
+        return np.stack([liargrid.fit._factor(a) for a in aug])
+
+    def test_same_bits_in_any_stack(self):
+        gen = np.random.default_rng(61)
+        for n in range(1, 51):
+            r = self._class(n, gen)
+            cols = np.unique([(n + 1) // 2, n])
+            picks = gen.integers(0, len(cols), size=len(r))
+            picks[3] = len(cols) - 1  # the deficient level
+            layouts = (r, np.ascontiguousarray(r.transpose(0, 2, 1)).transpose(0, 2, 1))
+            want = None
+            for stack in (1, 2, 7, len(r)):
+                for rs in layouts:
+                    got = [], []
+                    for a in range(0, len(r), stack):
+                        part = rs[a : a + stack]
+                        _, _, min_norm = liargrid.fit._scan(part, cols)
+                        c, v = liargrid.fit._solve_levels(part, cols, picks[a : a + stack],
+                                                          min_norm, True)
+                        got[0].extend(c)
+                        got[1].extend(v)
+                    if want is None:
+                        want = got
+                        assert want[1][3] is None and all(
+                            v is not None for i, v in enumerate(want[1]) if i != 3)
+                    for x, y in zip(got[0] + got[1], want[0] + want[1]):
+                        assert (x is None) == (y is None)
+                        if x is not None:
+                            assert_array_equal(x, y)
+
+    def test_inverse_matches_lapack(self):
+        gen = np.random.default_rng(62)
+        for n in (1, 2, 9, 25, 49):
+            tri = self._class(n, gen)[:, :n, :n]
+            tri = tri[[i for i in range(len(tri)) if i != 3]]
+            assert_allclose(liargrid.fit._inverse(tri), np.linalg.inv(tri),
+                            rtol=1e-12, atol=1e-12 * np.abs(np.linalg.inv(tri)).max())
 
 
 class TestFactorReleasesGil:

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import struct
 
 import numpy as np
@@ -110,6 +111,24 @@ class TestGridSeries:
         vals[1, 2] = np.nan
         with pytest.raises(Exception):
             GridSeries((2, 2), vals)
+
+    @pytest.mark.parametrize("extent", [3.5, 3.0, True, np.float64(3.0), "3", None])
+    @pytest.mark.parametrize("entry", ["GridSeries", "box_field", "random_stable_kernels"])
+    def test_non_integer_extent_refused(self, entry, extent):
+        shape = (extent, 4)
+        calls = {
+            "GridSeries": lambda: GridSeries(shape, np.zeros((5, 12))),
+            "box_field": lambda: box_field(shape, 1),
+            "random_stable_kernels": lambda: random_stable_kernels(shape, 1),
+        }
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"a grid extent must be an integer, got {extent!r}")):
+            calls[entry]()
+
+    @pytest.mark.parametrize("extent", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_numpy_integer_extent_accepted(self, extent):
+        s = GridSeries((extent, 4), np.zeros((5, 12)))
+        assert s.shape == (3, 4) and all(type(n) is int for n in s.shape)
 
 
 class TestExtractPatch:

@@ -1,6 +1,10 @@
 """The in-order pool: results in item order, failures propagated, items
-taken only as the pool advances, and no thread left behind."""
+taken only as the pool advances, and no thread left behind.  The BLAS
+pin: every OpenBLAS build loaded when a block opens runs on one thread."""
 
+import json
+import subprocess
+import sys
 import threading
 import time
 
@@ -76,3 +80,51 @@ class TestInOrder:
         assert taken == [0, 1, 2, 3, 4]
         assert ran == [0, 1]  # 2, 3 and 4 were queued, never started
         assert _new_threads(before) == []
+
+
+# one block, then scipy (and its own OpenBLAS build) loaded, then a second
+# block: the thread counts of every build, found here from the process's
+# maps, inside and after it
+_LATE_BUILD = """
+import ctypes, json, os
+import liargrid._threads as th
+
+def builds():
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if ".so" in line})
+    found = []
+    for path in paths:
+        if "openblas" in os.path.basename(path).lower():
+            lib = ctypes.CDLL(path)
+            for set_sym, get_sym in th._BLAS_THREAD_SYMBOLS:
+                if hasattr(lib, set_sym) and hasattr(lib, get_sym):
+                    set_threads, get_threads = getattr(lib, set_sym), getattr(lib, get_sym)
+                    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                    found.append((set_threads, get_threads))
+                    break
+    return found
+
+with th.single_threaded_blas():
+    pass
+before = builds()
+import scipy.linalg
+controls = builds()
+for set_threads, _ in controls:
+    set_threads(2)
+with th.single_threaded_blas():
+    inside = [get() for _, get in controls]
+print(json.dumps({"before": len(before), "inside": inside,
+                  "after": [get() for _, get in controls]}))
+"""
+
+
+def test_pin_covers_a_build_loaded_after_the_first_block(src_on_path):
+    proc = subprocess.run([sys.executable, "-c", _LATE_BUILD], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    if len(seen["inside"]) <= seen["before"]:
+        pytest.skip("importing scipy loaded no OpenBLAS build with thread control")
+    assert seen["inside"] == [1] * len(seen["inside"])
+    assert seen["after"] == [2] * len(seen["inside"])
