@@ -25,17 +25,19 @@ Every other request (some of the grid's sites, a non-box neighborhood,
 ``fit_site``, ``standard_errors``) gathers [Y z] and takes its QR
 factor, never the normal equations.
 
-:func:`_solve_sites` runs the kernel on an in-order pool.  On the QR
-path there is one task per block of consecutive sites: each task
-gathers and factors its sites, then scores and solves them, all sites
-with the same level sizes at once, and those that keep the same level
-in one batched solve (:func:`_solve_levels`).  Every factorization and
+:func:`_solve_sites` plans the columns of about a thousand sites at a
+time from arrays of their levels (:class:`_Plan`) and runs the kernel on
+an in-order pool.  On the QR path there is one task per batch of sites
+with the same level sizes: each task gathers and factors its sites,
+then scores and solves them at once, those that keep the same level in
+one batched solve (:func:`_solve_levels`); the results are kept as
+arrays in site order (:class:`_Solved`).  Every factorization and
 solve is numpy's LAPACK, whose calls release the GIL, so tasks factor
 in parallel; the module never imports scipy.  The moment path splits
-the moment products across the pool and solves its blocks on the
+the moment products across the pool and solves its batches on the
 calling thread.  OpenBLAS runs on one thread throughout
 (:func:`single_threaded_blas`).  Each result is a pure function of its
-site's data, the same for any worker count, block or BLAS thread
+site's data, the same for any worker count, batch or BLAS thread
 setting: a batched LAPACK call factors or solves each matrix of its
 stack alone.  ``fit_site``, ``standard_errors`` and ``select_site`` are
 batches of one.
@@ -49,18 +51,22 @@ Higham (2002), "Accuracy and Stability of Numerical Algorithms", 2nd ed., ch. 20
 
 import contextlib
 import warnings
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
 from ._threads import _in_order, resolve_workers, single_threaded_blas
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
 from .grid import _JsonArtifact, site_to_linear, sites_to_linear
-from .neighborhoods import _box_sites, _grid_centers, custom_neighborhood
+from .neighborhoods import _box_sites, _grid_centers
 from .simulate import KernelField, _lag_order
 
 _RANK_TOL = 1e-10  # diagonal ratio below which a design counts as rank-deficient
-_BLOCK = 64  # sites per pool task
+_BLOCK = 64  # sites per batch of one size class: per pool task, or per stack of Grams
+_PLAN = 1024  # sites planned at once (see _Plan)
+# Gram entries per batch, at most: a batch of 64 sites with 49-site boxes
+# (50x50 Grams) raised select_pow2's peak RSS by 1.2 MB over 52 of them
+_GRAM_BATCH = 52 * 50**2
 # grid-line sites per moment product (see _lag_moments): on a 91x181 grid,
 # T=960, radius 3, select_all took 4.4 s at 128, 5.0 at 64, 6.0 at 32 and
 # 8.3 at 16 on 2 cores (wide products waste the entries outside their band
@@ -280,10 +286,12 @@ class _Moments:
         linear response sites), whose columns are the linear ``sites[i]``
         at lags ``lags`` (shared), read off the tables by index arithmetic."""
         cols, centers, sites = len(lags), self.at(centers), self.at(sites)
-        pair = ((lags[:, None] - 1) * len(self.yy) + lags - 1) * self.yy[0, 0].size
+        # the table of lags (p, q) starts at ((p - 1) P + q - 1) times its size
+        lag = (lags - 1) * self.yy[0, 0].size
         gram = np.empty((len(centers), cols + 1, cols + 1))
         gram[:, :cols, :cols] = self.yy.reshape(-1)[
-            pair + self.row2[sites][:, :, None] + self.col2[sites][:, None, :]]
+            (self.row2[sites] + len(self.yy) * lag)[:, :, None]
+            + (self.col2[sites] + lag)[:, None, :]]
         gram[:, cols, :cols] = gram[:, :cols, cols] = self.yz.reshape(-1)[
             (lags - 1) * self.yz[0].size + self.row1[centers][:, None] + self.col1[sites]]
         gram[:, cols, cols] = self.zz[centers]
@@ -446,19 +454,16 @@ def fit_site(design):
     the same R factor; deficient ones take the minimum-norm solution from
     it and set ``cond_flag``.
     """
-    # the block's columns stand in for its sites, on a line of at least one
-    # site, so a hand-built block needs no neighborhood; the solver refuses
-    # an order below 1
+    # the block's columns stand in for its sites; the solver refuses an
+    # order below 1
     size = design.y.shape[1] // max(design.order, 1)
-    columns = custom_neighborhood(design.site, (max(size, 1),), np.arange(size)[:, None])
-    done, errors = _solve_sites(lambda *_: np.column_stack((design.y, design.z)),
-                                [[(0, design.site, [columns])]], design.order,
-                                design.y.shape[0], with_se=True)
+    request = (np.zeros(1, dtype=np.intp), np.array([design.site]),
+               [(np.arange(size), np.array([0, size]))], None, {})
+    solved, errors = _solve_sites(lambda *_: np.column_stack((design.y, design.z)),
+                                  [request], design.order, design.y.shape[0], with_se=True)
     if errors:
         raise next(iter(errors.values()))
-    fit = done[0][0]
-    fit.neighborhood = design.neighborhood
-    return fit
+    return solved.fit(0, design.site, design.neighborhood)
 
 
 def standard_errors(fit, design):
@@ -618,73 +623,205 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
     """
     order = _lag_order(order)
     pairs = _normalize_neighborhood_map(series, neighborhoods)
-    sites = [(lin, nb.center, [nb]) for lin, nb in pairs]
     # a whole grid of boxes is solved off moments as far as the boxes that T
     # frames identify (the others fail unfactored)
     boxes = len(pairs) == series.n_sites and all(nb.radii is not None for _, nb in pairs)
     fitted = [nb.radii for _, nb in pairs if order * nb.size <= series.n_frames - order]
     moments = (series, np.max(fitted, axis=0), None) if boxes and fitted else None
+
+    def requests():  # one level per site: its neighborhood
+        for a, b in _chunks(len(pairs)):
+            nbs = [nb for _, nb in pairs[a:b]]
+            bounds = np.zeros(len(nbs) + 1, dtype=np.intp)
+            np.cumsum([nb.size for nb in nbs], out=bounds[1:])
+            yield (np.array([lin for lin, _ in pairs[a:b]]), np.array([nb.center for nb in nbs]),
+                   [(np.concatenate([nb.linear for nb in nbs]), bounds)], None, {})
+
     panel = series.values.T
-    done, errors = _solve_sites(
-        lambda lin, groups: _gather(panel, order, groups, lin),
-        (sites[a:b] for a, b in _blocks(len(sites))), order, series.n_frames - order,
-        with_se=compute_se, n_workers=n_workers, moments=moments)
-    fits = {lin: fit for lin, (fit, *_) in done.items()}
+    solved, errors = _solve_sites(
+        lambda lin, groups: _gather(panel, order, groups, lin), requests(), order,
+        series.n_frames - order, with_se=compute_se, n_workers=n_workers, moments=moments)
+    nbs = dict(pairs)
+    fits = {lin: solved.fit(j, nbs[lin].center, nbs[lin])
+            for j, lin in enumerate(solved.lin.tolist())}
     return FitReport(series.shape, order, fits, errors)
 
 
-def _blocks(n_sites):
-    """(start, stop) of each pool task's block of consecutive sites."""
-    return ((a, min(a + _BLOCK, n_sites)) for a in range(0, n_sites, _BLOCK))
+def _chunks(n_sites):
+    """(start, stop) of each run of ``_PLAN`` consecutive sites that
+    :class:`_Plan` plans at once."""
+    return ((a, min(a + _PLAN, n_sites)) for a in range(0, n_sites, _PLAN))
 
 
-def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_workers=1,
+class _Plan:
+    """The column plan of a run of sites, made at once from the arrays of a
+    request ``(linear, centers, levels, keep, failed)``: the sites' linear
+    indices and (m, d) coordinates; per level, a layout (sorted linear
+    indices and (m + 1,) offsets), each level nesting the one before; the
+    (m, levels) mask of the levels each site brings (all when None); and a
+    message for each site (by position) that failed before.
+
+    A site keeps the levels it brings with P*|J| <= ``rows`` (a prefix, as
+    sizes grow) and fails with :func:`_check_rows` when that leaves none:
+    ``errors`` maps each failed site's center to its :class:`LiarError`.
+    For the others, in order: ``lin``; ``levels``, the levels each brings
+    (left-packed, -1 after); ``scanned``, how many it keeps; ``sizes``, the
+    kept levels' sizes (0 after); ``columns[start[i]:start[i + 1]]``, the
+    sites of its largest kept level in level-major order (level 0's, then
+    each kept level's new ones, each group in linear order); and
+    ``batches``, the sites of each size class (sites with the same kept
+    sizes), at most ``_BLOCK`` at a time."""
+
+    __slots__ = ("errors", "lin", "levels", "scanned", "sizes", "start", "columns", "batches")
+
+    def __init__(self, request, order, rows):
+        lin, centers, levels, keep, failed = request
+        counts = np.stack([np.diff(bounds) for _, bounds in levels], axis=1)
+        keep = np.ones(counts.shape, dtype=bool) if keep is None else keep
+        kept = keep & (order * counts <= rows)
+        kept[list(failed)] = False
+        self.errors = {}
+        for i in np.flatnonzero(~kept[:, 0]).tolist():
+            site = tuple(centers[i].tolist())
+            try:
+                if i in failed:
+                    raise ConfigurationError(failed[i])
+                _check_rows(site, rows + order, order, int(counts[i, 0]))
+            except LiarError as exc:
+                self.errors[site] = exc
+        n_levels, scanned = counts.shape[1], kept.sum(axis=1)
+        packed = np.argsort(~keep, axis=1, kind="stable")
+        packed[~np.take_along_axis(keep, packed, axis=1)] = -1
+        sizes = np.take_along_axis(counts, np.maximum(packed, 0), axis=1)
+        sizes[np.arange(n_levels) >= scanned[:, None]] = 0
+        if (scanned > 1).any():
+            # the sorted (site, linear) keys of every kept level: each is a
+            # column of its site's largest kept level, held by all its kept
+            # levels from the first that holds it on (they nest)
+            span = 1 + max(int(linear.max(initial=0)) for linear, _ in levels)
+            keys, held = np.unique(np.concatenate([
+                (np.repeat(np.arange(len(counts)), n) * span + linear)[np.repeat(kept[:, lev], n)]
+                for lev, ((linear, _), n) in enumerate(zip(levels, counts.T))]),
+                return_counts=True)
+            owner, columns = np.divmod(keys, span)
+            # level-major: by site, then first kept level, then linear index
+            self.columns = np.sort((owner * n_levels + scanned[owner] - held) * span
+                                   + columns) % span
+        else:  # level 0's sites are the columns
+            self.columns = levels[0][0][np.repeat(kept[:, 0], counts[:, 0])]
+        ok = np.flatnonzero(scanned)
+        self.lin, self.levels, self.scanned, self.sizes = (
+            np.asarray(lin)[ok], packed[ok], scanned[ok], sizes[ok])
+        self.start = np.zeros(len(ok) + 1, dtype=np.intp)
+        np.cumsum(self.sizes[np.arange(len(ok)), self.scanned - 1], out=self.start[1:])
+        # size classes, cut into batches of at most _BLOCK sites and
+        # _GRAM_BATCH Gram entries
+        by_class = np.lexsort(self.sizes.T[::-1])
+        cuts = np.flatnonzero((np.diff(self.sizes[by_class], axis=0) != 0).any(axis=1)) + 1
+        self.batches, widths = [], np.diff(self.start)
+        for members in np.split(by_class, cuts) if len(ok) else []:
+            side = order * int(widths[members[0]]) + 1  # of each Gram
+            step = max(1, min(_BLOCK, _GRAM_BATCH // side**2))
+            self.batches += [members[a : a + step] for a in range(0, len(members), step)]
+
+
+class _Solved:
+    """The solved sites of :func:`_solve_sites`' ``plans``, in order, as
+    arrays: the plans' ``lin``, ``levels``, ``scanned`` and ``sizes``; each
+    kept level's ``rss`` and the chooser's ``records``, padded as
+    ``sizes``; the chosen level ``best`` (an index into the kept levels);
+    and the fit at that level: its neighborhood's sorted linear indices
+    ``linear[ptr[i]:ptr[i + 1]]``, the (P, ...) coefficients ``coef`` on
+    those columns and, unless None, their standard errors ``se`` (NaN
+    without), and per site ``fit_rss``, ``sigma2`` and ``flag``
+    (rank-deficient).  Made from each size class's ``(sites, rss, picks,
+    records)`` of ``scans`` and each of its chosen levels' ``(sites, front,
+    lag, place, coeffs, var, flag, rss)`` of ``fits``: the sites' chosen
+    neighborhoods ``front`` and level-major coefficients (and ``var``, the
+    diagonal of (R'R)^-1) of lag ``lag`` at neighborhood position
+    ``place``."""
+
+    __slots__ = ("lin", "levels", "scanned", "sizes", "rss", "records", "best", "ptr",
+                 "linear", "coef", "se", "fit_rss", "sigma2", "flag")
+
+    def __init__(self, plans, scans, fits, order, rows, with_se):
+        for name in ("lin", "levels", "scanned", "sizes"):
+            setattr(self, name, np.concatenate([getattr(plan, name) for plan in plans])
+                    if plans else np.zeros(0, dtype=np.intp))
+        n = len(self.lin)
+        self.rss, self.best, self.records = np.zeros(self.sizes.shape), np.zeros(n, np.intp), ()
+        for sites, rss, picks, records in scans:
+            self.rss[sites, : rss.shape[1]], self.best[sites] = rss, picks
+            self.records = self.records or tuple(np.zeros(self.rss.shape, r.dtype)
+                                                 for r in records)
+            for out, record in zip(self.records, records):
+                out[sites, : rss.shape[1]] = record
+        self.ptr = np.zeros(n + 1, dtype=np.intp)
+        for sites, front, *_ in fits:
+            self.ptr[sites + 1] = front.shape[1]
+        np.cumsum(self.ptr, out=self.ptr)
+        self.linear, self.coef = np.empty(self.ptr[-1], np.intp), np.empty((order, self.ptr[-1]))
+        self.se = np.full(self.coef.shape, np.nan) if with_se else None
+        self.fit_rss, self.sigma2, self.flag = np.empty(n), np.empty(n), np.empty(n, bool)
+        for sites, front, lag, place, coeffs, var, flag, rss in fits:
+            at, n_cols = self.ptr[sites, None], coeffs.shape[1]
+            self.linear[at + np.arange(front.shape[1])] = front
+            self.coef[lag, at + place] = coeffs
+            sigma2 = rss / (rows - n_cols) if rows > n_cols else np.zeros(len(rss))
+            if var is not None:
+                self.se[lag, at + place] = np.sqrt(sigma2[:, None] * var)
+            self.fit_rss[sites], self.sigma2[sites], self.flag[sites] = rss, sigma2, flag
+
+    def fit(self, i, site, neighborhood):
+        """The :class:`SiteFit` of the ``i``-th site."""
+        a, b, flag = self.ptr[i], self.ptr[i + 1], bool(self.flag[i])
+        se = None if flag or self.se is None else self.se[:, a:b].flatten()
+        return SiteFit(site, neighborhood, len(self.coef), self.coef[:, a:b].flatten(),
+                       float(self.fit_rss[i]), float(self.sigma2[i]), flag, se)
+
+
+def _solve_sites(gather, requests, order, rows, choose=None, with_se=False, n_workers=1,
                  moments=None):
-    """Least squares at each ``(linear, site, levels)`` of ``blocks``, one
-    pool task per block (a list of consecutive sites, in canonical order),
-    with OpenBLAS on one thread.
+    """Least squares at each site of ``requests`` (runs of consecutive
+    sites, in canonical order, each planned at once: :class:`_Plan`), one
+    pool task per batch of at most ``_BLOCK`` sites with the same kept
+    sizes, with OpenBLAS on one thread.
 
-    ``levels`` are the site's nested neighborhoods, smallest first (one
-    for a fixed fit), or the message of the error that failed the site.
-    A task keeps the levels with P*|J| <= ``rows`` (a prefix, as sizes
-    grow), fails the site with :func:`_check_rows` when that leaves none,
-    and takes the R factor of [Y z] with the level-major column groups:
-    level 0's sites, then each level's new ones.  A site with more kept
-    levels than one reads its groups, and the chosen level's column order,
-    off one array: the first kept level holding each site of the largest.
-    Then, all sites with the same kept sizes at once, it forms every kept
-    level's RSS and rank test (:func:`_scan`), keeps level 0 or the level
-    that ``choose(rss, tail, sizes)`` picks (it returns the picks and a
-    record per site), and solves that level off its R factor in lag-major
-    neighborhood order (:func:`_solve_levels`): a batched solve per kept
-    level, with standard errors when ``with_se``, or the minimum-norm fit
-    of a deficient level.
+    A task takes the R factor of each site's [Y z] with the level-major
+    column groups of its plan.  Then, all its sites at once, it forms
+    every kept level's RSS and rank test
+    (:func:`_scan`), keeps level 0 or the level that ``choose(rss, tail,
+    sizes)`` picks (it returns the picks and a tuple of records, one row
+    per site), and solves that level off its R factor
+    (:func:`_solve_levels`): a batched solve per kept level, with standard
+    errors when ``with_se``, or the minimum-norm fit of a deficient level.
+    The chosen level's columns go to lag-major neighborhood order in one
+    fancy index per batch and level.
 
     R is the QR factor of ``gather(linear, groups)`` (:func:`_factor`),
     unless ``moments`` is given: ``(series, reach, centers)``, whose
-    :func:`_lag_moments` are formed once, before any block.  Then the
-    Grams of a size class are read off them and factored in one batched
+    :func:`_lag_moments` are formed once, before any batch.  Then the
+    Grams of a batch are read off them and factored in one batched
     Cholesky, and a site goes back to the QR factor when its Gram is not
     numerically positive definite, its diagonal ratio is at most
     ``_GUARD_RATIO``, or its last pivot squared is at most ``_GUARD_FIT``
     times z'z (an exact or near-exact fit).  Every rank-deficient site
     is among them.
 
-    The lag order and frame count are checked once, before any block.
-    The calling thread keeps at most ``n_workers`` blocks pending and
-    merges their results in order; with ``moments`` the pool forms the
-    moments and the calling thread solves the blocks.  Returns
-    ``{linear: (SiteFit, levels, kept sizes, record)}`` and the error
-    manifest: the :class:`LiarError` that failed each site.
+    The lag order and frame count are checked once, before any batch.
+    The calling thread plans the runs and keeps at most ``n_workers``
+    batches pending; with ``moments`` the pool forms the moments and the
+    calling thread solves the batches.  Returns
+    the :class:`_Solved` sites and the error manifest: the
+    :class:`LiarError` that failed each site.
     """
     _check_order(order, rows + order)
 
-    def factor(members, pos, lags):
-        """Stacked R factors of one size class's ``(sizes, linear, ...,
-        groups)`` off the moments, whose level-major columns are the
-        ``pos``-th site of the concatenated groups at lag ``lags``."""
-        sites = np.stack([np.concatenate(item[-1]) for item in members])[:, pos]
-        gram = table.grams(np.array([item[1] for item in members]), sites, lags)
+    def factor(lin, columns, sizes, pos, lags):
+        """Stacked R factors of one batch off the moments: sites
+        ``lin``, whose level-major columns are ``columns[:, pos]`` at lags
+        ``lags``."""
+        gram = table.grams(lin, columns[:, pos], lags)
         r = _cholesky(gram)
         diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
         sure = ((diag[:, :-1].min(axis=1) > _GUARD_RATIO * diag[:, :-1].max(axis=1))
@@ -692,73 +829,64 @@ def _solve_sites(gather, blocks, order, rows, choose=None, with_se=False, n_work
         for i in np.flatnonzero(~sure).tolist():  # NaN fails both tests
             # a level with as many unknowns as rows has a wide block, whose
             # factor lacks R's last rows: they are zero
-            qr = _factor(gather(members[i][1], members[i][-1]))
+            qr = _factor(gather(lin[i], np.split(columns[i], sizes[:-1])))
             r[i] = 0.0
             r[i, : len(qr)] = qr
         return r
 
-    def solve(block):
-        planned, errors = [], {}
-        for lin, site, levels in block:
-            try:
-                if isinstance(levels, str):
-                    raise ConfigurationError(levels)
-                nbs = list(levels)
-                _check_rows(site, rows + order, order, nbs[0].size)
-                kept = [nb for nb in nbs if order * nb.size <= rows]
-                first, groups = None, [kept[0].linear]
-                if len(kept) > 1:
-                    largest = kept[-1].linear
-                    first = np.full(largest.size, len(kept) - 1)
-                    for j in range(len(kept) - 2, -1, -1):
-                        first[np.searchsorted(largest, kept[j].linear)] = j
-                    groups += [largest[first == j] for j in range(1, len(kept))]
-                # the QR path factors each site at once, the moment path per class
-                planned.append((tuple(nb.size for nb in kept), lin, site, levels, kept, first,
-                                groups if table is not None else _factor(gather(lin, groups))))
-            except LiarError as exc:
-                errors[site] = exc
-        done = {}
-        by_sizes = lambda item: item[0]
-        for sizes, members in groupby(sorted(planned, key=by_sizes), by_sizes):
-            members, cols = list(members), order * np.array(sizes)
-            bounds = list(zip((0,) + sizes, sizes))
-            pos = np.concatenate([np.tile(np.arange(a, b), order) for a, b in bounds])
-            lags = np.concatenate([np.repeat(np.arange(1, order + 1), b - a)
-                                   for a, b in bounds])
-            r = (factor(members, pos, lags) if table is not None
-                 else np.stack([item[-1] for item in members]))
-            tail, rss, min_norm = _scan(r, cols)
-            picks, records = (choose(rss, tail, sizes) if choose is not None
-                              else (np.zeros(len(members), dtype=int), [None] * len(members)))
-            solved, var = _solve_levels(r, cols, picks, min_norm, with_se)
-            for i, ((_, lin, site, levels, kept, first, _), best, coeffs, v) in enumerate(
-                    zip(members, picks.tolist(), solved, var)):
-                nb, n_cols = kept[best], int(cols[best])
-                flag = (i, best) in min_norm
-                rss_i = float(rss[i, best])
-                sigma2 = rss_i / (rows - n_cols) if rows > n_cols else 0.0
-                if best:  # lag-major neighborhood position of each level-major column
-                    # nb.linear's positions in level-major order
-                    at = np.argsort(first[first <= best], kind="stable")
-                    coeffs, level_major = np.empty_like(coeffs), coeffs
-                    coeffs[(lags[:n_cols] - 1) * nb.size + at[pos[:n_cols]]] = level_major
-                se = None if v is None else np.sqrt(sigma2 * v)
-                done[lin] = (SiteFit(site, nb, order, coeffs, rss_i, sigma2, flag, se),
-                             levels, sizes, records[i])
-        return [(item[1], done[item[1]]) for item in planned], errors
+    def solve(task):
+        plan, base, members = task
+        sizes = plan.sizes[members[0], : plan.scanned[members[0]]]
+        cols, bounds = order * sizes, list(zip([0, *sizes[:-1].tolist()], sizes.tolist()))
+        pos = np.concatenate([np.tile(np.arange(a, b), order) for a, b in bounds])
+        lags = np.concatenate([np.repeat(np.arange(1, order + 1), b - a) for a, b in bounds])
+        lin = plan.lin[members]
+        columns = plan.columns[plan.start[members][:, None] + np.arange(sizes[-1])]
+        r = (factor(lin, columns, sizes, pos, lags) if table is not None else
+             np.stack([_factor(gather(site, np.split(row, sizes[:-1])))
+                       for site, row in zip(lin.tolist(), columns)]))
+        tail, rss, min_norm = _scan(r, cols)
+        picks, records = (choose(rss, tail, sizes) if choose is not None
+                          else (np.zeros(len(members), dtype=np.intp), ()))
+        scan, fits = (base + members, rss, picks, records), []
+        coeffs, var = _solve_levels(r, cols, picks, min_norm, with_se)
+        for lev in np.unique(picks).tolist():
+            sub = np.flatnonzero(picks == lev)
+            width, n_cols = int(sizes[lev]), int(cols[lev])
+            front, place = columns[sub, :width], pos[:n_cols]
+            if lev:  # the chosen box in linear order, and each column's place in it
+                by_site = np.argsort(front, axis=1)
+                front = np.take_along_axis(front, by_site, axis=1)
+                place = np.argsort(by_site, axis=1)[:, place]
+            missing = np.full(n_cols, np.nan)  # a deficient level has no SEs
+            fits.append((base + members[sub], front, lags[:n_cols] - 1, place,
+                         np.stack([coeffs[i] for i in sub.tolist()]),
+                         np.stack([missing if var[i] is None else var[i]
+                                   for i in sub.tolist()]) if with_se else None,
+                         np.isin(sub, [i for i, at in min_norm if at == lev]),
+                         rss[sub, lev]))
+        return scan, fits
 
-    done, errors = {}, {}
+    plans, scans, fits, errors = [], [], [], {}
+
+    def tasks():
+        base = 0  # the position of the plan's first site among all solved
+        for request in requests:
+            plans.append(plan := _Plan(request, order, rows))
+            errors.update(plan.errors)
+            yield from ((plan, base, members) for members in plan.batches)
+            base += len(plan.lin)
+
     workers = resolve_workers(n_workers)
     with single_threaded_blas():
         table = None if moments is None else _lag_moments(
             moments[0].values, moments[0].shape, order, *moments[1:], workers)
         # one worker solves here: a pool costs more to start than a small
-        # site's fit.  Blocks factored off moments are solved here too: their
+        # site's fit.  Batches factored off moments are solved here too: their
         # work is mostly Python that holds the GIL, and a pool of them ran
         # slower at 2 workers than at 1
-        for found, failed in (map(solve, blocks) if workers <= 1 or table is not None
-                              else _in_order(solve, blocks, workers, workers)):
-            done.update(found)
-            errors.update(failed)
-    return done, errors
+        for scan, solved in (map(solve, tasks()) if workers <= 1 or table is not None
+                             else _in_order(solve, tasks(), workers, workers)):
+            scans.append(scan)
+            fits += solved
+    return _Solved(plans, scans, fits, order, rows, with_se), errors

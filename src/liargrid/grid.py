@@ -28,7 +28,7 @@ _MAX_SITES = 2**31  # per-frame site count guard
 _MAX_TOTAL = 2**33  # total value count guard
 _FINITE_CHUNK = 2**16  # values per finiteness check (a 64 KB mask)
 _READ_BLOCK = 2**17  # values per block read_gts reads and checks (1 MB)
-_SAVE_BLOCK = 2**10  # site entries per json.dumps call of _save_json
+_SAVE_BLOCK = 2**8  # site entries per json.dumps call of _save_json
 
 
 def _check_gts_size(shape, n_frames):

@@ -98,25 +98,31 @@ class _PerSite(Sequence):
         return list(map(self._item, sites)) if isinstance(i, slice) else self._item(sites)
 
 
+def _view(shape, center, radii, linear, sites=None):
+    """One :class:`Neighborhood` view of sorted linear indices ``linear``
+    (and their rows ``sites``, else unravelled; both read-only), with radii
+    ``radii`` (-1 first for a custom neighborhood) and center ``center``."""
+    nb = Neighborhood.__new__(Neighborhood)
+    if sites is None:
+        nb.linear = linear.astype(np.intp)  # scipy's indices may be int32
+        nb.sites = np.stack(np.unravel_index(nb.linear, shape, order="F"), axis=1)
+        nb.linear.flags.writeable = nb.sites.flags.writeable = False
+    else:
+        nb.linear, nb.sites = linear, sites
+    nb.center, nb.shape = tuple(center), shape
+    nb.radii = None if radii[0] < 0 else tuple(radii)
+    return nb
+
+
 def _views(shape, indptr, linear, radii, centers, sites=None):
-    """:class:`Neighborhood` views of one site layout, built on access:
-    view i holds the sorted linear indices ``linear[indptr[i]:indptr[i + 1]]``
-    (and their rows of ``sites``, else unravelled; both read-only), radii row
-    ``radii[i]`` (-1 first for a custom neighborhood) and center ``centers[i]``."""
+    """:func:`_view` of each site of one layout, built on access: view i
+    holds ``linear[indptr[i]:indptr[i + 1]]`` (and those rows of ``sites``),
+    radii row ``radii[i]`` and center ``centers[i]``."""
 
     def view(i):
         a, b = indptr[i], indptr[i + 1]
-        nb = Neighborhood.__new__(Neighborhood)
-        if sites is None:
-            nb.linear = linear[a:b].astype(np.intp)  # scipy's indices may be int32
-            nb.sites = np.stack(np.unravel_index(nb.linear, shape, order="F"), axis=1)
-            nb.linear.flags.writeable = nb.sites.flags.writeable = False
-        else:
-            nb.linear, nb.sites = linear[a:b], sites[a:b]
-        r = radii[i]
-        nb.center, nb.shape = tuple(centers[i]), shape
-        nb.radii = None if r[0] < 0 else tuple(r)
-        return nb
+        return _view(shape, centers[i], radii[i], linear[a:b],
+                     None if sites is None else sites[a:b])
 
     return _PerSite(len(indptr) - 1, view)
 
@@ -287,32 +293,49 @@ def _candidates(d, max_radius, axis_caps, radii_list):
     return cand, labels
 
 
-def _nest(centers, shape, cand, labels):
-    """Families of the validated candidates ``cand`` at ``centers``: one
-    :func:`_boxes` layout per candidate level, views built for kept levels.
+class _nest(Sequence):
+    """Nested boxes of the validated candidates ``cand`` (labelled
+    ``labels``) at the centers of an (m, d) array, held as arrays:
+    ``levels`` holds one :func:`_box_sites` layout (sites, linear indices,
+    offsets) per candidate, ``keep`` (m, candidates) the levels that grow
+    on the one before (the others are dropped as saturated), and
+    ``failed`` the message for each center (by index) where some level
+    does not contain the one before.  Boxes compare by their per-axis
+    clipped intervals.  As a sequence it holds each center's
+    :class:`NeighborhoodFamily`, or that message, built on access."""
 
-    Boxes compare by their per-axis clipped intervals: a level equal to
-    the one before is dropped (saturation), and a site where a level does
-    not contain it gets the error message in place of its family.
-    """
-    boxes = [_boxes(centers, shape, radii) for radii in cand]
-    lo = [np.maximum(centers - radii, 0) for radii in cand]
-    hi = [np.minimum(centers + radii, np.array(shape) - 1) for radii in cand]
-    keep = np.ones((len(cand), len(centers)), dtype=bool)
-    bad = np.full(len(centers), -1)  # first level that does not nest
-    for lev in range(1, len(cand)):
-        keep[lev] = ((lo[lev] != lo[lev - 1]) | (hi[lev] != hi[lev - 1])).any(axis=1)
-        nests = ((lo[lev] <= lo[lev - 1]) & (hi[lev] >= hi[lev - 1])).all(axis=1)
-        bad[~nests & (bad < 0)] = lev
-    families = []
-    for i, center in enumerate(map(tuple, centers.tolist())):
-        kept = np.flatnonzero(keep[:, i]).tolist()
-        families.append(
-            f"candidate {cand[bad[i]]} does not nest the previous level at center {center}"
-            if bad[i] >= 0 else
-            NeighborhoodFamily(center, shape, [boxes[lev][i] for lev in kept],
-                               [labels[lev] for lev in kept], len(kept) < len(cand)))
-    return families
+    __slots__ = ("shape", "centers", "cand", "labels", "levels", "keep", "failed")
+
+    def __init__(self, centers, shape, cand, labels):
+        self.shape, self.centers, self.cand, self.labels = shape, centers, cand, labels
+        self.levels = [_box_sites(centers, shape, radii) for radii in cand]
+        lo = [np.maximum(centers - radii, 0) for radii in cand]
+        hi = [np.minimum(centers + radii, np.array(shape) - 1) for radii in cand]
+        self.keep = np.ones((len(centers), len(cand)), dtype=bool)
+        bad = np.full(len(centers), -1)  # first level that does not nest
+        for lev in range(1, len(cand)):
+            self.keep[:, lev] = ((lo[lev] != lo[lev - 1]) | (hi[lev] != hi[lev - 1])).any(axis=1)
+            nests = ((lo[lev] <= lo[lev - 1]) & (hi[lev] >= hi[lev - 1])).all(axis=1)
+            bad[~nests & (bad < 0)] = lev
+        self.failed = {i: f"candidate {cand[bad[i]]} does not nest the previous level "
+                          f"at center {tuple(centers[i].tolist())}"
+                       for i in np.flatnonzero(bad >= 0).tolist()}
+
+    def __len__(self):
+        return len(self.centers)
+
+    def __getitem__(self, i):
+        center = tuple(self.centers[i].tolist())  # IndexError past the end
+        if i in self.failed:
+            return self.failed[i]
+        kept = np.flatnonzero(self.keep[i]).tolist()
+        levels = []
+        for lev in kept:
+            sites, linear, bounds = self.levels[lev]
+            a, b = bounds[i], bounds[i + 1]
+            levels.append(_view(self.shape, center, self.cand[lev], linear[a:b], sites[a:b]))
+        return NeighborhoodFamily(center, self.shape, levels, [self.labels[lev] for lev in kept],
+                                  len(kept) < len(self.cand))
 
 
 def nested_family(center, shape, max_radius=None, axis_caps=None, radii_list=None):

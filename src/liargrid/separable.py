@@ -14,6 +14,7 @@ import warnings
 import numpy as np
 
 from . import rng
+from ._threads import single_threaded_blas
 from .errors import ConfigurationError, NumericalError, StructureError
 from .fit import FitReport, _require_complete, fit_all
 from .grid import GridSeries, _require_2d
@@ -148,7 +149,9 @@ def truncated_svd(mat, rank):
     largest-magnitude entry positive, so results are reproducible across
     platforms.  When ``rank >= min(mat.shape)`` the input is returned
     unchanged (with a warning).  Dense SVD up to 4e6 entries, an
-    iterative subspace solver above; both paths agree to 1e-8.
+    iterative subspace solver above; both paths agree to 1e-8.  OpenBLAS
+    runs on one thread for the call: split across threads, the SVD of a
+    300x300 matrix rounds differently.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
@@ -162,26 +165,27 @@ def truncated_svd(mat, rank):
             stacklevel=2,
         )
         return mat.copy()
-    if mat.size <= _DENSE_SVD_LIMIT:
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        u, s, vt = u[:, :rank], s[:rank], vt[:rank]
-    else:
+    if mat.size > _DENSE_SVD_LIMIT:
         v0 = rng.uniforms(rng.derive_key(0x51D5, [min(mat.shape)]),
                           np.arange(min(mat.shape))) - 0.5
-        from scipy.sparse.linalg import svds
-
-        try:
-            u, s, vt = svds(mat, k=rank, v0=v0)
-        except Exception as exc:  # ARPACK failures surface as various types
-            raise NumericalError(f"subspace SVD failed: {exc}") from exc
-        order = np.argsort(s)[::-1]
-        u, s, vt = u[:, order], s[order], vt[order]
-    for r in range(rank):
-        j = int(np.argmax(np.abs(u[:, r])))
-        if u[j, r] < 0:
-            u[:, r] = -u[:, r]
-            vt[r] = -vt[r]
-    return (u * s) @ vt
+        from scipy.sparse.linalg import svds  # before the pin: loads scipy's OpenBLAS
+    with single_threaded_blas():
+        if mat.size <= _DENSE_SVD_LIMIT:
+            u, s, vt = np.linalg.svd(mat, full_matrices=False)
+            u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+        else:
+            try:
+                u, s, vt = svds(mat, k=rank, v0=v0)
+            except Exception as exc:  # ARPACK failures surface as various types
+                raise NumericalError(f"subspace SVD failed: {exc}") from exc
+            order = np.argsort(s)[::-1]
+            u, s, vt = u[:, order], s[order], vt[order]
+        for r in range(rank):
+            j = int(np.argmax(np.abs(u[:, r])))
+            if u[j, r] < 0:
+                u[:, r] = -u[:, r]
+                vt[r] = -vt[r]
+        return (u * s) @ vt
 
 
 class SeparableFit:

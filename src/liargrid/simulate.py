@@ -33,7 +33,7 @@ from .grid import (GridSeries, _JsonArtifact, _check_shape, _first_nonfinite, _g
 from .neighborhoods import _box_radii, _box_sites, _grid_centers, _PerSite, _views
 
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
-_SITE_BLOCK = 2**10  # site entries converted at a time, to JSON or from it
+_SITE_BLOCK = 2**8  # site entries converted (or kernels drawn) at a time
 _NOISE_AHEAD = 4  # noise blocks queued ahead of the recursion, per noise thread
 _NORM_TOL = 1e-14  # ARPACK's relative tolerance on the top eigenvalue of Op'Op
 _CTX_KERNEL = 1
@@ -480,18 +480,20 @@ def random_stable_kernels(shape, radii, order=1, target_norm=0.8, seed=0):
     shape, _ = _check_shape(shape)
     radii = _box_radii(radii, shape)
     order = _lag_order(order)
-    _, indices, indptr = _box_sites(_grid_centers(shape), shape, radii)
+    indices, indptr = _box_sites(_grid_centers(shape), shape, radii)[1:]
     sizes = np.diff(indptr)
-    box_radii = np.broadcast_to(np.array(radii, dtype=np.intp), (sizes.size, len(shape)))
-    site_ids = np.arange(sizes.size)[:, None]
     counters = np.arange(sizes.max())
-    drawn = counters < sizes[:, None]  # each site's counters, box by box
-    # (site, lag) streams, each read from counter 0 up to its box size
-    keys = rng.derive_key(seed, [_CTX_KERNEL, site_ids, np.arange(order)])
-    draws = 2.0 * rng.uniforms(keys[:, :, None], counters) - 1.0
-    field = KernelField._from_arrays(shape, order, indptr, indices,
-                                     [draws[:, p][drawn] for p in range(order)],
-                                     box_radii)
+    data = [np.empty(indices.size) for _ in range(order)]
+    for a in range(0, sizes.size, _SITE_BLOCK):  # so no draw of the whole grid stays
+        b = min(a + _SITE_BLOCK, sizes.size)
+        # (site, lag) streams, each read from counter 0 up to its box size
+        keys = rng.derive_key(seed, [_CTX_KERNEL, np.arange(a, b)[:, None], np.arange(order)])
+        draws = 2.0 * rng.uniforms(keys[:, :, None], counters) - 1.0
+        drawn = counters < sizes[a:b, None]  # each site's counters, box by box
+        for values, draw in zip(data, draws.transpose(1, 0, 2)):
+            values[indptr[a] : indptr[b]] = draw[drawn]
+    box_radii = np.broadcast_to(np.array(radii, dtype=np.intp), (sizes.size, len(shape)))
+    field = KernelField._from_arrays(shape, order, indptr, indices, data, box_radii)
     norm = operator_norm(field)
     if not norm > 1e-12:
         raise NumericalError("kernel draws degenerate (zero norm)")

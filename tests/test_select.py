@@ -8,10 +8,14 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from liargrid import (
+    BicTrace,
     ConfigurationError,
     GridSeries,
     KernelField,
+    Neighborhood,
+    NeighborhoodFamily,
     NoiseSpec,
+    SiteFit,
     assemble_design,
     bic_score,
     default_d0,
@@ -25,7 +29,9 @@ from liargrid import (
     site_to_linear,
 )
 import liargrid.fit
+import liargrid.neighborhoods
 import liargrid.select
+import liargrid.simulate
 from liargrid.grid import linear_to_site
 from liargrid.neighborhoods import box_field, box_neighborhood
 
@@ -600,3 +606,78 @@ class TestMomentPath:
             tracemalloc.stop()
         assert not report.errors
         assert peak < s.values.nbytes / 2
+
+
+def _entry(trace):
+    """A trace's entry in the selection file, read off the trace itself."""
+    label = lambda k: list(k) if isinstance(k, tuple) else k
+    entry = {"center": list(trace.site), "k": label(trace.chosen_k),
+             "labels": [label(k) for k in trace.labels], "sizes": trace.sizes.tolist(),
+             "rss": trace.rss.tolist(),
+             "bic": [None if not np.isfinite(b) else b for b in trace.bic],
+             "saturated": trace.saturated, "dropped": [label(k) for k in trace.dropped]}
+    if trace.fit is not None:
+        entry["sites"] = trace.fit.neighborhood.sites.tolist()
+    return entry
+
+
+def _series_3d():
+    kern = random_stable_kernels((3, 3, 4), (0, 1, 1), target_norm=0.7, seed=78)
+    return simulate_liar(kern, 800, NoiseSpec(sigma=1.0, seed=79))
+
+
+class TestReportArrays:
+    """Selection is held as arrays from the nesting step to the files;
+    families, traces, fits and neighborhoods are built only when asked."""
+
+    def test_no_per_site_objects_until_a_trace_is_read(self, monkeypatch, tmp_path):
+        built = []
+        for cls in (Neighborhood, NeighborhoodFamily, BicTrace, SiteFit):
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__,
+                                name=cls.__name__: built.append(name) or init(self, *args))
+        for module in (liargrid.neighborhoods, liargrid.select):  # views skip __init__
+            monkeypatch.setattr(module, "_view", lambda *args, view=module._view:
+                                built.append("view") or view(*args))
+        report = select_all(adversarial_series(), max_radius=4, d0=0.0)
+        report.save_json(tmp_path / "selection.json")
+        report.save_heatmap_csv(tmp_path / "heat.csv")
+        report.success_rates(1)
+        report.kernels()
+        assert len(report) == len(report.chosen_labels()) == len(list(report.traces)) == 30
+        assert built == []
+        assert report.trace_for((1, 1)).fit.neighborhood.size
+        assert sorted(set(built)) == ["BicTrace", "SiteFit", "view"]
+
+    @pytest.mark.parametrize("case", ["adversarial-P1", "adversarial-P2", "no-fit", "3d",
+                                      "non-nesting"])
+    def test_files_match_the_per_site_entries(self, monkeypatch, tmp_path, case):
+        # written from arrays, a few sites at a time, byte for byte what the
+        # traces give one by one: saturated and dropped levels, exact fits
+        # (a null BIC), rank-deficient fits, radius-tuple labels, failed sites
+        monkeypatch.setattr(liargrid.simulate, "_SITE_BLOCK", 7)
+        if case == "3d":
+            report = select_all(_series_3d(), radii_list=[(0, 0, 0), (0, 0, 1), (0, 1, 1)])
+        elif case == "non-nesting":
+            s = GridSeries((3, 6), np.random.default_rng(5).normal(size=(40, 18)))
+            report = select_all(s, radii_list=[(0, 0), (2, 0), (1, 1)], d0=1.0)
+            assert report.errors
+        else:
+            report = select_all(adversarial_series(), max_radius=4, d0=0.0,
+                                order=2 if case.endswith("P2") else 1,
+                                keep_fit=case != "no-fit")
+            traces = list(report)
+            assert any(t.saturated for t in traces) and any(t.dropped for t in traces)
+            assert any(t.exact_fit.any() for t in traces)
+            assert case == "no-fit" or any(t.fit.cond_flag for t in traces)
+        report.save_json(tmp_path / "selection.json")
+        want = json.dumps({"shape": list(report.shape), "P": report.order, "D0": report.d0,
+                           "sites": [_entry(trace) for trace in report],
+                           "errors": {",".join(map(str, site)): msg
+                                      for site, msg in report.errors.items()}})
+        assert (tmp_path / "selection.json").read_text() == want
+        assert json.dumps(report.to_dict()) == want
+        if len(report.shape) == 2:
+            report.save_heatmap_csv(tmp_path / "heat.csv")
+            label = lambda k: "x".join(map(str, k)) if isinstance(k, tuple) else str(k)
+            assert (tmp_path / "heat.csv").read_text() == "site_row,site_col,chosen_k\n" + "".join(
+                f"{t.site[0] + 1},{t.site[1] + 1},{label(t.chosen_k)}\n" for t in report)

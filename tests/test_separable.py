@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -192,6 +195,19 @@ class TestTruncatedSvd:
     def test_rank_validation(self):
         with pytest.raises(ConfigurationError):
             truncated_svd(np.eye(3), 0)
+
+    def test_same_bits_for_any_blas_thread_count(self, src_on_path):
+        # split across OpenBLAS threads, the SVD of a 300x300 matrix rounded
+        # differently; each count runs in its own process, as OpenBLAS reads
+        # the setting when it loads
+        script = ("import hashlib, numpy as np; from liargrid import truncated_svd; "
+                  "mat = np.random.default_rng(7).normal(size=(300, 300)); "
+                  "print(hashlib.sha256(truncated_svd(mat, 1).tobytes()).hexdigest())")
+        digests = {subprocess.run([sys.executable, "-c", script], check=True, text=True,
+                                  capture_output=True,
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": str(n)}).stdout
+                   for n in (1, 2)}
+        assert len(digests) == 1
 
 
 class TestFitSpliar:

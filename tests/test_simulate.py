@@ -18,6 +18,7 @@ from liargrid import (
     random_stable_kernels,
     simulate_liar,
 )
+import liargrid.simulate
 from liargrid._threads import _openblas_thread_controls
 from liargrid.neighborhoods import (box_field, box_neighborhood,
                                     custom_neighborhood, neighborhood_from_sites)
@@ -124,6 +125,25 @@ class TestRandomStableKernels:
     def test_bad_target(self):
         with pytest.raises(ConfigurationError):
             random_stable_kernels((3, 3), 1, target_norm=1.0, seed=0)
+
+    def test_only_the_field_is_held_through_the_norm(self, monkeypatch):
+        # the draw is made a block of sites at a time, so the Lanczos run
+        # starts with little more than the field's own arrays traced (the
+        # whole-grid draw, its mask and the box coordinates held 2.6x)
+        held, norm = [], liargrid.simulate.operator_norm
+
+        def spy(field):
+            arrays = sum(a.nbytes for a in (field._indptr, field._indices, *field._data))
+            held.append(tracemalloc.get_traced_memory()[0] / arrays)
+            return norm(field)
+
+        monkeypatch.setattr(liargrid.simulate, "operator_norm", spy)
+        tracemalloc.start()
+        try:
+            random_stable_kernels((60, 90), 2, seed=3)
+        finally:
+            tracemalloc.stop()
+        assert held and held[0] <= 1.5
 
     @pytest.mark.skipif(not _openblas_thread_controls(),
                         reason="no OpenBLAS build with thread control loaded")
@@ -451,6 +471,19 @@ class TestKernelField:
             finally:
                 tracemalloc.stop()
             assert peak < 8 * 2**20
+
+    def test_save_holds_a_block_of_entries(self, tmp_path):
+        # the file is written _SAVE_BLOCK entries at a time, so the traced
+        # peak stays below the 4.2 MiB file (7.1 MiB at 1024 entries a block)
+        kern = random_stable_kernels((60, 90), 2, seed=3)
+        tracemalloc.start()
+        try:
+            kern.save_json(tmp_path / "k.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "k.json").stat().st_size > 4 * 2**20
+        assert peak < 4 * 2**20
 
     def test_scale(self):
         kern = random_stable_kernels((3, 3), 1, target_norm=0.8, seed=2)
