@@ -284,14 +284,17 @@ class _Moments:
     def grams(self, centers, sites, lags):
         """Augmented Grams [Y z]'[Y z], one per entry of ``centers`` (the
         linear response sites), whose columns are the linear ``sites[i]``
-        at lags ``lags`` (shared), read off the tables by index arithmetic."""
+        at lags ``lags`` (shared), read off the tables by index arithmetic.
+        The lower triangle is read and mirrored: the Cholesky factor reads
+        no other entry, so its bits do not depend on whether a symmetric
+        product's two halves agree bitwise."""
         cols, centers, sites = len(lags), self.at(centers), self.at(sites)
         # the table of lags (p, q) starts at ((p - 1) P + q - 1) times its size
         lag = (lags - 1) * self.yy[0, 0].size
+        row, col = np.tril_indices(cols)
         gram = np.empty((len(centers), cols + 1, cols + 1))
-        gram[:, :cols, :cols] = self.yy.reshape(-1)[
-            (self.row2[sites] + len(self.yy) * lag)[:, :, None]
-            + (self.col2[sites] + lag)[:, None, :]]
+        gram[:, col, row] = gram[:, row, col] = self.yy.reshape(-1)[
+            (self.row2[sites] + len(self.yy) * lag)[:, row] + (self.col2[sites] + lag)[:, col]]
         gram[:, cols, :cols] = gram[:, :cols, cols] = self.yz.reshape(-1)[
             (lags - 1) * self.yz[0].size + self.row1[centers][:, None] + self.col1[sites]]
         gram[:, cols, cols] = self.zz[centers]

@@ -498,6 +498,15 @@ class TestMomentPath:
             gram = table.grams(np.array([lin]), sites[None], lags)[0]
             assert_allclose(gram, aug.T @ aug, rtol=1e-12, atol=1e-12)
 
+    def test_factor_reads_the_lower_triangle_only(self):
+        # grams() reads each Gram's lower triangle and mirrors it; the
+        # factors keep their bits because the Cholesky reads no other entry
+        gen = np.random.default_rng(94)
+        g = gen.normal(size=(3, 7, 7))
+        gram = g @ g.transpose(0, 2, 1) + 7 * np.eye(7)
+        skewed = np.tril(gram) + np.triu(gen.normal(size=(3, 7, 7)), 1)
+        assert_array_equal(liargrid.fit._cholesky(gram), liargrid.fit._cholesky(skewed))
+
     def test_single_site_matches_select_all_across_tiles(self, monkeypatch):
         # each moment entry comes from one fixed product, whoever asks, and
         # eight workers writing one table lose no entry
