@@ -52,8 +52,7 @@ print(f"rank-1 projected fit error:     {kernel_error(result.kernels):.4f}")
 # The projection is exactly the Frobenius-best rank-1 approximation of
 # the assembled block matrix, so it only helps when the truth really is
 # (near) separable; at higher rank it trades bias for variance.
-raw_fits = [raw_report.fits[i] for i in range(series.n_sites)]
-raw_block = assemble_block(raw_fits, (1, 1))
+raw_block = assemble_block(raw_report, (1, 1))
 raw_svals = np.linalg.svd(raw_block.data, compute_uv=False)
 proj_svals = np.linalg.svd(result.blocks[0].data, compute_uv=False)
 print(f"\nblock kernel matrix {raw_block.data.shape}, leading singular values:")

@@ -51,15 +51,16 @@ Higham (2002), "Accuracy and Stability of Numerical Algorithms", 2nd ed., ch. 20
 
 import contextlib
 import warnings
+from collections.abc import Mapping
 from itertools import product
 
 import numpy as np
 
 from ._threads import _in_order, resolve_workers, single_threaded_blas
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
-from .grid import _JsonArtifact, site_to_linear, sites_to_linear
-from .neighborhoods import _box_sites, _grid_centers
-from .simulate import KernelField, _lag_order
+from .grid import _JsonArtifact, linear_to_site, site_to_linear, sites_to_linear
+from .neighborhoods import _box_sites, _grid_centers, _view
+from .simulate import KernelField, _lag_order, _site_blocks
 
 _RANK_TOL = 1e-10  # diagonal ratio below which a design counts as rank-deficient
 _BLOCK = 64  # sites per batch of one size class: per pool task, or per stack of Grams
@@ -476,7 +477,8 @@ def standard_errors(fit, design):
     Returns ``fit.se`` when the fit carries them from its own R factor,
     as full-rank fits of :func:`fit_site` and ``fit_all`` do; otherwise
     (a fit kept by selection, or one built by hand) factors ``design``
-    again and stores the result on ``fit.se``.
+    again and stores the result on ``fit.se``, that object's only: a
+    report builds a new SiteFit at each read.
     """
     if fit.cond_flag:
         warnings.warn(
@@ -502,63 +504,116 @@ def _require_complete(shape, n_fitted, errors):
                                  f"a kernel field needs every site")
 
 
-class FitReport(_JsonArtifact):
+class _BySite(Mapping):
+    """Linear site -> item of the sorted linear sites ``lin``, each built
+    by ``item(i)`` (i its position in ``lin``) when read."""
+
+    __slots__ = ("_lin", "_item")
+
+    def __init__(self, lin, item):
+        self._lin, self._item = lin, item
+
+    def __contains__(self, lin):
+        i = int(np.searchsorted(self._lin, lin)) if np.ndim(lin) == 0 else -1
+        return 0 <= i < len(self._lin) and self._lin[i] == lin
+
+    def __getitem__(self, lin):
+        if lin not in self:
+            raise KeyError(lin)
+        return self._item(int(np.searchsorted(self._lin, lin)))
+
+    def __iter__(self):
+        return iter(self._lin.tolist())
+
+    def __len__(self):
+        return len(self._lin)
+
+
+class _Report(_JsonArtifact):
+    """Solved sites held as arrays in site order (:class:`_Solved`), box
+    radii rows (-1 for a custom neighborhood) and the error manifest,
+    center tuple -> message.  The report iterates over its per-site
+    items, each built by ``_item`` when read; its file and kernel field
+    are made from the arrays."""
+
+    __slots__ = ("shape", "order", "errors", "_solved", "_radii")
+
+    def __init__(self, shape, order, solved, radii, errors):
+        self.shape = tuple(shape)
+        self.order = _lag_order(order)
+        self._solved, self._radii = solved, np.array(radii, dtype=np.intp)
+        self.errors = {site: str(err) for site, err in errors.items()}
+
+    def _by_site(self):
+        return _BySite(self._solved.lin, self._item)
+
+    def _for_site(self, site):
+        return self._by_site()[site_to_linear(site, self.shape)]
+
+    def __iter__(self):
+        return map(self._item, range(len(self)))
+
+    def __len__(self):
+        return len(self._solved.lin)
+
+    def _kernels(self, radii):
+        """The KernelField of the fits, with one ``radii`` row per site;
+        every site must be solved."""
+        s = self._solved
+        _require_complete(self.shape, len(s.lin), self.errors)
+        if not np.isfinite(s.coef).all():
+            raise ConfigurationError("non-finite coefficients")
+        return KernelField._from_arrays(self.shape, self.order, s.ptr.copy(), s.linear.copy(),
+                                        list(s.coef.copy()), radii)
+
+    def _json_fields(self, **fields):
+        return {"shape": list(self.shape), "P": self.order, **fields, "sites": self._entries(),
+                "errors": {",".join(map(str, k)): v for k, v in self.errors.items()}}
+
+
+class FitReport(_Report):
     """Per-site fits in canonical order plus an error manifest.
 
     ``fits`` maps linear site index -> SiteFit for every site that
-    succeeded; ``errors`` maps the center tuple -> message for sites
-    that failed.
+    succeeded, a new one built at each read; ``errors`` maps the center
+    tuple -> message for sites that failed.
     """
 
-    __slots__ = ("shape", "order", "fits", "errors")
+    __slots__ = ()
+    fits = property(_Report._by_site)
+    fit_for = _Report._for_site
 
-    def __init__(self, shape, order, fits, errors):
-        self.shape = tuple(shape)
-        self.order = _lag_order(order)
-        self.fits = fits
-        self.errors = {site: str(err) for site, err in errors.items()}
-
-    def __iter__(self):
-        return iter(self.fits.values())
-
-    def __len__(self):
-        return len(self.fits)
-
-    def fit_for(self, site):
-        return self.fits[site_to_linear(site, self.shape)]
+    def _item(self, i):
+        s, site = self._solved, linear_to_site(self._solved.lin[i], self.shape)
+        return s.fit(i, site, _view(self.shape, site, self._radii[i].tolist(),
+                                    s.linear[s.ptr[i] : s.ptr[i + 1]]))
 
     def kernels(self):
         """Package the fit as a KernelField (requires full site coverage)."""
-        _require_complete(self.shape, len(self.fits), self.errors)
-        fits = [self.fits[i] for i in range(len(self.fits))]
-        return KernelField(self.shape, self.order, [f.neighborhood for f in fits],
-                           [f.coeffs_by_lag() for f in fits])
+        return self._kernels(self._radii)
 
-    def _json_fields(self):
-        return {
-            "shape": list(self.shape),
-            "P": self.order,
-            "sites": map(_fit_entry, self.fits.values()),
-            "errors": {",".join(map(str, k)): v for k, v in self.errors.items()},
-        }
-
-
-def _fit_entry(fit):
-    """A fit's entry in the report file."""
-    entry = fit.neighborhood.to_dict()
-    entry.update(
-        coeffs=fit.coeffs_by_lag().tolist(),
-        rss=fit.rss,
-        sigma2=fit.sigma2,
-        se=None if fit.se is None else fit.se.tolist(),
-        cond_flag=fit.cond_flag,
-    )
-    return entry
+    def _entries(self):
+        """Each fit's entry in the report file, converted a block of sites
+        at a time."""
+        s, p = self._solved, self.order
+        values = (*s.coef, *(() if s.se is None else s.se))
+        for block, centers, sites, bounds, rows in _site_blocks(self.shape, s.lin, s.ptr,
+                                                                s.linear, values):
+            for center, radii, rss, sigma2, flag, (i, j) in zip(
+                    centers, self._radii[block].tolist(), s.fit_rss[block].tolist(),
+                    s.sigma2[block].tolist(), s.flag[block].tolist(), bounds):
+                entry = {"center": center, "sites": sites[i:j]}
+                if radii[0] >= 0:
+                    entry["k"] = radii[0] if len(set(radii)) == 1 else radii
+                entry.update(coeffs=[v[i:j] for v in rows[:p]], rss=rss, sigma2=sigma2,
+                             se=None if flag or s.se is None
+                             else [x for v in rows[p:] for x in v[i:j]], cond_flag=flag)
+                yield entry
 
 
 def _normalize_neighborhood_map(series, neighborhoods):
-    """Accept a list or a site->Neighborhood map; return (linear, nb) pairs
-    sorted canonically."""
+    """Accept a list or a site->Neighborhood map; return the sites' linear
+    indices and their neighborhoods, sorted canonically."""
     if isinstance(neighborhoods, dict):
         for site, nb in neighborhoods.items():
             if tuple(site) != nb.center:
@@ -578,12 +633,8 @@ def _normalize_neighborhood_map(series, neighborhoods):
             site_to_linear(nb.center, series.shape)
         raise
     order = np.argsort(linear, kind="stable")
-    linear = linear[order]
-    duplicate = np.zeros(len(nbs), dtype=bool)
-    duplicate[1:] = linear[1:] == linear[:-1]
-    pairs = []
-    for lin, dup, i in zip(linear.tolist(), duplicate.tolist(), order.tolist()):
-        nb = nbs[i]
+    linear, nbs = linear[order], [nbs[i] for i in order.tolist()]
+    for nb, dup in zip(nbs, np.r_[False, linear[1:] == linear[:-1]].tolist()):
         if dup:
             raise ConfigurationError(f"duplicate neighborhood for site {nb.center}")
         if nb.shape != series.shape:
@@ -591,8 +642,7 @@ def _normalize_neighborhood_map(series, neighborhoods):
                 f"neighborhood at {nb.center} built for shape {nb.shape}, "
                 f"series has {series.shape}"
             )
-        pairs.append((lin, nb))
-    return pairs
+    return linear, nbs
 
 
 def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
@@ -625,29 +675,29 @@ def fit_all(series, neighborhoods, order=1, n_workers=None, compute_se=True):
         in ``report.errors`` rather than raised.
     """
     order = _lag_order(order)
-    pairs = _normalize_neighborhood_map(series, neighborhoods)
+    linear, nbs = _normalize_neighborhood_map(series, neighborhoods)
     # a whole grid of boxes is solved off moments as far as the boxes that T
     # frames identify (the others fail unfactored)
-    boxes = len(pairs) == series.n_sites and all(nb.radii is not None for _, nb in pairs)
-    fitted = [nb.radii for _, nb in pairs if order * nb.size <= series.n_frames - order]
+    boxes = len(nbs) == series.n_sites and all(nb.radii is not None for nb in nbs)
+    fitted = [nb.radii for nb in nbs if order * nb.size <= series.n_frames - order]
     moments = (series, np.max(fitted, axis=0), None) if boxes and fitted else None
 
     def requests():  # one level per site: its neighborhood
-        for a, b in _chunks(len(pairs)):
-            nbs = [nb for _, nb in pairs[a:b]]
-            bounds = np.zeros(len(nbs) + 1, dtype=np.intp)
-            np.cumsum([nb.size for nb in nbs], out=bounds[1:])
-            yield (np.array([lin for lin, _ in pairs[a:b]]), np.array([nb.center for nb in nbs]),
-                   [(np.concatenate([nb.linear for nb in nbs]), bounds)], None, {})
+        for a, b in _chunks(len(nbs)):
+            run = nbs[a:b]
+            bounds = np.zeros(len(run) + 1, dtype=np.intp)
+            np.cumsum([nb.size for nb in run], out=bounds[1:])
+            yield (linear[a:b], np.array([nb.center for nb in run]),
+                   [(np.concatenate([nb.linear for nb in run]), bounds)], None, {})
 
     panel = series.values.T
     solved, errors = _solve_sites(
         lambda lin, groups: _gather(panel, order, groups, lin), requests(), order,
         series.n_frames - order, with_se=compute_se, n_workers=n_workers, moments=moments)
-    nbs = dict(pairs)
-    fits = {lin: solved.fit(j, nbs[lin].center, nbs[lin])
-            for j, lin in enumerate(solved.lin.tolist())}
-    return FitReport(series.shape, order, fits, errors)
+    d = len(series.shape)
+    radii = np.array([nb.radii or (-1,) * d for nb in nbs], dtype=np.intp).reshape(-1, d)
+    return FitReport(series.shape, order, solved, radii[np.searchsorted(linear, solved.lin)],
+                     errors)
 
 
 def _chunks(n_sites):

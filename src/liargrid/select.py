@@ -32,16 +32,14 @@ each :class:`BicTrace` (and its fit and neighborhood) only when asked.
 """
 
 import math
-from collections.abc import Mapping
 
 import numpy as np
 
-from . import simulate
 from .errors import ConfigurationError
-from .fit import _check_order, _chunks, _gather, _require_complete, _solve_sites
-from .grid import _JsonArtifact, _require_2d, linear_to_site, site_to_linear
+from .fit import _Report, _check_order, _chunks, _gather, _solve_sites
+from .grid import _require_2d, linear_to_site, site_to_linear
 from .neighborhoods import _candidates, _grid_centers, _nest, _view, interior_mask
-from .simulate import KernelField, _lag_order
+from .simulate import _lag_order, _site_blocks
 
 _EXACT_FIT_REL = 1e-16  # rss below this times ||z||^2 counts as an exact fit
 
@@ -166,7 +164,7 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
     solved, errors = _select_sites(series, [request], order, d0, reach, [lin])
     if errors:
         raise errors[center]
-    radii = [(-1,) if nb.radii is None else nb.radii for nb in family]
+    radii = [nb.radii or (-1,) * len(center) for nb in family]
     return SelectionReport(series.shape, order, d0, family.labels, radii, solved,
                            np.array([family.saturated]), keep_fit, {}).traces[lin]
 
@@ -204,29 +202,7 @@ def _label_json(label):
     return list(label) if isinstance(label, (tuple, list)) else label
 
 
-class _Traces(Mapping):
-    """Linear site -> :class:`BicTrace` of a :class:`SelectionReport`, in
-    canonical order, each trace built when accessed."""
-
-    __slots__ = ("_report", "_lin")
-
-    def __init__(self, report):
-        self._report, self._lin = report, report._solved.lin
-
-    def __getitem__(self, lin):
-        i = int(np.searchsorted(self._lin, lin)) if np.ndim(lin) == 0 else -1
-        if not 0 <= i < len(self._lin) or self._lin[i] != lin:
-            raise KeyError(lin)
-        return self._report._trace(i)
-
-    def __iter__(self):
-        return iter(self._lin.tolist())
-
-    def __len__(self):
-        return len(self._lin)
-
-
-class SelectionReport(_JsonArtifact):
+class SelectionReport(_Report):
     """Per-site BIC traces in canonical order plus an error manifest.
 
     The scan is held as arrays in site order (fit._Solved): each site's
@@ -237,44 +213,28 @@ class SelectionReport(_JsonArtifact):
     written from the arrays.
     """
 
-    __slots__ = ("shape", "order", "d0", "errors", "_labels", "_radii", "_solved",
-                 "_saturated", "_keep_fit")
+    __slots__ = ("d0", "_labels", "_saturated", "_keep_fit")
+    traces = property(_Report._by_site)
+    trace_for = _Report._for_site
 
     def __init__(self, shape, order, d0, labels, radii, solved, saturated, keep_fit, errors):
-        self.shape = tuple(shape)
-        self.order = _lag_order(order)
+        super().__init__(shape, order, solved, radii, errors)
         self.d0 = float(d0)
-        self._labels, self._radii = list(labels), list(radii)
-        self._solved, self._saturated, self._keep_fit = solved, saturated, keep_fit
-        self.errors = {site: str(err) for site, err in errors.items()}
+        self._labels, self._saturated, self._keep_fit = list(labels), saturated, keep_fit
 
-    @property
-    def traces(self):
-        return _Traces(self)
-
-    def _trace(self, i):
+    def _item(self, i):
         s, labels = self._solved, self._labels
         n, best = int(s.scanned[i]), int(s.best[i])
         kept = [labels[lev] for lev in s.levels[i].tolist() if lev >= 0]
         site = linear_to_site(s.lin[i], self.shape)
         fit = None
         if self._keep_fit:
-            nb = _view(self.shape, site, self._radii[s.levels[i, best]],
-                       s.linear[s.ptr[i] : s.ptr[i + 1]])
-            fit = s.fit(i, site, nb)
+            fit = s.fit(i, site, _view(self.shape, site, self._radii[s.levels[i, best]].tolist(),
+                                       s.linear[s.ptr[i] : s.ptr[i + 1]]))
         bic, exact = s.records
         return BicTrace(site, kept[:n], s.sizes[i, :n].copy(), s.rss[i, :n].copy(),
                         bic[i, :n].copy(), kept[best], exact[i, :n].copy(),
                         bool(self._saturated[i]), kept[n:], fit)
-
-    def __iter__(self):
-        return iter(self.traces.values())
-
-    def __len__(self):
-        return len(self._solved.lin)
-
-    def trace_for(self, site):
-        return self.traces[site_to_linear(site, self.shape)]
 
     def _chosen(self):
         """Each solved site's chosen level, an index into the labels."""
@@ -317,25 +277,12 @@ class SelectionReport(_JsonArtifact):
 
     def kernels(self):
         """KernelField from the chosen-level fits (full coverage required)."""
-        s = self._solved
-        if len(s.lin) and not self._keep_fit:
+        if len(self._solved.lin) and not self._keep_fit:
             raise ConfigurationError("selection was run without kept fits")
-        _require_complete(self.shape, len(s.lin), self.errors)
-        if not np.isfinite(s.coef).all():
-            raise ConfigurationError("non-finite coefficients")
-        d = len(self.shape)
-        radii = np.array([(-1,) * d if r[0] < 0 else r for r in self._radii], dtype=np.intp)
-        return KernelField._from_arrays(self.shape, self.order, s.ptr.copy(), s.linear.copy(),
-                                        list(s.coef.copy()), radii[self._chosen()])
+        return self._kernels(self._radii[self._chosen()])
 
     def _json_fields(self):
-        return {
-            "shape": list(self.shape),
-            "P": self.order,
-            "D0": self.d0,
-            "sites": self._entries(),
-            "errors": {",".join(map(str, k)): v for k, v in self.errors.items()},
-        }
+        return super()._json_fields(D0=self.d0)
 
     def _entries(self):
         """Each site's entry in the selection file, converted a block of
@@ -345,18 +292,12 @@ class SelectionReport(_JsonArtifact):
             return
         bic = s.records[0].astype(object)
         bic[~np.isfinite(s.records[0])] = None  # the exact-fit sentinel
-        step = simulate._SITE_BLOCK
-        for a in range(0, len(s.lin), step):
-            block = slice(a, a + step)
-            ptr = s.ptr[a : a + step + 1]
-            sites = (np.stack(np.unravel_index(s.linear[ptr[0] : ptr[-1]], self.shape,
-                                               order="F"), axis=1).tolist()
-                     if self._keep_fit else None)
-            ptr = (ptr - ptr[0]).tolist()
-            rows = zip(self._centers(block), s.levels[block].tolist(), s.scanned[block].tolist(),
+        for block, centers, sites, bounds, _ in _site_blocks(
+                self.shape, s.lin, s.ptr, s.linear if self._keep_fit else None):
+            rows = zip(centers, s.levels[block].tolist(), s.scanned[block].tolist(),
                        s.best[block].tolist(), s.sizes[block].tolist(), s.rss[block].tolist(),
-                       bic[block].tolist(), self._saturated[block].tolist(), ptr, ptr[1:])
-            for center, levels, n, best, sizes, rss, row, saturated, i, j in rows:
+                       bic[block].tolist(), self._saturated[block].tolist(), bounds)
+            for center, levels, n, best, sizes, rss, row, saturated, (i, j) in rows:
                 kept = [labels[lev] for lev in levels if lev >= 0]
                 entry = {"center": center, "k": kept[best], "labels": kept[:n],
                          "sizes": sizes[:n], "rss": rss[:n], "bic": row[:n],
@@ -365,20 +306,16 @@ class SelectionReport(_JsonArtifact):
                     entry["sites"] = sites[i:j]
                 yield entry
 
-    def _centers(self, block=slice(None)):
-        """The solved sites of ``block`` as lists of coordinates."""
-        return np.stack(np.unravel_index(self._solved.lin[block], self.shape, order="F"),
-                        axis=1).tolist()
-
     def save_heatmap_csv(self, path):
         """CSV (site_row, site_col, chosen_k), 1-based coordinates; 2-D only."""
         _require_2d(self.shape, "the heatmap format")
         text = ["x".join(map(str, k)) if isinstance(k, (tuple, list)) else str(k)
                 for k in self._labels]
+        rows, cols = (c + 1 for c in np.unravel_index(self._solved.lin, self.shape, order="F"))
         with open(path, "w") as fh:
             fh.write("site_row,site_col,chosen_k\n")
-            fh.writelines(f"{i1 + 1},{i2 + 1},{text[lev]}\n"
-                          for (i1, i2), lev in zip(self._centers(), self._chosen().tolist()))
+            fh.writelines(f"{i1},{i2},{text[lev]}\n" for i1, i2, lev in
+                          zip(rows.tolist(), cols.tolist(), self._chosen().tolist()))
 
 
 def select_all(series, max_radius=None, order=1, d0=None, radii_list=None,

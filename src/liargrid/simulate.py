@@ -218,16 +218,9 @@ class KernelField(_JsonArtifact):
 
     def _entries(self):
         """Each site's kernel-file entry, converted a block of sites at a time."""
-        centers = _grid_centers(self.shape)
-        for a in range(0, self.n_sites, _SITE_BLOCK):
-            bounds = self._indptr[a : a + _SITE_BLOCK + 1]
-            lo, hi = bounds[0], bounds[-1]
-            sites = np.stack(np.unravel_index(self._indices[lo:hi], self.shape, order="F"),
-                             axis=1).tolist()
-            values = [v[lo:hi].tolist() for v in self._data]
-            bounds = (bounds - lo).tolist()
-            for center, i, j in zip(centers[a : a + _SITE_BLOCK].tolist(), bounds,
-                                    bounds[1:]):
+        for _, centers, sites, bounds, values in _site_blocks(
+                self.shape, np.arange(self.n_sites), self._indptr, self._indices, self._data):
+            for center, (i, j) in zip(centers, bounds):
                 yield {"center": center, "neighborhood": sites[i:j],
                        "coeffs": [v[i:j] for v in values]}
 
@@ -264,6 +257,22 @@ class KernelField(_JsonArtifact):
             raise ConfigurationError(f"malformed kernel file {path}: {exc!r}") from exc
 
 
+def _site_blocks(shape, lin, indptr, linear, values=()):
+    """Per block of ``_SITE_BLOCK`` sites of a layout, for the file writers:
+    its slice, the coordinates of its sites ``lin`` and of their indices
+    ``linear[indptr[a]:indptr[b]]`` (None without ``linear``), each
+    site's (start, stop) into those, and ``values`` (arrays along
+    ``linear``) over them, as lists."""
+    unravel = lambda x: np.stack(np.unravel_index(x, shape, order="F"), axis=1).tolist()
+    for a in range(0, len(lin), _SITE_BLOCK):
+        block = slice(a, a + _SITE_BLOCK)
+        bounds = indptr[a : a + _SITE_BLOCK + 1]
+        lo, hi = bounds[0], bounds[-1]
+        bounds = (bounds - lo).tolist()
+        yield (block, unravel(lin[block]), None if linear is None else unravel(linear[lo:hi]),
+               zip(bounds, bounds[1:]), [v[lo:hi].tolist() for v in values])
+
+
 class _Entries:
     """Kernel-file site entries, each flattened into typed arrays as it is
     added, so a reader never holds the per-site tree.  Per entry: the
@@ -293,7 +302,10 @@ class _Entries:
             self.ragged = next(site for site in sites if len(site) != d)
         try:
             self.centers.extend(center)
-            self.coords[-1].extend(chain.from_iterable(sites))
+            flat = list(chain.from_iterable(sites))
+            self.coords[-1].extend(flat)
+            if bool in set(map(type, chain(center, flat))):
+                raise TypeError  # the arrays took true and false as 1 and 0
         except (TypeError, OverflowError):
             raise ConfigurationError(f"site {tuple(center)}: non-integer coordinates") from None
         self.center_dims.append(d)

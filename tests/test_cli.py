@@ -155,6 +155,24 @@ class TestFit:
             run("fit", "--input", sim / "series.gts", "--output-dir", tmp_path / "fit")
         assert exc.value.code == 2
 
+    def test_report_and_kernel_files_agree(self, tmp_path):
+        # both files are written from the same solved arrays: every site,
+        # clipped boundary boxes included, lists the same sites and coefficients
+        series = GridSeries((5, 7), np.random.default_rng(64).normal(size=(80, 35)))
+        write_gts(series, tmp_path / "series.gts")
+        out = tmp_path / "fit"
+        assert run("fit", "--input", tmp_path / "series.gts", "--K", "1", "--P", "2",
+                   "--output-dir", out) == 0
+        report = json.loads((out / "fit_report.json").read_text())["sites"]
+        kernels = json.loads((out / "kernels.json").read_text())["sites"]
+        assert len(report) == len(kernels) == 35
+        assert {len(entry["sites"]) for entry in report} == {4, 6, 9}
+        for fitted, kernel in zip(report, kernels):
+            assert fitted["center"] == kernel["center"]
+            assert fitted["sites"] == kernel["neighborhood"]
+            assert fitted["coeffs"] == kernel["coeffs"]
+            assert len(fitted["coeffs"]) == 2
+
 
 class TestSelect:
     def test_heatmap_rows_summary_and_d0_echo(self, tmp_path, capsys):
@@ -722,6 +740,10 @@ class TestExitCodes:
                            "site (1, 1): non-integer coordinates"),
         "coordinate_0.0": (("sites", 5, "neighborhood", 0, 1), 0.0,
                            "site (1, 1): non-integer coordinates"),
+        "coordinate_true": (("sites", 5, "neighborhood", 1, 0), True,
+                            "site (1, 1): non-integer coordinates"),
+        "center_false": (("sites", 5, "center", 0), False,
+                         "site (False, 1): non-integer coordinates"),
     }
 
     @pytest.mark.parametrize("edit", ["truncated", "no_order", "off_grid", *_NOT_INTEGERS])

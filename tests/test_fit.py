@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 import threading
@@ -26,9 +27,12 @@ from liargrid import (
 )
 import liargrid._threads
 import liargrid.fit
-from liargrid.fit import DesignBlock
+import liargrid.neighborhoods
+import liargrid.simulate
+from liargrid.fit import DesignBlock, SiteFit
 from liargrid.grid import linear_to_site
-from liargrid.neighborhoods import box_neighborhood, custom_neighborhood, nested_family
+from liargrid.neighborhoods import (Neighborhood, box_field, box_neighborhood,
+                                    custom_neighborhood, nested_family)
 
 from _dgp import adversarial_series
 
@@ -753,3 +757,86 @@ class TestFactorReleasesGil:
         quarter = (end - start) / 4
         assert end - start >= 0.2
         assert any(start + quarter <= t <= end - quarter for t in stamps)
+
+
+def _fit_entry(fit):
+    """A fit's entry in the report file, read off the fit itself."""
+    entry = fit.neighborhood.to_dict()
+    entry.update(coeffs=fit.coeffs_by_lag().tolist(), rss=fit.rss, sigma2=fit.sigma2,
+                 se=None if fit.se is None else fit.se.tolist(), cond_flag=fit.cond_flag)
+    return entry
+
+
+class TestReportArrays:
+    """A fit is held as arrays from the solver to the files; fits and
+    neighborhoods are built only when read."""
+
+    def test_no_per_site_objects_until_a_fit_is_read(self, monkeypatch, tmp_path):
+        s = _random_series((6, 7), 80, 12)
+        nbs = box_field(s.shape, 1)
+        built = []
+        for cls in (Neighborhood, SiteFit):
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__,
+                                name=cls.__name__: built.append(name) or init(self, *args))
+        for module in (liargrid.neighborhoods, liargrid.fit):  # views skip __init__
+            monkeypatch.setattr(module, "_view", lambda *args, view=module._view:
+                                built.append("view") or view(*args))
+        report = fit_all(s, nbs, order=2)
+        report.save_json(tmp_path / "fit_report.json")
+        report.to_dict()
+        report.kernels()
+        assert len(report) == len(report.fits) == 42
+        assert built == []
+        fit = report.fit_for((2, 3))
+        assert fit.neighborhood == nbs[site_to_linear((2, 3), s.shape)]
+        assert sorted(built) == ["SiteFit", "view"]
+        assert report.fit_for((2, 3)) is not fit  # a new one at each read
+
+    @staticmethod
+    def _report(case):
+        shape = (5, 6)
+        s = _random_series(shape, 60, 13)
+        if case == "P1-se":
+            return fit_all(s, box_field(shape, 1))
+        if case == "P2-no-se":
+            return fit_all(s, box_field(shape, 1), order=2, compute_se=False)
+        if case == "custom":
+            return fit_all(s, [custom_neighborhood(nb.center, shape, nb.sites[::2])
+                               for nb in box_field(shape, 1)])
+        if case == "uneven":
+            return fit_all(s, box_field(shape, (1, 2)))
+        if case == "partial":  # interior radius-2 boxes are underdetermined
+            return fit_all(adversarial_series(), box_field(shape, 2))
+        if case == "deficient":  # sites (1, 1) and (3, 1) carry the same series
+            return fit_all(adversarial_series(), box_field(shape, 1))
+        kern = random_stable_kernels((3, 3, 4), (0, 1, 1), target_norm=0.7, seed=78)
+        series = simulate_liar(kern, 300, NoiseSpec(sigma=1.0, seed=79))
+        return fit_all(series, box_field(series.shape, (1, 0, 1)))
+
+    @pytest.mark.parametrize("case", ["P1-se", "P2-no-se", "custom", "uneven", "partial",
+                                      "deficient", "3d"])
+    def test_file_matches_the_per_site_fits(self, monkeypatch, tmp_path, case):
+        # written from arrays, 7 sites at a time, byte for byte what the
+        # fits give one by one
+        monkeypatch.setattr(liargrid.simulate, "_SITE_BLOCK", 7)
+        report = self._report(case)
+        fits = [report.fits[lin] for lin in report.fits]
+        keys = [_fit_entry(fit).get("k") for fit in fits]
+        if case == "custom":
+            assert keys == [None] * 30
+        elif case == "uneven":
+            assert all(k == [1, 2] for k in keys)
+        else:
+            assert None not in keys
+        assert (fits[0].se is None) == (case == "P2-no-se")
+        assert bool(report.errors) == (case == "partial")
+        if case == "deficient":
+            flagged = [fit for fit in fits if fit.cond_flag]
+            assert flagged and all(fit.se is None for fit in flagged)
+        report.save_json(tmp_path / "fit_report.json")
+        want = json.dumps({"shape": list(report.shape), "P": report.order,
+                           "sites": [_fit_entry(fit) for fit in fits],
+                           "errors": {",".join(map(str, site)): msg
+                                      for site, msg in report.errors.items()}})
+        assert (tmp_path / "fit_report.json").read_text() == want
+        assert json.dumps(report.to_dict()) == want

@@ -548,6 +548,8 @@ _MALFORMED = {
     "coordinate_1.5": _set(["sites", 9, "neighborhood", 2, 0], 1.5),
     "coordinate_0.0": _set(["sites", 9, "neighborhood", 0, 1], 0.0),
     "center_4.0": _set(["sites", 9, "center", 0], 4.0),
+    "coordinate_true": _set(["sites", 9, "neighborhood", 2, 0], True),
+    "center_false": _set(["sites", 9, "center", 1], False),
     "no_coeffs": lambda data: data["sites"][9].pop("coeffs"),
 }
 
@@ -615,6 +617,8 @@ class TestKernelReaders:
             "coordinate_1.5": "site (4, 1): non-integer coordinates",
             "coordinate_0.0": "site (4, 1): non-integer coordinates",
             "center_4.0": "site (4.0, 1): non-integer coordinates",
+            "coordinate_true": "site (4, 1): non-integer coordinates",
+            "center_false": "site (4, False): non-integer coordinates",
         }
         for edit, message in messages.items():
             data = _mixed_field_dict()
