@@ -4,8 +4,10 @@ and the noise draw-ahead (:mod:`liargrid.simulate`) run on.
 
 The pin covers every OpenBLAS build loaded when the outermost block
 opens.  numpy's build loads with numpy; scipy's loads only when scipy is
-first imported, which the fit and selection never do, so code that calls
-scipy's BLAS inside a block imports scipy before entering it."""
+first imported, which the stability norm and the simulation recursion
+do but fitting, selection, forecasts and hold-out scores never do, so
+code that calls scipy's BLAS inside a block imports scipy before
+entering it."""
 
 import contextlib
 import ctypes

@@ -16,7 +16,7 @@ import numpy as np
 from . import rng
 from ._threads import single_threaded_blas
 from .errors import ConfigurationError, NumericalError, StructureError
-from .fit import FitReport, _require_complete, fit_all
+from .fit import FitReport, fit_all
 from .grid import GridSeries, _require_2d
 from .neighborhoods import _box_radii, box_field
 from .simulate import KernelField
@@ -68,31 +68,56 @@ class BlockKernelMatrix:
         return GridSeries.from_frames(self.data[None, :, :])
 
 
-def _cells(neighborhoods, radii):
+def _cells(centers, sites, sizes, extents, radii):
     """Block-matrix (rows, columns) of each box's sites in turn, for block
     ``radii`` (see :class:`BlockKernelMatrix`), and where each box's run
-    ends; :class:`StructureError` for a non-box or a box beyond ``radii``."""
+    ends: the boxes centered at the rows of ``centers``, with box radii
+    rows ``extents`` (-1 for a non-box) and sizes ``sizes``, their sites
+    the rows of ``sites`` box by box; :class:`StructureError` for a
+    non-box or a box beyond ``radii``."""
     k = np.array(radii)
-    extents = np.array([nb.radii or (-1, -1) for nb in neighborhoods])
-    extents = extents.reshape(len(neighborhoods), 2)
     bad = np.flatnonzero((extents < 0).any(axis=1) | (extents > k).any(axis=1))
     if bad.size:
-        nb = neighborhoods[bad[0]]
-        if nb.radii is None:
-            raise StructureError(f"site {nb.center}: non-box neighborhood cannot be tiled")
-        raise StructureError(
-            f"site {nb.center}: box radii {nb.radii} exceed block radii {radii}")
-    sizes = [nb.size for nb in neighborhoods]
-    centers = np.array([nb.center for nb in neighborhoods], dtype=np.intp)
-    centers = np.repeat(centers.reshape(len(neighborhoods), 2), sizes, axis=0)
-    sites = np.concatenate([nb.sites for nb in neighborhoods]
-                           + [np.empty((0, 2), dtype=np.intp)])
+        center, extent = tuple(centers[bad[0]].tolist()), tuple(extents[bad[0]].tolist())
+        if extent[0] < 0:
+            raise StructureError(f"site {center}: non-box neighborhood cannot be tiled")
+        raise StructureError(f"site {center}: box radii {extent} exceed block radii {radii}")
+    centers = np.repeat(centers, sizes, axis=0)
     cells = centers * (2 * k + 1) + k + (sites - centers)
     return (cells[:, 0], cells[:, 1]), np.cumsum(sizes)
 
 
+def _neighborhood_cells(neighborhoods, radii):
+    """:func:`_cells` of a list of 2-D :class:`Neighborhood` objects."""
+    n = len(neighborhoods)
+    return _cells(np.array([nb.center for nb in neighborhoods], dtype=np.intp).reshape(n, 2),
+                  np.concatenate([nb.sites for nb in neighborhoods]
+                                 + [np.empty((0, 2), dtype=np.intp)]),
+                  [nb.size for nb in neighborhoods],
+                  np.array([nb.radii or (-1, -1) for nb in neighborhoods]).reshape(n, 2),
+                  radii)
+
+
+def _field_cells(field, radii):
+    """:func:`_cells` of a 2-D :class:`KernelField`'s sites: its CSR rows
+    run site by site, each neighborhood in linear order."""
+    unravel = lambda x: np.stack(np.unravel_index(x, field.shape, order="F"), axis=1)
+    return _cells(unravel(np.arange(field.n_sites)), unravel(field._indices),
+                  np.diff(field._indptr), field._radii, radii)[0]
+
+
+def _tile(shape, radii, cells, values):
+    """The (M*(2*K1+1), N*(2*K2+1)) block matrix holding ``values`` at ``cells``."""
+    data = np.zeros((shape[0] * (2 * radii[0] + 1), shape[1] * (2 * radii[1] + 1)))
+    data[cells] = values
+    return data
+
+
 def assemble_block(fits, radii, lag=1):
     """Tile per-site fits into the padded block matrix for one lag.
+
+    A :class:`FitReport` is read from its arrays, through its kernel
+    field, with no per-site object built.
 
     Parameters
     ----------
@@ -112,21 +137,26 @@ def assemble_block(fits, radii, lag=1):
     StructureError
         For non-box neighborhoods or radii exceeding the block size.
     """
-    fit_list = list(fits)
     if isinstance(fits, FitReport):
-        _require_complete(fits.shape, len(fit_list), fits.errors)
-    elif not fit_list:
-        raise ConfigurationError("no fits supplied")
-    shape = fit_list[0].neighborhood.shape
+        field = fits.kernels()
+        shape, order = field.shape, field.order
+    else:
+        fit_list = list(fits)
+        if not fit_list:
+            raise ConfigurationError("no fits supplied")
+        shape, order = fit_list[0].neighborhood.shape, fit_list[0].order
     if len(shape) != 2:
         raise StructureError("block assembly is defined for 2-D grids only")
     k1, k2 = (int(r) for r in radii)
-    if not 1 <= lag <= fit_list[0].order:
-        raise ConfigurationError(f"lag {lag} outside 1..{fit_list[0].order}")
-    cells, _ = _cells([fit.neighborhood for fit in fit_list], (k1, k2))
-    data = np.zeros((shape[0] * (2 * k1 + 1), shape[1] * (2 * k2 + 1)))
-    data[cells] = np.concatenate([fit.coeffs_by_lag()[lag - 1] for fit in fit_list])
-    return BlockKernelMatrix(shape, (k1, k2), lag, data)
+    radii = (k1, k2)
+    if not 1 <= lag <= order:
+        raise ConfigurationError(f"lag {lag} outside 1..{order}")
+    if isinstance(fits, FitReport):
+        cells, values = _field_cells(field, radii), field._data[lag - 1]
+    else:
+        cells = _neighborhood_cells([fit.neighborhood for fit in fit_list], radii)[0]
+        values = np.concatenate([fit.coeffs_by_lag()[lag - 1] for fit in fit_list])
+    return BlockKernelMatrix(shape, radii, lag, _tile(shape, radii, cells, values))
 
 
 def scatter_block(block, neighborhoods):
@@ -138,7 +168,7 @@ def scatter_block(block, neighborhoods):
     :class:`StructureError` for a non-box footprint or one larger than
     the block.
     """
-    cells, ends = _cells(list(neighborhoods), block.radii)
+    cells, ends = _neighborhood_cells(list(neighborhoods), block.radii)
     return np.split(block.data[cells], ends)[:-1]
 
 
@@ -236,21 +266,19 @@ def fit_spliar(series, radii, order=1, rank=1, n_workers=None):
     SeparableFit
     """
     radii, rank = _check_separable(series.shape, radii, rank)
-    b1, b2 = 2 * radii[0] + 1, 2 * radii[1] + 1
-    shape = series.shape
-    neighborhoods = box_field(shape, radii)
-    raw = fit_all(series, neighborhoods, order=order, n_workers=n_workers,
+    raw = fit_all(series, box_field(series.shape, radii), order=order, n_workers=n_workers,
                   compute_se=False)
+    return _project(raw, radii, rank)
 
-    # CSR rows run site by site, each box in linear order, as _cells does
+
+def _project(raw, radii, rank):
+    """The :class:`SeparableFit` of ``raw``, a box :class:`FitReport` of
+    every site, at radii and rank checked by :func:`_check_separable`."""
     field = raw.kernels()
-    cells, _ = _cells(neighborhoods, radii)
-    blocks, data = [], []
-    for lag, values in enumerate(field._data, start=1):
-        dense = np.zeros((shape[0] * b1, shape[1] * b2))
-        dense[cells] = values
-        blocks.append(BlockKernelMatrix(shape, radii, lag, truncated_svd(dense, rank)))
-        data.append(blocks[-1].data[cells])
-    kernels = KernelField._from_arrays(shape, order, field._indptr, field._indices, data,
-                                       field._radii)
-    return SeparableFit(shape, order, radii, rank, raw, blocks, kernels)
+    shape, cells = field.shape, _field_cells(field, radii)
+    blocks = [BlockKernelMatrix(shape, radii, lag,
+                                truncated_svd(_tile(shape, radii, cells, values), rank))
+              for lag, values in enumerate(field._data, start=1)]
+    kernels = KernelField._from_arrays(shape, field.order, field._indptr, field._indices,
+                                       [block.data[cells] for block in blocks], field._radii)
+    return SeparableFit(shape, field.order, radii, rank, raw, blocks, kernels)

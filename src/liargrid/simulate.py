@@ -9,9 +9,11 @@ coefficients in its neighborhood's columns.  Simulation iterates
 
 after a burn-in, starting from zero frames.  Stability is certified by
 the operator norm (sum of per-lag spectral norms when P > 1), computed
-matrix-free by Lanczos to rounding level.  scipy, whose CSR products and
-ARPACK run the recursion and the norm, is imported only by the calls
-that use it, so a field that is fitted and written never loads it.
+matrix-free by Lanczos to rounding level.  scipy's CSR products run the
+recursion and its ARPACK the norm; it is imported only by the calls that
+use them, so a field that is fitted, written, read or used to predict
+never loads it.  ``KernelField.predict`` (forecasts and hold-out scores)
+sums each site's products in its own numpy loop, in scipy's order.
 
 All noise comes from the counter-based streams in :mod:`liargrid.rng`,
 one stream per site, so output is reproducible bit-for-bit regardless of
@@ -34,6 +36,7 @@ from .neighborhoods import _box_radii, _box_sites, _grid_centers, _PerSite, _vie
 
 _NOISE_BLOCK = 2**16  # draws per noise block in simulate_liar
 _SITE_BLOCK = 2**8  # site entries converted (or kernels drawn) at a time
+_PREDICT_BLOCK = 2**16  # products gathered at a time by KernelField.predict
 _NOISE_AHEAD = 4  # noise blocks queued ahead of the recursion, per noise thread
 _NORM_TOL = 1e-14  # ARPACK's relative tolerance on the top eigenvalue of Op'Op
 _CTX_KERNEL = 1
@@ -101,7 +104,7 @@ class KernelField(_JsonArtifact):
     """
 
     __slots__ = ("shape", "order", "_indptr", "_indices", "_data", "_radii", "_ops",
-                 "_norm")
+                 "_layout", "_norm")
 
     def __init__(self, shape, order, neighborhoods, coeffs):
         shape, n_sites = _check_shape(shape)
@@ -152,6 +155,7 @@ class KernelField(_JsonArtifact):
         self._indptr, self._indices, self._data = indptr, indices, list(data)
         self._radii = radii
         self._ops = None  # the scipy CSR matrices, built by operators()
+        self._layout = None  # the padded slot layout of predict()
         self._norm = None  # stability norm, carried when already known
 
     @property
@@ -179,7 +183,9 @@ class KernelField(_JsonArtifact):
 
     def operators(self):
         """Per-lag linear operators on flattened frames: P scipy CSR
-        matrices over the field's arrays, built on the first call."""
+        matrices over the field's arrays, built on the first call.  The
+        stability norm (ARPACK), the simulation recursion and
+        :func:`kernel_distance` use them; :meth:`predict` does not."""
         if self._ops is None:
             import scipy.sparse
 
@@ -195,18 +201,55 @@ class KernelField(_JsonArtifact):
             self._ops = ops
         return self._ops
 
+    def _slot_layout(self):
+        """The CSR rows as ``width`` slots per site, built on the first call:
+        a (width, n_sites) array of column indices, slot s of site i holding
+        the s-th entry of row i, and per lag the (width, n_sites)
+        coefficients.  A row shorter than ``width`` is padded with
+        coefficient 0 on column n_sites, a zero column appended to the
+        frames."""
+        if self._layout is None:
+            n, indptr = self.n_sites, self._indptr
+            sizes = np.diff(indptr)
+            row = np.repeat(np.arange(n), sizes)
+            slot = np.arange(indptr[-1]) - np.repeat(indptr[:-1], sizes)
+            cols = np.full((sizes.max(initial=0), n), n, dtype=np.intp)
+            cols[slot, row] = self._indices
+            coefs = []
+            for values in self._data:
+                coefs.append(np.zeros(cols.shape))
+                coefs[-1][slot, row] = values
+            self._layout = cols, coefs
+        return self._layout
+
     def predict(self, lagged):
         """One-step conditional mean sum_p x_{t-p} Op_p'.
 
         ``lagged`` holds the P lagged blocks, lag 1 first, each
-        (n, n_sites); returns the (n, n_sites) predictions.
+        (n, n_sites); returns the (n, n_sites) predictions.  The bits
+        are those of scipy's CSR products on :meth:`operators`: each
+        lag's products summed from +0.0 in row order, then the lags
+        added in order.  numpy alone computes them, so predicting never
+        imports scipy.
         """
-        # Op @ x' runs scipy's CSR kernel; x @ Op' goes through two transposes
-        ops = self.operators()
-        pred = (ops[0] @ lagged[0].T).T
-        for x, op in zip(lagged[1:], ops[1:]):
-            pred += (op @ x.T).T
-        return pred
+        cols, coefs = self._slot_layout()
+        n, m = self.n_sites, lagged[0].shape[0]
+        step = max(1, _PREDICT_BLOCK // max(1, cols.shape[0] * m))
+        frames = np.zeros((n + 1, m))  # row n stays the padding's zero
+        # returned transposed, as scipy's product is; a lag's sum is never
+        # -0.0, so adding it to +0.0 leaves its bits
+        pred = np.zeros((n, m))
+        rows = frames[:, 0] if m == 1 else frames  # one frame: gather scalars, not rows
+        for x, coef in zip(lagged, coefs):
+            frames[:n] = x.T
+            for a in range(0, n, step):
+                # (width, sites, frames) products, summed over the slots in order
+                # (a contiguous copy of the columns gathers about 3x faster)
+                terms = rows[np.ascontiguousarray(cols[:, a : a + step])]
+                terms = terms.reshape(len(cols), terms.shape[1], m)
+                terms *= coef[:, a : a + step, None]
+                pred[a : a + step] += np.add.reduce(terms, axis=0, initial=0.0)
+        return pred.T
 
     def scale(self, factor):
         """New field with every coefficient multiplied by ``factor``."""

@@ -36,6 +36,7 @@ from liargrid import (
     write_gts,
 )
 import liargrid.cli
+import liargrid.separable
 from liargrid.cli import main
 
 
@@ -448,6 +449,25 @@ class TestEval:
         pix = baseline_pixel_ar(series.slice_time(0, 180))
         assert_allclose(scores["liar_p"], holdout_rmse(series, pix, 20),
                         rtol=1e-10)
+
+    def test_liar_and_spliar_share_one_box_fit(self, tmp_path, monkeypatch, fit_calls):
+        kernels = random_stable_kernels((6, 7), 1, target_norm=0.7, seed=601)
+        write_gts(simulate_liar(kernels, 150, NoiseSpec(sigma=1.0, seed=701)),
+                  tmp_path / "s.gts")
+        refits = []  # fits made inside the separable module
+        real = liargrid.separable.fit_all
+        monkeypatch.setattr(liargrid.separable, "fit_all",
+                            lambda *a, **k: refits.append(1) or real(*a, **k))
+
+        def scores(methods):
+            out = tmp_path / methods
+            assert run("eval", "--input", tmp_path / "s.gts", "--methods", methods,
+                       "--K", "1", "--R", "1", "--output-dir", out) == 0
+            return [(row[0], row[4]) for row in read_metrics(out / "metrics.csv")[1]]
+
+        both = scores("liar,spliar")
+        assert fit_calls == ["fit_all"] and refits == []
+        assert both == scores("liar") + scores("spliar")
 
     @pytest.mark.parametrize("order,code", [(2, 4), (3, 2)])
     def test_pixel_baseline_shortage_exits_like_liar(self, tmp_path, order, code):

@@ -1,7 +1,9 @@
 """Package modules import each other at module level only, so an import
 cycle between them fails at import time instead of hiding in a function.
-scipy is imported only inside the functions that call it, so the fit and
-selection commands never load it."""
+scipy is imported only inside the functions that call it, so the fit,
+selection, forecast and eval commands never load it.  ``liar simulate``
+and ``liar bench`` still do: the stability norm runs ARPACK, and the
+simulation recursion scipy's CSR products."""
 
 import ast
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from liargrid import GridSeries, write_gts
+from liargrid import GridSeries, random_stable_kernels, write_gts
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "liargrid"
 
@@ -83,6 +85,25 @@ def test_fit_and_select_never_load_scipy(tmp_path, src_on_path, argv):
         path = tmp_path / "series.gts"
         write_gts(GridSeries((5, 6), np.random.default_rng(8).normal(size=(120, 30))), path)
         argv = argv + ["--input", str(path), "--output-dir", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, *argv], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scipy:"
+
+
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--horizon", "3"],
+    ["eval", "--methods", "liar,liar_p,spliar,mar", "--K", "1", "--R", "1"],
+], ids=["forecast", "eval"])
+def test_forecast_and_eval_never_load_scipy(tmp_path, src_on_path, argv):
+    # a 5x6 grid: spliar's projection takes the dense SVD, not ARPACK
+    path = tmp_path / "series.gts"
+    write_gts(GridSeries((5, 6), np.random.default_rng(9).normal(size=(120, 30))), path)
+    if argv[0] == "forecast":
+        kernels = tmp_path / "kernels.json"
+        random_stable_kernels((5, 6), 1, target_norm=0.6, seed=9).save_json(kernels)
+        argv = argv + ["--kernels", str(kernels)]
+    argv = argv + ["--input", str(path), "--output-dir", str(tmp_path / "out")]
     proc = subprocess.run([sys.executable, "-c", _SCIPY_AFTER, *argv], capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -22,10 +22,12 @@ from liargrid import (
     simulate_liar,
     truncated_svd,
 )
+import liargrid.fit
 import liargrid.separable
 from liargrid.fit import SiteFit
 from liargrid.grid import linear_to_site, read_gts, write_gts
-from liargrid.neighborhoods import box_field, box_neighborhood, custom_neighborhood
+from liargrid.neighborhoods import (Neighborhood, box_field, box_neighborhood,
+                                    custom_neighborhood)
 
 from _dgp import separable_rank1_kernels
 
@@ -100,6 +102,22 @@ class TestAssembleBlock:
         assert_array_equal(np.diag([10.0, 11.0, 12.0, 13.0]),
                            _dense_from_block(b2))
 
+
+    def test_report_is_tiled_from_its_arrays(self, monkeypatch):
+        shape = (5, 6)
+        kern = random_stable_kernels(shape, 1, order=2, target_norm=0.7, seed=40)
+        s = simulate_liar(kern, 200, NoiseSpec(sigma=1.0, seed=41))
+        report = fit_all(s, box_field(shape, 1), order=2, compute_se=False)
+        want = [assemble_block(list(report), (1, 2), lag=lag).data for lag in (1, 2)]
+        built = []
+        for cls in (SiteFit, Neighborhood):
+            monkeypatch.setattr(cls, "__init__", lambda self, *args, init=cls.__init__,
+                                name=cls.__name__: built.append(name) or init(self, *args))
+        monkeypatch.setattr(liargrid.fit, "_view", lambda *args, view=liargrid.fit._view:
+                            built.append("view") or view(*args))
+        got = [assemble_block(report, (1, 2), lag=lag).data for lag in (1, 2)]
+        assert built == []
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 def _dense_from_block(block):
     m, n = block.grid_shape

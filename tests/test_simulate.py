@@ -16,6 +16,7 @@ from liargrid import (
     kernel_distance,
     operator_norm,
     random_stable_kernels,
+    select_all,
     simulate_liar,
 )
 import liargrid.simulate
@@ -501,6 +502,65 @@ class TestKernelField:
         nb = box_neighborhood((0, 0), (2, 2), 1)
         with pytest.raises(ConfigurationError):
             KernelField((2, 2), 1, [nb] * 4, [np.ones((1, 3))] * 4)
+
+
+def _operator_products(field, lagged):
+    """sum_p x_{t-p} Op_p' through scipy's CSR products on ``operators()``."""
+    ops = field.operators()
+    pred = (ops[0] @ lagged[0].T).T
+    for x, op in zip(lagged[1:], ops[1:]):
+        pred += (op @ x.T).T
+    return pred
+
+
+def _uneven_field():
+    """BIC-selected kernels of a simulated 8x9 series: per-site radii differ."""
+    truth = random_stable_kernels((8, 9), 1, target_norm=0.7, seed=71)
+    series = simulate_liar(truth, 300, NoiseSpec(sigma=1.0, seed=72))
+    return select_all(series, max_radius=2).kernels()
+
+
+_PREDICT_FIELDS = {
+    "custom": lambda: KernelField.from_dict(_mixed_field_dict()),
+    "uneven": _uneven_field,
+    "clipped": lambda: random_stable_kernels((4, 4), 3, target_norm=0.7, seed=73),
+    "3d": lambda: random_stable_kernels((5, 5, 5), 1, target_norm=0.7, seed=74),
+    "1x1": lambda: random_stable_kernels((1, 1), 0, target_norm=0.7, seed=75),
+    "P2": lambda: random_stable_kernels((6, 7), (1, 2), order=2, target_norm=0.7, seed=76),
+}
+
+
+class TestPredict:
+    """``predict`` has the bits of scipy's CSR products, sign of zero included."""
+
+    @staticmethod
+    def _assert_bits(got, want):
+        assert got.shape == want.shape
+        assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("name", _PREDICT_FIELDS)
+    def test_block_and_rows_match_the_operator_products(self, name):
+        field = _PREDICT_FIELDS[name]()
+        if name == "uneven":
+            assert len({nb.radii for nb in field.neighborhoods}) > 1
+        gen = np.random.default_rng(77)
+        frames = gen.normal(size=(20 + field.order, field.n_sites))
+        lagged = [frames[field.order - p : len(frames) - p] for p in range(1, field.order + 1)]
+        got = field.predict(lagged)  # its slot layout built before the operators
+        self._assert_bits(got, _operator_products(field, lagged))
+        for t in range(len(frames) - field.order):
+            rows = [x[t : t + 1] for x in lagged]
+            self._assert_bits(field.predict(rows), _operator_products(field, rows))
+
+    def test_zero_field_gives_positive_zeros(self):
+        shape = (4, 5)
+        nbs = box_field(shape, 1)
+        field = KernelField(shape, 2, nbs, [np.zeros((2, nb.size)) for nb in nbs])
+        frames = -1.0 - np.random.default_rng(78).random(size=(9, field.n_sites))
+        for lagged in ([frames[1:], frames[:-1]], [frames[3:4], frames[2:3]]):
+            want = _operator_products(field, lagged)
+            assert not np.signbit(want).any()
+            self._assert_bits(field.predict(lagged), want)
 
 
 def _mixed_field_dict():
