@@ -20,7 +20,9 @@ from .neighborhoods import box_field
 from .simulate import _lag_order
 
 _AUTOCOV_CAP = 4_000_000  # entries in one requested block
-_MOMENT_BUDGET = 2**28  # bytes of MAR lag moments, above which ALS sweeps the frames
+_MOMENT_BUDGET = 2**28  # bytes of MAR lag moments plus one block, above which ALS sweeps frames
+_MOMENT_BLOCK = 2**21  # bytes of one _lag_moments block product, at least one grid column
+_LOSS_BLOCK = 2**19  # bytes of frames per block of the explicit MAR loss, at least one frame
 _GRAM_RCOND = 1e-6  # smallest Cholesky pivot ratio a MAR normal-equation solve accepts
 
 
@@ -290,15 +292,28 @@ def _lag_moments(values, m, n, p):
     Each is stored permuted to [(i, k), (j, l)] order, an (m*m, n*n)
     matrix holding sum_t X_{t-q}[i, j] X_{t-r}[k, l], so the A-step
     contracts it over (j, l) and the B-step, through its transpose, over
-    (i, k).
+    (i, k).  Each is built in place a block of grid columns j at a time,
+    so beside the moments only one block product of about _MOMENT_BLOCK
+    bytes is held; a symmetric M_qq forms its blocks from the diagonal on
+    and mirrors the rest.
     """
     t = values.shape[0]
     shifted = [values[p - q : t - q] for q in range(p + 1)]  # column-major x_{t-q}
+    cols = max(1, _MOMENT_BLOCK // (8 * m * m * n))
     moments = {}
     for q in range(p + 1):
         for r in range(max(q, 1), p + 1):
-            prod = shifted[q].T @ shifted[r]  # [(j, i), (l, k)]
-            moments[q, r] = prod.reshape(n, m, n, m).transpose(1, 3, 0, 2).reshape(m * m, n * n)
+            moments[q, r] = out = np.empty((m * m, n * n))
+            grid = out.reshape(m, m, n, n)  # [i, k, j, l]
+            for j0 in range(0, n, cols):
+                j1 = min(j0 + cols, n)
+                l0 = j0 if q == r else 0
+                # the block's product is [(j, i), (l, k)]; written through a transposed view
+                grid[:, :, j0:j1, l0:].transpose(2, 0, 3, 1)[...] = (
+                    shifted[q][:, j0 * m : j1 * m].T @ shifted[r][:, l0 * m :]
+                ).reshape(j1 - j0, m, n - l0, m)
+                if l0:  # M_qq[(i, k), (j, l)] = M_qq[(k, i), (l, j)], from earlier blocks
+                    grid[:, :, j0:j1, :l0] = grid[:, :, :l0, j0:j1].transpose(1, 0, 3, 2)
     return moments
 
 
@@ -340,11 +355,18 @@ def _gram_solve(g, rhs):
 
 
 def _residual(targets, lagged, a, b):
-    """Explicit training loss sum_t ||X_t - sum_q A_q X_{t-q} B_q'||^2."""
-    resid = -targets
-    for x, aq, bq in zip(lagged, a, b):
-        resid += aq @ (x @ bq.T)
-    return float(np.vdot(resid, resid))
+    """Explicit training loss sum_t ||X_t - sum_q A_q X_{t-q} B_q'||^2,
+    formed about _LOSS_BLOCK bytes of frames at a time and summed in order."""
+    tp, m, n = targets.shape
+    step = max(1, _LOSS_BLOCK // (8 * m * n))
+    loss = 0.0
+    for s in range(0, tp, step):
+        resid = -targets[s : s + step]
+        for x, aq, bq in zip(lagged, a, b):
+            resid += aq @ (x[s : s + step] @ bq.T)
+        flat = resid.ravel("K")  # memory order, no copy
+        loss += float(flat @ flat)
+    return loss
 
 
 def baseline_mar_als(series, order=1, max_iter=1000, tol=1e-7):
@@ -361,10 +383,13 @@ def baseline_mar_als(series, order=1, max_iter=1000, tol=1e-7):
     their lag-0..P second moments (the iterated least squares of Chen,
     Xiao & Yang, J. Econometrics 222, 2021), so those are accumulated
     once and every sweep, its loss included, costs O((MN)^2) whatever T.
-    A step whose Gram matrix fails a Cholesky or conditioning test, and
-    every step of a grid whose moments would exceed _MOMENT_BUDGET bytes,
-    is solved from the frames by stacked least squares instead.  The
-    last loss is always an explicit residual.
+    This moment path holds at most the P(P+3)/2 moments plus one block
+    product of their build, and runs only while those fit in
+    _MOMENT_BUDGET bytes.  A step whose Gram matrix fails a Cholesky or
+    conditioning test, and every step of a grid over the budget, is
+    solved from the frames by stacked least squares instead.  The last
+    loss is always an explicit residual, formed a block of frames at a
+    time.
 
     Returns
     -------
@@ -385,7 +410,8 @@ def baseline_mar_als(series, order=1, max_iter=1000, tol=1e-7):
     sides = ((targets, lagged, m),
              (targets.transpose(0, 2, 1), [x.transpose(0, 2, 1) for x in lagged], n))
     moments = None
-    if 8 * (m * n) ** 2 * (p * (p + 3) // 2) <= _MOMENT_BUDGET:
+    held = 8 * (m * n) ** 2 * (p * (p + 3) // 2) + max(_MOMENT_BLOCK, 8 * m * m * n)
+    if held <= _MOMENT_BUDGET:
         moments = _lag_moments(series.values, m, n, p)
         energy = float(np.vdot(series.values[p:], series.values[p:]))  # ||x||^2
 
@@ -423,7 +449,7 @@ def baseline_mar_als(series, order=1, max_iter=1000, tol=1e-7):
             converged = True
             break
     if moments is not None:
-        moments = system = None  # freed before the residual's temporaries
+        moments = system = None  # so the loss's blocks do not sit beside the moments
         loss[-1] = _residual(targets, lagged, a, b)
     return MarFit(p, a, b, loss, flagged, len(loss), converged)
 

@@ -980,3 +980,29 @@ def test_simulate_and_forecast_peaks_do_not_grow_with_the_series(tmp_path, liar_
         assert abs(grown) < payload / 4, (
             f"{name} peak RSS {peaks[name, 960]:.1f} MiB at T=960, "
             f"{peaks[name, 2880]:.1f} MiB at T=2880 (series {payload:.1f} MiB)")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_eval_mar_peak_is_its_moments_over_liar_p(tmp_path, liar_command):
+    # 30x45 sites, 1500 frames: a 15.4 MiB series whose two MAR lag moments
+    # take 27.8 MiB.  Over liar_p on the same input, liar eval --methods mar
+    # holds the moments plus their build and loss blocks, less than a
+    # quarter of the series; a full moment product or whole-series loss
+    # temporaries break the bound
+    shape, frames = (30, 45), 1500
+    kernels = random_stable_kernels(shape, 2, target_norm=0.8, seed=3)
+    write_gts(simulate_liar(kernels, frames, NoiseSpec(sigma=1.0, seed=4)),
+              tmp_path / "series.gts")
+    sites = math.prod(shape)
+    moments = 2 * 8 * sites**2 / 2**20
+    payload = frames * sites * 8 / 2**20
+    peaks = {}
+    for method in ("liar_p", "mar"):
+        code, peaks[method] = _peak_rss_mib([*liar_command, "eval", "--input",
+                                             tmp_path / "series.gts", "--methods", method,
+                                             "--output-dir", tmp_path / method])
+        assert code == 0
+    bound = peaks["liar_p"] + moments + payload / 4
+    assert peaks["mar"] <= bound, (
+        f"mar peak RSS {peaks['mar']:.1f} MiB against {bound:.1f} MiB (liar_p "
+        f"{peaks['liar_p']:.1f} MiB, moments {moments:.1f} MiB, series {payload:.1f} MiB)")

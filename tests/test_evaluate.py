@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -352,6 +354,62 @@ class TestMarAls:
         mar = baseline_mar_als(s, order=order)
         resid = self._predictions(mar, s) - s.values[order:]
         assert_allclose(mar.loss[-1], np.sum(resid * resid), rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_loss_summed_over_frame_blocks(self, order, monkeypatch):
+        # blocks of 7 frames leave a last block of 2 of the 149 targets at
+        # P=1 and of 1 of the 148 at P=2
+        m, n = 5, 7
+        monkeypatch.setattr(liargrid.evaluate, "_LOSS_BLOCK", 7 * 8 * m * n + 5)
+        gen = np.random.default_rng(78)
+        s = GridSeries((m, n), gen.normal(size=(150, m * n)))
+        mar = baseline_mar_als(s, order=order)
+        resid = self._predictions(mar, s) - s.values[order:]
+        assert_allclose(mar.loss[-1], np.sum(resid * resid), rtol=1e-12)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("shape", [(5, 7), (4, 9)])
+    @pytest.mark.parametrize("cols", [1, 2, 4, None])
+    def test_lag_moments_match_their_definition(self, order, shape, cols, monkeypatch):
+        # blocks of 2 and 4 grid columns leave a one-column block on 7 and
+        # 9 columns; None keeps the default, one block for the whole grid
+        m, n = shape
+        if cols is not None:
+            monkeypatch.setattr(liargrid.evaluate, "_MOMENT_BLOCK", cols * 8 * m * m * n + 7)
+        gen = np.random.default_rng(76)
+        s = GridSeries(shape, gen.normal(size=(60, m * n)) + 0.3)
+        got = liargrid.evaluate._lag_moments(s.values, m, n, order)
+        frames, t = s.frames, s.n_frames
+        pairs = [(q, r) for q in range(order + 1) for r in range(max(q, 1), order + 1)]
+        assert sorted(got) == pairs
+        for q, r in pairs:
+            want = np.einsum("tij,tkl->ikjl", frames[order - q : t - q],
+                             frames[order - r : t - r]).reshape(m * m, n * n)
+            assert got[q, r].shape == want.shape
+            assert np.max(np.abs(got[q, r] - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_traced_peak_is_the_moments_plus_one_block(self, monkeypatch):
+        # 12x20 sites, 400 frames: the two lag moments (0.92 MB) are built
+        # two grid columns at a time and the loss over the frames (0.77 MB)
+        # 16 frames at a time.  A moment built from a full product, or a
+        # loss formed from whole-series temporaries, breaks the bound
+        m, n, t = 12, 20, 400
+        moment_block = 2 * 8 * m * m * n
+        loss_block = 16 * 8 * m * n
+        monkeypatch.setattr(liargrid.evaluate, "_MOMENT_BLOCK", moment_block)
+        monkeypatch.setattr(liargrid.evaluate, "_LOSS_BLOCK", loss_block)
+        gen = np.random.default_rng(77)
+        s = GridSeries((m, n), gen.normal(size=(t, m * n)))
+        # a residual block is the residual and its two products
+        bound = 2 * 8 * (m * n) ** 2 + moment_block + 3 * loss_block + 2**16
+        tracemalloc.start()
+        try:
+            mar = baseline_mar_als(s, max_iter=5, tol=1e-300)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mar.n_iter == 5
+        assert peak <= bound, f"traced peak {peak} bytes against {bound}"
 
     def test_zero_site_flags_singular_gram(self):
         # on a one-column grid the zero site is a zero row of every frame,
