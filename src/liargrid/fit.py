@@ -15,12 +15,14 @@ returned with ``cond_flag`` set.
 R comes one of two ways.  Selection, and a ``fit_all`` of box
 neighborhoods at every site of the grid, take the Cholesky factor of
 the Gram [Y z]'[Y z], which is R up to row signs: the grid's sample lag
-moments, which neighboring sites share, are formed once
-(:func:`_lag_moments`), each site's Gram is read off them, and all
-sites with the same level sizes are factored in one batched call (the
-moment form of conditional least squares: Brockwell & Davis 1991, sec.
-8.1).  That squares the design's condition number (Higham 2002, ch.
-20), so a guard sends each site whose factor it doubts back to QR.
+moments, which neighboring sites share, are formed once, one
+elementwise product of the frames with the frames shifted by each
+offset of a band (:func:`_lag_moments`), each site's Gram is read off
+them, and all sites with the same level sizes are factored in one
+batched call (the moment form of conditional least squares: Brockwell &
+Davis 1991, sec. 7.2 and 8.1).  That squares the design's condition
+number (Higham 2002, ch. 20), so a guard sends each site whose factor
+it doubts back to QR.
 Every other request (some of the grid's sites, a non-box neighborhood,
 ``fit_site``, ``standard_errors``) gathers [Y z] and takes its QR
 factor, never the normal equations.
@@ -34,8 +36,8 @@ one batched solve (:func:`_solve_levels`); the results are kept as
 arrays in site order (:class:`_Solved`).  Every factorization and
 solve is numpy's LAPACK, whose calls release the GIL, so tasks factor
 in parallel; the module never imports scipy.  The moment path splits
-the moment products across the pool and solves its batches on the
-calling thread.  OpenBLAS runs on one thread throughout
+the moment products across the pool by ranges of sites and solves its
+batches on the calling thread.  OpenBLAS runs on one thread throughout
 (:func:`single_threaded_blas`).  Each result is a pure function of its
 site's data, the same for any worker count, batch or BLAS thread
 setting: a batched LAPACK call factors or solves each matrix of its
@@ -44,7 +46,7 @@ batches of one.
 
 References
 ----------
-Brockwell, Davis (1991), "Time Series: Theory and Methods", 2nd ed., sec. 8.1.
+Brockwell, Davis (1991), "Time Series: Theory and Methods", 2nd ed., sec. 7.2, 8.1.
 Golub, Van Loan (2013), "Matrix Computations", 4th ed., sec. 5.2-5.3, 5.5.
 Higham (2002), "Accuracy and Stability of Numerical Algorithms", 2nd ed., ch. 20.
 """
@@ -52,27 +54,27 @@ Higham (2002), "Accuracy and Stability of Numerical Algorithms", 2nd ed., ch. 20
 import contextlib
 import warnings
 from collections.abc import Mapping
-from itertools import product
 
 import numpy as np
 
 from ._threads import _in_order, resolve_workers, single_threaded_blas
 from .errors import ConfigurationError, LiarError, UnderdeterminedError
 from .grid import _JsonArtifact, linear_to_site, site_to_linear, sites_to_linear
-from .neighborhoods import _box_sites, _grid_centers, _view
+from .neighborhoods import _box_sites, _view
 from .simulate import KernelField, _lag_order, _site_blocks
 
+# frames per slab of the moment products (see _lag_moments): the first on
+# grids of up to 2048 sites, the second on larger ones.  On random data at
+# 1 worker (2 cores, 2 MiB L2), 32x32, T=1500, radius 3 took 65 ms at 128
+# frames, 70 at 64 and 88 at 256; 64x64 at radius 1 took 57-61 ms at 32 and
+# 64-65 at 64 or 128; 91x181, T=960, radius 2 was within noise at 32-128
+_SLAB = (128, 32)
 _RANK_TOL = 1e-10  # diagonal ratio below which a design counts as rank-deficient
 _BLOCK = 64  # sites per batch of one size class: per pool task, or per stack of Grams
 _PLAN = 1024  # sites planned at once (see _Plan)
 # Gram entries per batch, at most: a batch of 64 sites with 49-site boxes
 # (50x50 Grams) raised select_pow2's peak RSS by 1.2 MB over 52 of them
 _GRAM_BATCH = 52 * 50**2
-# grid-line sites per moment product (see _lag_moments): on a 91x181 grid,
-# T=960, radius 3, select_all took 4.4 s at 128, 5.0 at 64, 6.0 at 32 and
-# 8.3 at 16 on 2 cores (wide products waste the entries outside their band
-# but run at several times the rate), and a lone select_site 28, 16 and 13 ms
-_TILE = 128
 # a Cholesky factor of moments goes back to QR when its diagonal ratio is at
 # most _GUARD_RATIO or its last pivot squared at most _GUARD_FIT times z'z:
 # there its coefficients and RSS stay within about 1e-9 (relative) of the QR's,
@@ -246,41 +248,40 @@ def _scan(r, cols):
 
 def _band(coords, h):
     """Keys of the offsets -h..h per axis, numbered column-major, between
-    sites at ``coords``: the offset from site a to site b is column
-    ``row[a] + col[b]`` of a flattened (site, offset) table.  Returns
-    (row, col, offsets per site)."""
-    steps = np.cumprod(np.r_[1, 2 * h + 1])
-    col = coords @ steps[:-1]
-    return np.arange(len(coords)) * steps[-1] - col + h @ steps[:-1], col, int(steps[-1])
+    the sites at ``coords``, one per table row: the offset from the site
+    of row i to the site of row j is entry ``row[i] + col[j]`` of a
+    flattened (offset, row) table.  Returns (row, col, offsets per row)."""
+    steps, rows = np.cumprod(np.r_[1, 2 * h + 1]), len(coords)
+    col = coords @ steps[:-1] * rows
+    return np.arange(rows) - col + h @ steps[:-1] * rows, col, int(steps[-1])
 
 
 class _Moments:
     """Sample lag moments of a series over its usable frames t = P..T-1,
-    one row per site of ``sites`` (sorted linear indices; every site of
-    the grid when None) and one column per offset δ of a band:
-    ``yy[p-1, q-1, a, δ]`` is sum_t x_a(t-p) x_{a+δ}(t-q) for lags p, q =
-    1..P and |δ| <= ``h2`` per axis, ``yz[q-1, c, δ]`` is sum_t x_c(t)
-    x_{c+δ}(t-q) for |δ| <= ``h1``, and ``zz[c]`` is sum_t x_c(t)^2.  The
-    entry of sites a and b, at table rows i and j (:meth:`at`), sits at
-    ``row[i] + col[j]`` of its flattened (row, offset) table, with the
-    :func:`_band` keys ``row2, col2`` of ``h2`` or ``row1, col1`` of
-    ``h1``.  Entries that no request reached stay zero."""
+    one column per site of the linear range ``[lo, hi)`` and one row per
+    offset δ of a band: ``yy[p-1, q-1, δ, a-lo]`` is sum_t x_a(t-p)
+    x_{a+δ}(t-q) for lags p, q = 1..P and |δ| <= ``h2`` per axis,
+    ``yz[q-1, δ, c-lo]`` is sum_t x_c(t) x_{c+δ}(t-q) for |δ| <= ``h1``,
+    and ``zz[c-lo]`` is sum_t x_c(t)^2.  The entry of sites a and b, at
+    table rows i and j (:meth:`at`), sits at ``row[i] + col[j]`` of its
+    flattened (offset, row) table, with the :func:`_band` keys ``row2,
+    col2`` of ``h2`` or ``row1, col1`` of ``h1``.  Offsets are numbered
+    column-major, so -δ is numbered from the other end."""
 
-    __slots__ = ("sites", "row1", "col1", "row2", "col2", "yy", "yz", "zz")
+    __slots__ = ("lo", "row1", "col1", "row2", "col2", "yy", "yz", "zz")
 
-    def __init__(self, order, shape, h1, h2, sites=None):
-        self.sites = sites
-        coords = (_grid_centers(shape) if sites is None
-                  else np.stack(np.unravel_index(sites, shape, order="F"), axis=1))
+    def __init__(self, order, shape, h1, h2, lo, hi):
+        self.lo = lo
+        coords = np.stack(np.unravel_index(np.arange(lo, hi), shape, order="F"), axis=1)
         self.row1, self.col1, size1 = _band(coords, h1)
         self.row2, self.col2, size2 = _band(coords, h2)
-        self.yy = np.zeros((order, order, len(coords), size2))
-        self.yz = np.zeros((order, len(coords), size1))
-        self.zz = np.zeros(len(coords))
+        self.yy = np.zeros((order, order, size2, hi - lo))
+        self.yz = np.zeros((order, size1, hi - lo))
+        self.zz = np.zeros(hi - lo)
 
     def at(self, lin):
         """Table rows of the linear sites ``lin``."""
-        return lin if self.sites is None else np.searchsorted(self.sites, lin)
+        return lin - self.lo
 
     def grams(self, centers, sites, lags):
         """Augmented Grams [Y z]'[Y z], one per entry of ``centers`` (the
@@ -307,95 +308,67 @@ def _lag_moments(values, shape, order, reach, centers, workers):
     Grams of boxes of per-axis radii ``reach`` around the linear sites
     ``centers`` (every site when None) are made of.
 
-    A grid line is the sites that share every coordinate but the first,
-    consecutive in linear order; lines are cut into tiles of at most
-    ``_TILE`` sites.  Each moment entry comes from one BLAS-3 product over
-    the T-P usable frames, fixed by the two tiles holding its two sites and
-    its lag pair and never by the sites that asked for it, so any request
-    gives an entry the same bits.  Equal lags take one tile order and read
-    the other off its transpose.  A product keeps the band of offsets it
-    feeds (up to twice the reach, clipped to n - 1 per axis, as in
-    ``_box_sites``) and is freed.  Given ``centers``, the table holds the
-    sites of the tiles their boxes touch, and only those tiles' products
-    are formed.  One task per row tile on the in-order pool; tasks write
-    disjoint entries.
+    The table's rows are every site, or, given ``centers``, the linear
+    range that their boxes span.  An offset δ of the band (up to twice
+    the reach, clipped to n - 1 per axis, as in ``_box_sites``) is a
+    linear shift s = δ · strides, so each lag pair's row of δ is one
+    elementwise product of the frames with the frames shifted by s
+    sites: ``np.einsum("ti,ti->i")`` over slabs of ``_SLAB`` frames, the
+    slab sums added in slab order.  einsum sums each entry over t in
+    order, whatever the columns it is given, so any request gives an
+    entry the same bits.  A shift that crosses the end of a grid line
+    lands on another line: those entries are products that no Gram
+    reads.  An entry whose second site is outside the table stays zero.
+    Equal lags form the shifts s >= 0 and copy each -δ off δ's row
+    shifted by s sites; lags p < q fill (q, p) the same way.  One task
+    per range of columns on the in-order pool; tasks write disjoint
+    entries.
     """
     t, grid, shape = values.shape[0], tuple(shape), np.array(shape)
-    n0 = int(shape[0])
-    n_tiles = -(-n0 // _TILE)
-    tile_of = lambda lin: lin // n0 * n_tiles + lin % n0 // _TILE
     reach = np.minimum(reach, shape - 1)  # offsets beyond n - 1 never land on the grid
     h1, h2 = reach, np.minimum(2 * reach, shape - 1)
-
-    def start(g):
-        return g // n_tiles * n0 + g % n_tiles * _TILE
-
-    def width(g):
-        return min(_TILE, n0 - g % n_tiles * _TILE)
-
-    if centers is None:
-        near = centred = None
-        rows = range(n_tiles * int(np.prod(shape[1:])))
-        m = _Moments(order, grid, h1, h2)
-        base = start  # table row of each tile's first site
-    else:  # the tiles of the centers' boxes
+    lo, hi = 0, values.shape[1]
+    if centers is not None:  # the span of the centers' boxes
         coords = np.stack(np.unravel_index(centers, grid, order="F"), axis=1)
         box = _box_sites(coords, grid, tuple(reach.tolist()))[1]
-        rows = np.unique(tile_of(box)).tolist()
-        near, centred = set(rows), set(tile_of(np.asarray(centers)).tolist())
-        sites = np.concatenate([np.arange(start(g), start(g) + width(g)) for g in rows])
-        m = _Moments(order, grid, h1, h2, sites)
-        base = dict(zip(rows, np.cumsum([0] + [width(g) for g in rows]).tolist())).__getitem__
-    line_steps = np.cumprod(np.r_[1, shape[1:]])[:-1]
-    pairs = {}
+        lo, hi = int(box.min()), int(box.max()) + 1
+    m = _Moments(order, grid, h1, h2, lo, hi)
+    strides = np.cumprod(np.r_[1, shape[:-1]])
 
-    def partners(g, h):
-        """Each tile of ``near`` within the band ``h`` of tile ``g``, with
-        the positions in the two tiles, and the table rows, that the band
-        pairs."""
-        line, k = divmod(g, n_tiles)
-        for shift in product(*(range(-x, x + 1) for x in h[1:].tolist())):
-            there = line // line_steps % shape[1:] + shift
-            if ((there < 0) | (there >= shape[1:])).any():
-                continue
-            for k2 in range(max(k * _TILE - h[0], 0) // _TILE,
-                            min(k * _TILE + _TILE - 1 + h[0], n0 - 1) // _TILE + 1):
-                g2 = int(there @ line_steps) * n_tiles + k2
-                if near is not None and g2 not in near:
-                    continue
-                key = (k, k2, int(h[0]))
-                if key not in pairs:  # two tasks may both fill it, with equal arrays
-                    a, a2 = k * _TILE, k2 * _TILE
-                    gap = (np.arange(a2, min(a2 + _TILE, n0))
-                           - np.arange(a, min(a + _TILE, n0))[:, None])
-                    pairs[key] = np.nonzero(np.abs(gap) <= h[0])
-                i, j = pairs[key]
-                yield g2, i, j, base(g) + i, base(g2) + j
+    def shifts(h):  # the linear shift of each offset, in key order
+        return (np.indices(2 * h + 1).reshape(len(h), -1, order="F").T - h) @ strides
 
-    def lagged(p, g):  # tile g at lag p over the usable frames
-        return values[order - p : t - p, start(g) : start(g) + width(g)]
+    # (table row, lags p and q, shift, the mirrored row that copies it or None)
+    jobs = [(m.zz, 0, 0, 0, None)]
+    jobs += [(m.yz[q - 1, k], 0, q, s, None) for q in range(1, order + 1)
+             for k, s in enumerate(shifts(h1).tolist())]
+    jobs += [(m.yy[p - 1, q - 1, k], p, q, s, m.yy[q - 1, p - 1, -1 - k] if s or p < q else None)
+             for p in range(1, order + 1) for q in range(p, order + 1)
+             for k, s in enumerate(shifts(h2).tolist()) if s >= 0 or p < q]
+    step = _SLAB[values.shape[1] > 2048]
 
-    def tile(g):
-        if centred is None or g in centred:
-            now = lagged(0, g)
-            m.zz[base(g) : base(g) + now.shape[1]] = np.einsum("ij,ij->j", now, now)
-            for g2, i, j, a, b in partners(g, h1):
-                for q in range(1, order + 1):
-                    c = (now.T @ lagged(q, g2))[i, j]
-                    m.yz[q - 1].reshape(-1)[m.row1[a] + m.col1[b]] = c
-        for g2, i, j, a, b in partners(g, h2):
-            for p in range(1, order + 1):
-                for q in range(p, order + 1):
-                    if p == q and g2 < g:  # the transpose of tile g2's product
-                        continue
-                    c = (lagged(p, g).T @ lagged(q, g2))[i, j]
-                    m.yy[p - 1, q - 1].reshape(-1)[m.row2[a] + m.col2[b]] = c
-                    if p < q or g2 > g:
-                        m.yy[q - 1, p - 1].reshape(-1)[m.row2[b] + m.col2[a]] = c
+    def columns(span):
+        a, b = span
+        cut = []  # each job's entries in the span, its two factors' columns, its copy
+        for out, p, q, s, mirror in jobs:
+            i, j = max(a, lo - s), min(b, hi - s)  # both sites in the table
+            if i < j:
+                cut.append((out[i - lo : j - lo], values[:, i:j], values[:, i + s : j + s],
+                            p, q, None if mirror is None else mirror[i + s - lo : j + s - lo]))
+        for f in range(order, t, step):
+            g = min(f + step, t)
+            for out, left, right, p, q, _ in cut:
+                out += np.einsum("ti,ti->i", left[f - p : g - p], right[f - q : g - q])
+        for out, _, _, _, _, mirror in cut:
+            if mirror is not None:
+                mirror[:] = out
 
+    cuts = np.linspace(lo, hi, workers + 1).astype(int).tolist()
+    spans = list(zip(cuts[:-1], cuts[1:]))
     # tasks return nothing, so all are queued at once: no worker waits for
     # this thread to queue the next
-    for _ in (map(tile, rows) if workers <= 1 else _in_order(tile, rows, workers, len(rows))):
+    for _ in (map(columns, spans) if workers <= 1
+              else _in_order(columns, spans, workers, len(spans))):
         pass
     return m
 

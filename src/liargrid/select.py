@@ -15,16 +15,17 @@ level's new sites, all lags per group), so one R factor of [Y z] from
 a trailing sum of squares and, by back substitution on its leading
 block, the winning level's coefficients.  That R is the Cholesky factor
 of the site's Gram [Y z]'[Y z], assembled from lag moments that
-neighboring sites share and formed once per call; a site whose factor
-fails the kernel's guard (a rank-deficient, nearly collinear or
-exactly fitting design) is gathered and factored by QR instead, and a
-level whose leading block fails the rank test is scored by its
-minimum-norm fit, read off that QR factor.  Selection is the fit's
+neighboring sites share, formed once per call as one elementwise
+product of the frames with the frames shifted by each band offset; a
+site whose factor fails the kernel's guard (a rank-deficient, nearly
+collinear or exactly fitting design) is gathered and factored by QR
+instead, and a level whose leading block fails the rank test is scored
+by its minimum-norm fit, read off that QR factor.  Selection is the fit's
 block solver given each site's family and a BIC choice: all sites with
 the same level sizes are factored, scored and solved at once.
 ``select_all`` forms the moments of the whole grid, ``select_site``
-those of its site's largest kept box, by the same products, so both
-give a site the same bits.  ``select_all`` lays out the candidate boxes
+those of the sites that its largest kept box spans, by the same
+products, so both give a site the same bits.  ``select_all`` lays out the candidate boxes
 of about a thousand sites at a time as arrays, one box level at a time,
 and plans their columns from them; the scan's records and kept fits stay
 arrays in site order, from which the report writes its files and builds
@@ -141,11 +142,12 @@ def select_site(series, family, order=1, d0=None, keep_fit=True):
     (recorded in ``trace.dropped``); at least one level must remain.
 
     The site's moments come from the products that :func:`select_all`
-    shares between neighboring sites: one per pair of line tiles (up to
-    128 sites along axis 0) that its largest kept box touches, over all
-    T frames.  So a call costs the same on any grid with the same line
-    length, but on long lines far more than one site's own least
-    squares; scan a whole grid with :func:`select_all`.
+    shares between neighboring sites: one per band offset and lag pair,
+    over the linear range of sites that its largest kept box spans (2K +
+    1 grid lines for a box of radius K on a 2-D grid) and all T frames.
+    So a call costs the same on any grid with the same line length, but
+    far more than one site's own least squares; scan a whole grid with
+    :func:`select_all`.
 
     Returns
     -------

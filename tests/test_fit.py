@@ -486,6 +486,58 @@ class TestMomentPath:
             assert got.rss == want.rss
 
 
+    def test_lag_moments_match_their_definition(self, monkeypatch):
+        # every entry that a Gram can read (both sites on the grid, at most
+        # twice the clipped reach apart per axis) against an einsum of its
+        # definition, summed over several slabs and a short last one; the
+        # table has the same bits at any worker count, and a table of the
+        # rows that some centers' boxes span has the full table's bits there
+        monkeypatch.setattr(liargrid.fit, "_SLAB", (7, 7))
+        shape, order, t = (5, 3, 4), 2, 40
+        values = np.random.default_rng(74).normal(size=(t, 60))
+        reach = np.array([2, 5, 1])  # axis 1 is clipped to n - 1 = 2
+        moments = lambda centers, workers: liargrid.fit._lag_moments(
+            values, shape, order, reach, centers, workers)
+        full = moments(None, 1)
+        for workers in (2, 3):
+            other = moments(None, workers)
+            for name in ("yy", "yz", "zz"):
+                assert_array_equal(getattr(other, name), getattr(full, name))
+
+        h1 = np.minimum(reach, np.array(shape) - 1)
+        h2 = np.minimum(2 * h1, np.array(shape) - 1)
+        lagged = lambda p: values[order - p : t - p]
+        coords = np.stack(np.unravel_index(np.arange(60), shape, order="F"), axis=1)
+        tables = [(full.zz[None], np.arange(60), np.zeros(60, int), np.zeros(3, int), [(0, 0)]),
+                  (full.yz, full.row1, full.col1, h1, [(0, q) for q in (1, 2)]),
+                  (full.yy.reshape(4, *full.yy.shape[2:]), full.row2, full.col2, h2,
+                   [(p, q) for p in (1, 2) for q in (1, 2)])]
+        pairs = 0
+        for table, row, col, h, lags in tables:
+            for delta in np.indices(2 * h + 1).reshape(3, -1).T - h:
+                there = coords + delta
+                a = np.flatnonzero(((there >= 0) & (there < shape)).all(axis=1))
+                b = np.ravel_multi_index(there[a].T, shape, order="F")
+                for (p, q), got in zip(lags, table.reshape(len(table), -1)):
+                    want = np.einsum("ti,ti->i", lagged(p)[:, a], lagged(q)[:, b])
+                    scale = np.einsum("ti,ti->i", np.abs(lagged(p)[:, a]), np.abs(lagged(q)[:, b]))
+                    assert np.all(np.abs(got[row[a] + col[b]] - want) <= 1e-13 * scale)
+                    pairs += len(a)
+        # per axis of n sites, n + 2 sum_{d=1..h} (n - d) ordered pairs
+        assert pairs == 60 + 2 * (19 * 9 * 10) + 4 * (25 * 9 * 14)
+
+        for centers in ([0], [site_to_linear((2, 1, 2), shape)], [59]):
+            part = moments(np.array(centers), 2)
+            rows = np.arange(part.lo, part.lo + len(part.zz))
+            assert 0 < len(rows) < 60
+            assert_array_equal(part.zz, full.zz[rows])
+            for got, want, h in ((part.yz, full.yz, h1), (part.yy, full.yy, h2)):
+                shifts = (np.indices(2 * h + 1).reshape(3, -1, order="F").T - h) @ [1, 5, 15]
+                for k, s in enumerate(shifts.tolist()):
+                    inside = (rows + s >= rows[0]) & (rows + s <= rows[-1])
+                    assert_array_equal(got[..., k, inside], want[..., k, rows[inside]])
+
+
 _BLAS = liargrid._threads._openblas_thread_controls()
 
 

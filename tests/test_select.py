@@ -442,20 +442,23 @@ class TestMomentPath:
         # no moment factor passes a diagonal-ratio test against infinity
         monkeypatch.setattr(liargrid.fit, "_GUARD_RATIO", math.inf)
 
-    @pytest.mark.parametrize("shape,order,family,tile,seed", [
+    @pytest.mark.parametrize("shape,order,family,slab,seed", [
         ((6, 7), 1, dict(max_radius=2), None, 81),
         ((6, 7), 2, dict(max_radius=2), None, 82),
         ((4, 5, 3), 1, dict(max_radius=1), None, 83),
         ((7, 6), 1, dict(radii_list=[(0, 0), (1, 0), (1, 2), (2, 2)]), None, 84),
         ((10, 10), 1, dict(max_radius=5), None, 85),
-        ((11, 5), 2, dict(max_radius=2), 4, 86),
+        ((11, 5), 2, dict(max_radius=2), 60, 86),
+        ((15,), 1, dict(max_radius=3), None, 95),
+        ((1, 9), 1, dict(max_radius=2), None, 96),
+        ((9, 1), 2, dict(max_radius=2), None, 97),
     ], ids=["2d", "2d-P2", "3d", "per-axis-radii", "reach-wider-than-grid",
-            "lines-in-tiles"])
-    def test_matches_the_qr_path(self, monkeypatch, shape, order, family, tile, seed):
+            "lines-in-tiles", "1d", "one-row", "one-column"])
+    def test_matches_the_qr_path(self, monkeypatch, shape, order, family, slab, seed):
         # RSS and BIC within 1e-12, kept coefficients within 1e-11 (relative),
         # the same chosen labels, and no site of a simulated field guarded
-        if tile is not None:
-            monkeypatch.setattr(liargrid.fit, "_TILE", tile)
+        if slab is not None:  # several slabs and a short last one
+            monkeypatch.setattr(liargrid.fit, "_SLAB", (slab, slab))
         kern = random_stable_kernels(shape, 1, order=order, target_norm=0.7, seed=seed)
         s = simulate_liar(kern, 400, NoiseSpec(sigma=1.0, seed=seed + 100))
         calls, factor = [], liargrid.fit._factor
@@ -478,12 +481,12 @@ class TestMomentPath:
             assert trace.fit.neighborhood == want.fit.neighborhood
 
     def test_grams_match_the_gathered_design(self):
-        # every entry of the assembled [Y z]'[Y z], for boxes cut across
-        # tiles, against the gathered block's own product
+        # every entry of the assembled [Y z]'[Y z], summed over several
+        # slabs and a short last one, against the gathered block's own product
         shape, order = (9, 4, 3), 2
         values = np.random.default_rng(87).normal(size=(50, 108))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(liargrid.fit, "_TILE", 4)
+            patch.setattr(liargrid.fit, "_SLAB", (9, 9))
             table = liargrid.fit._lag_moments(values, shape, order, np.array([2, 1, 1]),
                                               None, 2)
         for site in [(0, 0, 0), (4, 2, 1), (8, 3, 2), (3, 0, 2)]:
@@ -510,7 +513,7 @@ class TestMomentPath:
     def test_single_site_matches_select_all_across_tiles(self, monkeypatch):
         # each moment entry comes from one fixed product, whoever asks, and
         # eight workers writing one table lose no entry
-        monkeypatch.setattr(liargrid.fit, "_TILE", 3)
+        monkeypatch.setattr(liargrid.fit, "_SLAB", (40, 40))
         kern = random_stable_kernels((8, 5), 1, order=2, target_norm=0.7, seed=88)
         s = simulate_liar(kern, 300, NoiseSpec(sigma=1.0, seed=89))
         switch = sys.getswitchinterval()
